@@ -4,22 +4,11 @@ Paper: "<15 seconds to analyze a graph with 1k nodes and 6k edges, and
 <2 seconds to construct the corresponding FTG and SDG in HTML format."
 Real wall-clock time (the Analyzer is offline tooling).
 
-The scale-out benchmark compares the seed trace-to-graphs pipeline
-(serial JSON load with per-op records, serial build) against the binary
-codec + :class:`~repro.analyzer.parallel.ParallelAnalyzer` path, and
-writes the before/after numbers to ``BENCH_analyzer.json`` at the repo
-root.
+The end-to-end trace-to-graphs timing over the same synthetic workflow
+lives in ``bench_columnar.py``.
 """
 
-from pathlib import Path
-
-from repro.experiments.analyzer_scale import (
-    SyntheticScale,
-    run_analyzer_scale,
-    run_analyzer_scaleout,
-)
-
-BENCH_OUT = Path(__file__).resolve().parent.parent / "BENCH_analyzer.json"
+from repro.experiments.analyzer_scale import SyntheticScale, run_analyzer_scale
 
 
 def test_analyzer_thousand_node_graph(run_once):
@@ -29,14 +18,3 @@ def test_analyzer_thousand_node_graph(run_once):
     assert result["analyze_seconds"] < 15.0
     assert result["render_seconds"] < 10.0
     assert result["html_bytes"] > 0
-
-
-def test_analyzer_scaleout_binary_parallel(run_once, write_bench_json):
-    result = run_once(run_analyzer_scaleout)
-    write_bench_json(BENCH_OUT, result)
-    # The scale-out path must be a pure optimization: same graphs, byte
-    # for byte, from a trace at least 5x smaller, at least 3x faster.
-    assert result["identical_graphs"]
-    assert result["ftg_nodes"] >= 1000
-    assert result["size_ratio"] >= 5.0
-    assert result["speedup"] >= 3.0

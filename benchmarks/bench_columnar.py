@@ -1,11 +1,11 @@
-"""Columnar trace analytics: run-file scan vs. the row trace paths.
+"""Columnar trace analytics: run-file scan vs. the JSON row path.
 
-Gates the tentpole claim and records it in ``BENCH_columnar.json`` at
-the repo root: opening one compacted ``.dayuc`` run and building the
-FTG + SDG from its stats columns is at least **10x** faster than the
-seed pipeline (serial JSON parse with per-op records, serial build) —
-with byte-identical serialized graphs across JSON, row-binary and
-columnar inputs.
+Gates the claim and records it in ``BENCH_columnar.json`` at the repo
+root: opening one compacted ``.dayuc`` run and building the FTG + SDG
+from its stats columns is at least **10x** faster than the seed
+pipeline (serial JSON parse with per-op records, serial build) — with
+byte-identical serialized graphs from JSON and columnar inputs, and a
+columnar store at least 5x smaller than the JSON one.
 
 ``DAYU_SMOKE=1`` switches to the reduced CI shape, where the gate drops
 to 5x (fixed per-call overhead looms larger on tiny inputs).

@@ -20,8 +20,8 @@ folded with the correctly-rounded :func:`math.fsum` at finalization.
 
 With ``max_workers=1`` (or a single shard) everything runs in-process —
 no pool, no pickling — which is also the fast path on small boxes where
-the win comes from the binary codec and ``with_io_records=False`` rather
-than from fan-out.
+the win comes from ``with_io_records=False`` (columnar traces never
+decode the per-op record columns) rather than from fan-out.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class ParallelAnalyzer:
         with_io_records: Materialize per-operation records when loading.
             Graph construction and the diagnostics never read them, so the
             default ``False`` skips the dominant trace section entirely —
-            an O(1) seek per profile in the binary format.
+            columnar traces never decode their record columns.
     """
 
     def __init__(

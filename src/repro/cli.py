@@ -62,11 +62,11 @@ def run_main(argv: List[str] | None = None) -> int:
                              "its files, and stage pre-existing inputs "
                              "onto their planned tiers (see dayu-plan)")
     parser.add_argument("--trace-format",
-                        choices=("json", "binary", "columnar"),
+                        choices=("json", "columnar"),
                         default="json",
-                        help="saved profile format: JSON interchange, the "
-                             "compact binary codec, or the footer-indexed "
-                             "columnar analytics form (default json)")
+                        help="saved profile format: JSON interchange or "
+                             "the footer-indexed columnar binary form "
+                             "(default json)")
     parser.add_argument("--monitor", action="store_true",
                         help="attach the live monitor (streaming lint "
                              "alerts print as they fire; see dayu-monitor "
@@ -217,11 +217,11 @@ def analyze_main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument("traces",
                         help="directory of saved task profiles "
-                             "(*.json, *.dayu and/or *.dayuc)")
+                             "(*.json and/or *.dayuc)")
     parser.add_argument("--out", default="graphs",
                         help="output directory for HTML/DOT graphs")
     parser.add_argument("--trace-format",
-                        choices=("auto", "json", "binary", "columnar"),
+                        choices=("auto", "json", "columnar"),
                         default="auto",
                         help="restrict to one trace format, detected by "
                              "magic bytes (default auto: mixed-format "
@@ -251,12 +251,12 @@ def analyze_main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.analyzer import ParallelAnalyzer
-    from repro.mapper.persist import UnknownTraceFormat
+    from repro.mapper.persist import TRACE_READ_ERRORS
 
     analyzer = ParallelAnalyzer(max_workers=args.jobs)
     try:
         profiles = analyzer.load(args.traces, trace_format=args.trace_format)
-    except UnknownTraceFormat as exc:
+    except TRACE_READ_ERRORS as exc:
         print(f"dayu-analyze: {exc}", file=sys.stderr)
         return 2
     if not profiles:

@@ -8,29 +8,20 @@ The Analyzer is offline tooling, so — unlike the simulated runtimes used
 everywhere else — this experiment measures *real* wall-clock time with
 ``time.perf_counter``.
 
-:func:`run_analyzer_scaleout` extends the experiment to the end-to-end
-*trace-to-graphs* pipeline: it saves the synthetic profiles both as JSON
-and as the compact binary format, then times the seed path (serial JSON
-load with per-op records, serial graph build) against the scale-out path
-(:class:`~repro.analyzer.parallel.ParallelAnalyzer` over binary traces
-with ``with_io_records=False``), asserting the two produce identical
-graphs.
+The end-to-end *trace-to-graphs* pipeline over the same synthetic
+profiles is timed by
+:func:`repro.experiments.columnar_analytics.run_columnar_scaleout`.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Optional
+from typing import List
 
-from repro.analyzer import ParallelAnalyzer, build_ftg, build_sdg, graph_to_json, to_html
+from repro.analyzer import build_ftg, build_sdg, to_html
 from repro.diagnostics import diagnose
-from repro.mapper import codec
 from repro.mapper.mapper import TaskProfile
-from repro.mapper.persist import load_profiles_from_host_dir
 from repro.mapper.stats import DatasetIoStats
 from repro.simclock import TimeSpan
 from repro.vfd.base import IoClass
@@ -41,7 +32,6 @@ __all__ = [
     "SyntheticScale",
     "make_synthetic_profiles",
     "run_analyzer_scale",
-    "run_analyzer_scaleout",
 ]
 
 
@@ -174,80 +164,3 @@ def run_analyzer_scale(scale: SyntheticScale = SyntheticScale()) -> dict:
         "html_bytes": len(ftg_html) + len(sdg_html),
     }
 
-
-def run_analyzer_scaleout(
-    scale: SyntheticScale = SyntheticScale(),
-    io_records_per_stat: int = 64,
-    max_workers: Optional[int] = None,
-    work_dir: Optional[str] = None,
-) -> dict:
-    """Seed path vs. scale-out path on the ~1k-node synthetic workflow.
-
-    Baseline: JSON traces loaded serially with per-op records, serial
-    FTG + SDG build.  Scale-out: binary traces loaded through
-    :class:`ParallelAnalyzer` with ``with_io_records=False`` (the per-op
-    section is skipped in O(1)), sharded graph build.  Both paths must
-    produce byte-identical serialized graphs.
-
-    Returns trace sizes, end-to-end timings, the speedup, and the
-    identity check result.
-    """
-    profiles = make_synthetic_profiles(scale,
-                                       io_records_per_stat=io_records_per_stat)
-
-    own_dir = work_dir is None
-    base = Path(work_dir or tempfile.mkdtemp(prefix="dayu-scaleout-"))
-    json_dir = base / "json"
-    binary_dir = base / "binary"
-    json_dir.mkdir(parents=True, exist_ok=True)
-    binary_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        json_bytes = 0
-        binary_bytes = 0
-        for p in profiles:
-            blob = p.serialize()
-            json_bytes += len(blob)
-            (json_dir / f"{p.task}.json").write_bytes(blob)
-            blob = codec.encode_profile(p)
-            binary_bytes += len(blob)
-            (binary_dir / f"{p.task}{codec.BINARY_TRACE_SUFFIX}").write_bytes(blob)
-
-        t0 = time.perf_counter()
-        baseline_profiles = load_profiles_from_host_dir(
-            str(json_dir), with_io_records=True)
-        base_ftg = build_ftg(baseline_profiles)
-        base_sdg = build_sdg(baseline_profiles)
-        baseline_seconds = time.perf_counter() - t0
-
-        analyzer = ParallelAnalyzer(max_workers=max_workers,
-                                    with_io_records=False)
-        t0 = time.perf_counter()
-        fast_profiles = analyzer.load(str(binary_dir))
-        fast_ftg = analyzer.build_ftg(fast_profiles)
-        fast_sdg = analyzer.build_sdg(fast_profiles)
-        scaleout_seconds = time.perf_counter() - t0
-
-        identical = (
-            graph_to_json(base_ftg) == graph_to_json(fast_ftg)
-            and graph_to_json(base_sdg) == graph_to_json(fast_sdg)
-        )
-    finally:
-        if own_dir:
-            shutil.rmtree(base, ignore_errors=True)
-
-    return {
-        "n_profiles": len(profiles),
-        "io_records_per_stat": io_records_per_stat,
-        "ftg_nodes": fast_ftg.number_of_nodes(),
-        "ftg_edges": fast_ftg.number_of_edges(),
-        "sdg_nodes": fast_sdg.number_of_nodes(),
-        "sdg_edges": fast_sdg.number_of_edges(),
-        "json_bytes": json_bytes,
-        "binary_bytes": binary_bytes,
-        "size_ratio": json_bytes / binary_bytes if binary_bytes else 0.0,
-        "baseline_seconds": baseline_seconds,
-        "scaleout_seconds": scaleout_seconds,
-        "speedup": (baseline_seconds / scaleout_seconds
-                    if scaleout_seconds > 0 else 0.0),
-        "identical_graphs": identical,
-    }

@@ -1,19 +1,19 @@
-"""Columnar trace analytics: run-file scan speed vs. the row paths.
+"""Columnar trace analytics: run-file scan speed vs. the JSON row path.
 
 The columnar run file (:mod:`repro.mapper.columnar`) exists for exactly
 one reason: the offline Analyzer reads a handful of *columns* (the
 dataset-stats family) out of traces whose bytes are dominated by per-op
-records.  A row decoder must still walk every record; the columnar
+records.  A JSON parse must still walk every record; the columnar
 reader seeks straight to the stats chunks behind the footer index and
 hands the graph builder packed arrays.
 
 Two harnesses quantify that:
 
 - :func:`run_columnar_scaleout` — the synthetic ~1k-node workflow from
-  :mod:`repro.experiments.analyzer_scale`, stored three ways (JSON dir,
-  row-binary dir, one compacted ``.dayuc`` run) and analyzed through
-  each path, with byte-identical serialized graphs asserted across all
-  three.  This is the number gated by ``BENCH_columnar.json``.
+  :mod:`repro.experiments.analyzer_scale`, stored two ways (JSON dir,
+  one compacted ``.dayuc`` run) and analyzed through each path, with
+  byte-identical serialized graphs asserted across both.  This is the
+  number gated by ``BENCH_columnar.json``.
 - :func:`run_workload_table` — every bundled workload, traced for real,
   then analyzed row-wise and columnar-wise; also checks that the lint
   fingerprint set is byte-identical between the two inputs.  This feeds
@@ -37,7 +37,6 @@ from repro.experiments.analyzer_scale import (
     make_synthetic_profiles,
 )
 from repro.experiments.common import ResultTable, fresh_env
-from repro.mapper import codec
 from repro.mapper.columnar import RunReader, build_graph_from_groups, compact_profiles
 from repro.mapper.persist import load_profiles_from_host_dir
 
@@ -58,11 +57,11 @@ def run_columnar_scaleout(
     io_records_per_stat: int = 64,
     work_dir: Optional[str] = None,
 ) -> dict:
-    """Time JSON-baseline vs. row-binary vs. columnar-run graph builds.
+    """Time JSON-baseline vs. columnar-run graph builds.
 
-    All three stores hold the *same* profiles, per-op records included —
-    the columnar path never decodes the record chunks, which is the whole
-    point.  Serialized FTG/SDG must be byte-identical across the three.
+    Both stores hold the *same* profiles, per-op records included — the
+    columnar path never decodes the record chunks, which is the whole
+    point.  Serialized FTG/SDG must be byte-identical across the two.
     """
     profiles = make_synthetic_profiles(
         scale, io_records_per_stat=io_records_per_stat)
@@ -70,20 +69,14 @@ def run_columnar_scaleout(
     own_dir = work_dir is None
     base = Path(work_dir or tempfile.mkdtemp(prefix="dayu-columnar-"))
     json_dir = base / "json"
-    binary_dir = base / "binary"
     run_path = base / "run.dayuc"
     json_dir.mkdir(parents=True, exist_ok=True)
-    binary_dir.mkdir(parents=True, exist_ok=True)
     try:
         json_bytes = 0
-        binary_bytes = 0
         for p in profiles:
             blob = p.serialize()
             json_bytes += len(blob)
             (json_dir / f"{p.task}.json").write_bytes(blob)
-            blob = codec.encode_profile(p)
-            binary_bytes += len(blob)
-            (binary_dir / f"{p.task}{codec.BINARY_TRACE_SUFFIX}").write_bytes(blob)
         columnar_bytes = compact_profiles(profiles, run_path)
 
         # The in-memory synthetic profiles are harness scaffolding, not
@@ -108,18 +101,6 @@ def run_columnar_scaleout(
         del baseline_profiles
         gc.collect()
 
-        # Row-binary: the BENCH_analyzer scale-out path, serial so the
-        # columnar comparison isolates the format, not the pool.
-        analyzer = ParallelAnalyzer(max_workers=1, with_io_records=False)
-        t0 = time.perf_counter()
-        row_profiles = analyzer.load(str(binary_dir))
-        row_ftg = analyzer.build_ftg(row_profiles)
-        row_sdg = analyzer.build_sdg(row_profiles)
-        row_seconds = time.perf_counter() - t0
-
-        del row_profiles
-        gc.collect()
-
         # Columnar: mmap the run, build graphs straight from the stats
         # column arrays — no TaskProfile objects, no record decode.
         t0 = time.perf_counter()
@@ -129,13 +110,9 @@ def run_columnar_scaleout(
             col_sdg = build_graph_from_groups("sdg", groups)
         columnar_seconds = time.perf_counter() - t0
 
-        base_ftg_json = graph_to_json(base_ftg)
-        base_sdg_json = graph_to_json(base_sdg)
         identical = (
-            base_ftg_json == graph_to_json(row_ftg)
-            and base_sdg_json == graph_to_json(row_sdg)
-            and base_ftg_json == graph_to_json(col_ftg)
-            and base_sdg_json == graph_to_json(col_sdg)
+            graph_to_json(base_ftg) == graph_to_json(col_ftg)
+            and graph_to_json(base_sdg) == graph_to_json(col_sdg)
         )
     finally:
         if own_dir:
@@ -149,16 +126,12 @@ def run_columnar_scaleout(
         "sdg_nodes": col_sdg.number_of_nodes(),
         "sdg_edges": col_sdg.number_of_edges(),
         "json_bytes": json_bytes,
-        "binary_bytes": binary_bytes,
         "columnar_bytes": columnar_bytes,
         "size_ratio": json_bytes / columnar_bytes if columnar_bytes else 0.0,
         "baseline_seconds": baseline_seconds,
-        "row_seconds": row_seconds,
         "columnar_seconds": columnar_seconds,
         "speedup": (baseline_seconds / columnar_seconds
                     if columnar_seconds > 0 else 0.0),
-        "row_speedup": (row_seconds / columnar_seconds
-                        if columnar_seconds > 0 else 0.0),
         "identical_graphs": identical,
     }
 

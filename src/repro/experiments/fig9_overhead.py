@@ -144,14 +144,15 @@ def run_fig9d_storage(
     """Corner-case storage overhead vs. I/O operations (Figure 9d).
 
     Paper: VOL trace flat (~0.2% of program storage); VFD linear in ops
-    (~0.35% at 8000 ops).  Measured with DaYu's compact binary trace
-    format; the JSON interchange form is ~3x larger.
+    (~0.35% at 8000 ops).  Measured as the bytes each trace adds to
+    DaYu's columnar trace format; the JSON interchange form is ~3x
+    larger.
     """
     table = ResultTable(
         title="Figure 9d — trace storage overhead vs. I/O operations",
         columns=["io_operations", "vfd_storage_percent", "vol_storage_percent"],
         notes=["Denominator: the program's required storage "
-               f"({file_bytes // MIB} MiB); compact binary trace format."],
+               f"({file_bytes // MIB} MiB); columnar trace format."],
     )
     for r in repeats:
         env = fresh_env(n_nodes=1)

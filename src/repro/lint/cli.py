@@ -6,8 +6,8 @@ Examples::
     dayu-lint traces/ --format sarif --out lint.sarif
     dayu-lint traces/ --disable DY1 --jobs 8  # hazards+sanitizer only
     dayu-lint traces/ --select 'DY5*' --ignore 'DY2*'   # family globs
-    dayu-lint traces/ --write-baseline .dayu-lint-baseline
-    dayu-lint traces/ --baseline .dayu-lint-baseline   # fail on NEW errors
+    dayu-lint traces/ --write-baseline lint-baseline.json
+    dayu-lint traces/ --baseline lint-baseline.json   # fail on NEW errors
     dayu-lint --static corner-hazards         # pre-run DY40x, no traces
     dayu-lint traces/ --diff ddmd             # DY45x contract drift
     dayu-lint traces/ --races --attempts run.json      # DY5xx + DY505
@@ -64,7 +64,7 @@ def _parse_args(argv):
     )
     parser.add_argument("traces", nargs="?",
                         help="directory of saved task profiles "
-                             "(*.json and/or *.dayu)")
+                             "(*.json and/or *.dayuc)")
     parser.add_argument("--static", metavar="WORKLOAD", dest="static",
                         help="lint a bundled workflow definition pre-run "
                              "(DY40x contract rules; no traces read)")
@@ -229,7 +229,7 @@ def lint_main(argv: List[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
 
-    from repro.mapper.persist import UnknownTraceFormat
+    from repro.mapper.persist import TRACE_READ_ERRORS
 
     def _workload(name: str):
         from repro.workloads.registry import build_workload
@@ -294,7 +294,7 @@ def lint_main(argv: List[str] | None = None) -> int:
                 report = analyzer.lint_run(args.traces, config,
                                            stats_out=pd_stats,
                                            attempts=attempts)
-        except UnknownTraceFormat as exc:
+        except TRACE_READ_ERRORS as exc:
             print(f"dayu-lint: {exc}", file=sys.stderr)
             return 2
         if not pd_stats.get("n_groups"):
@@ -318,7 +318,7 @@ def lint_main(argv: List[str] | None = None) -> int:
                                     with_io_records=args.with_io_records)
         try:
             profiles = analyzer.load(args.traces)
-        except UnknownTraceFormat as exc:
+        except TRACE_READ_ERRORS as exc:
             print(f"dayu-lint: {exc}", file=sys.stderr)
             return 2
         if not profiles:

@@ -15,22 +15,15 @@ profiler), per task:
 - :class:`~repro.mapper.mapper.TaskProfile` — everything DaYu knows about
   one task, serializable for the offline Workflow Analyzer.
 - :mod:`~repro.mapper.overhead` — overhead accounting (Figures 9 and 10).
-- :mod:`~repro.mapper.codec` — the compact binary trace format (the
-  storage form of Figure 9d; JSON remains the interchange form).
-- :mod:`~repro.mapper.columnar` — the columnar analytics form (column
-  chunks + page statistics behind a footer index; ``dayu-compact`` merges
-  per-task traces into one run file).
+- :mod:`~repro.mapper.columnar` — the binary trace format (column chunks
+  + page statistics behind a footer index; the storage form of Figure 9d;
+  ``dayu-compact`` merges per-task traces into one run file).  JSON
+  remains the human-readable interchange form.
 """
 
-from repro.mapper.codec import (
-    BINARY_TRACE_SUFFIX,
-    decode_profile,
-    encode_profile,
-    read_profile,
-    write_profile,
-)
 from repro.mapper.columnar import (
     COLUMNAR_TRACE_SUFFIX,
+    CorruptTrace,
     RunReader,
     compact_profiles,
     decode_columnar,
@@ -43,13 +36,13 @@ from repro.mapper.mapper import DataSemanticMapper, TaskContext, TaskProfile
 from repro.mapper.overhead import OverheadReport, overhead_report
 from repro.mapper.persist import (
     load_profile,
-    load_profile_path,
-    load_profiles,
     load_profiles_from_dir,
     load_profiles_from_host_dir,
     load_profiles_path,
     profile_from_json_dict,
+    RetiredTraceFormat,
     sniff_trace_format,
+    TRACE_READ_ERRORS,
     UnknownTraceFormat,
 )
 from repro.mapper.stats import FILE_METADATA_OBJECT, DatasetIoStats, map_characteristics
@@ -66,18 +59,14 @@ __all__ = [
     "overhead_report",
     "profile_from_json_dict",
     "load_profile",
-    "load_profile_path",
-    "load_profiles",
     "load_profiles_from_dir",
     "load_profiles_from_host_dir",
     "load_profiles_path",
     "sniff_trace_format",
     "UnknownTraceFormat",
-    "BINARY_TRACE_SUFFIX",
-    "encode_profile",
-    "decode_profile",
-    "write_profile",
-    "read_profile",
+    "RetiredTraceFormat",
+    "TRACE_READ_ERRORS",
+    "CorruptTrace",
     "COLUMNAR_TRACE_SUFFIX",
     "encode_columnar",
     "decode_columnar",

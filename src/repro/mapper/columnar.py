@@ -1,10 +1,8 @@
-"""Columnar trace storage — the ``.dayuc`` analytics form of task profiles.
+"""Columnar trace storage — the ``.dayuc`` binary form of task profiles.
 
-The row codec (:mod:`repro.mapper.codec`) optimizes for *writing*: one
-streaming frame per item, ideal for a tracer that produces records as the
-task runs.  This module is the *analytics* form, built for the offline
-reader that touches a run once per question: every
-:class:`~repro.mapper.mapper.TaskProfile` field family — VFD per-op
+JSON is the human-readable interchange form; this module is the only
+binary one, built for the offline reader that touches a run once per
+question: every :class:`~repro.mapper.mapper.TaskProfile` field family — VFD per-op
 records, file sessions, VOL object profiles, joined dataset stats — is
 stored as struct-packed per-field **column chunks** behind a footer
 index, parquet-style::
@@ -19,7 +17,7 @@ index, parquet-style::
 
 A reader parses the footer first, then seeks directly to the columns a
 query needs; columns it never touches (the dominant per-operation record
-arrays, say) cost nothing — not even the O(1) skip of the row format.
+arrays, say) cost nothing.
 One file may hold many profiles (**groups**): ``dayu-compact`` merges a
 run's per-task traces into a single sorted, footer-indexed run file so
 opening an entire run is one ``open``/``mmap``.
@@ -75,14 +73,15 @@ from typing import (
 
 import numpy as np
 
-from repro.mapper import codec
 from repro.mapper.stats import DatasetIoStats
+from repro.vfd.base import IoClass
 from repro.vfd.tracing import FileSession, VfdIoRecord
 from repro.vol.tracer import DataObjectProfile
 
 __all__ = [
     "COLUMNAR_MAGIC",
     "COLUMNAR_TRACE_SUFFIX",
+    "CorruptTrace",
     "is_columnar_trace",
     "encode_columnar",
     "decode_columnar",
@@ -126,6 +125,14 @@ _STAT_DISTINCT_OVERFLOW = 5
 _DISTINCT_CAP = 512
 
 _FIXED_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
+
+# -- code tables of the byte columns -----------------------------------
+_OP_CODES = {"read": 0, "write": 1}
+_OP_NAMES = {0: "read", 1: "write"}
+_IOCLASS_CODES = {IoClass.METADATA: 0, IoClass.RAW: 1}
+_IOCLASS_VALUES = {0: IoClass.METADATA, 1: IoClass.RAW}
+_RAW_OP_CODES = {None: 0, "read": 1, "write": 2}
+_RAW_OP_NAMES = {0: None, 1: "read", 2: "write"}
 
 #: Column layout per field family.  Order is the wire order; the kind
 #: selects extraction, encoding, and page-stat flavor.  ``*_flat``
@@ -208,6 +215,25 @@ _COLUMN_INDEX = {
 def is_columnar_trace(data: bytes) -> bool:
     """True when ``data`` starts with the columnar trace magic."""
     return data[:4] == COLUMNAR_MAGIC
+
+
+class CorruptTrace(ValueError):
+    """Columnar bytes that fail to decode.
+
+    Carries the offending ``source`` (a path, or "<memory>") so batch
+    loaders and the CLIs can name the file instead of dying with a
+    traceback from deep inside a column decoder.
+    """
+
+    def __init__(self, source: str, detail: str) -> None:
+        self.source = source
+        super().__init__(f"{source}: corrupt columnar trace ({detail})")
+
+
+#: What a mutated payload can raise from the decoders below; the reader
+#: boundaries turn any of these into :class:`CorruptTrace`.
+_DECODE_ERRORS = (IndexError, KeyError, StopIteration, ValueError,
+                  struct.error)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +334,7 @@ def _decode_ints(enc: int, buf: bytes, count: int) -> List[int]:
             z, pos = _read_vu(buf, pos)
             deltas.append(_unzigzag(z))
         return list(accumulate(deltas))
-    raise ValueError(f"corrupt columnar trace: int column encoding {enc}")
+    raise ValueError(f"int column encoding {enc}")
 
 
 def _decode_f64(buf: bytes, count: int) -> List[float]:
@@ -544,7 +570,7 @@ class _RunWriter:
             "io_time": [s.io_time for s in items],
             "first_start": [s.first_start for s in items],
             "last_end": [s.last_end for s in items],
-            "first_raw_op": [codec._RAW_OP_CODES[s.first_raw_op]
+            "first_raw_op": [_RAW_OP_CODES[s.first_raw_op]
                              for s in items],
             "run_len": [len(row) for row in runs_per_row],
             "run_first": [first for first, _, _ in flat],
@@ -558,8 +584,8 @@ class _RunWriter:
             "task": [sid(r.task) for r in items],
             "file": [sid(r.file) for r in items],
             "data_object": [sid(r.data_object) for r in items],
-            "flags": [codec._OP_CODES[r.op]
-                      | (codec._IOCLASS_CODES[r.access_type] << 1)
+            "flags": [_OP_CODES[r.op]
+                      | (_IOCLASS_CODES[r.access_type] << 1)
                       for r in items],
             "offset": [r.offset for r in items],
             "nbytes": [r.nbytes for r in items],
@@ -774,7 +800,15 @@ class GroupReader:
         return self._split(lens, flat)
 
     def stats_columns(self, with_region_runs: bool = False) -> StatsColumns:
-        """The stats family as parallel lists, strings resolved."""
+        """The stats family as parallel lists, strings resolved.
+
+        Raises :class:`CorruptTrace` when the chunks do not decode."""
+        try:
+            return self._stats_columns(with_region_runs)
+        except _DECODE_ERRORS as exc:
+            raise self._reader._corrupt(exc) from exc
+
+    def _stats_columns(self, with_region_runs: bool) -> StatsColumns:
         col = self.column
         return StatsColumns(
             file=self.strid_column("stats", "file"),
@@ -861,7 +895,7 @@ class GroupReader:
                 io_time=col("stats", "io_time")[i],
                 first_start=col("stats", "first_start")[i],
                 last_end=col("stats", "last_end")[i],
-                first_raw_op=codec._RAW_OP_NAMES[
+                first_raw_op=_RAW_OP_NAMES[
                     col("stats", "first_raw_op")[i]],
             )
             s.set_region_runs(runs[i])
@@ -869,14 +903,12 @@ class GroupReader:
         return out
 
     def io_records(self) -> List[VfdIoRecord]:
-        from repro.vfd.base import IoClass  # noqa: F401 (docs cross-ref)
-
         col, scol = self.column, self.strid_column
         return [
             VfdIoRecord(
-                task=task, file=file, op=codec._OP_NAMES[flags & 1],
+                task=task, file=file, op=_OP_NAMES[flags & 1],
                 offset=offset, nbytes=nbytes, start=start, duration=dur,
-                access_type=codec._IOCLASS_VALUES[(flags >> 1) & 1],
+                access_type=_IOCLASS_VALUES[(flags >> 1) & 1],
                 data_object=obj,
             )
             for task, file, obj, flags, offset, nbytes, start, dur in zip(
@@ -890,20 +922,24 @@ class GroupReader:
         """Materialize the full row-form :class:`TaskProfile`.
 
         With ``with_io_records=False`` the per-operation record columns
-        are never touched — they cost nothing, not even a skip-seek.
+        are never touched — they cost nothing.  Raises
+        :class:`CorruptTrace` when the chunks do not decode.
         """
         from repro.mapper.mapper import TaskProfile
         from repro.simclock import TimeSpan
 
-        return TaskProfile(
-            task=self.task,
-            span=TimeSpan(self.start, self.end),
-            files=self.files,
-            object_profiles=self.object_profiles(),
-            file_sessions=self.file_sessions(),
-            io_records=self.io_records() if with_io_records else [],
-            dataset_stats=self.dataset_stats(),
-        )
+        try:
+            return TaskProfile(
+                task=self.task,
+                span=TimeSpan(self.start, self.end),
+                files=self.files,
+                object_profiles=self.object_profiles(),
+                file_sessions=self.file_sessions(),
+                io_records=self.io_records() if with_io_records else [],
+                dataset_stats=self.dataset_stats(),
+            )
+        except _DECODE_ERRORS as exc:
+            raise self._reader._corrupt(exc) from exc
 
 
 class RunReader:
@@ -912,11 +948,19 @@ class RunReader:
     Opens in O(footer): the payload is only touched column-by-column as
     queries ask for it.  :meth:`open` maps the file with ``mmap`` so a
     many-GB run costs address space, not resident memory.
+
+    Every failure to decode — at open time or on a later column read
+    through :meth:`GroupReader.to_profile` /
+    :meth:`GroupReader.stats_columns` — raises :class:`CorruptTrace`
+    naming ``source``.
     """
 
-    def __init__(self, data, mapped=None, fileobj=None) -> None:
-        if data[:4] != COLUMNAR_MAGIC or data[-4:] != COLUMNAR_MAGIC:
-            raise ValueError("not a DaYu columnar trace (bad magic)")
+    def __init__(self, data, mapped=None, fileobj=None,
+                 source: str = "<memory>") -> None:
+        if (len(data) < 16 or data[:4] != COLUMNAR_MAGIC
+                or data[-4:] != COLUMNAR_MAGIC):
+            raise CorruptTrace(source, "bad magic")
+        self.source = source
         self._data = data
         self._mapped = mapped
         self._fileobj = fileobj
@@ -924,12 +968,16 @@ class RunReader:
         footer_end = len(data) - 12
         footer_start = footer_end - footer_len
         if footer_start < 4:
-            raise ValueError("corrupt columnar trace: bad footer length")
+            raise CorruptTrace(source, "bad footer length")
         self._parse_footer(bytes(data[footer_start:footer_end]))
 
+    def _corrupt(self, exc: BaseException) -> CorruptTrace:
+        """The :class:`CorruptTrace` for a decoder failure ``exc``."""
+        return CorruptTrace(self.source, f"{type(exc).__name__}: {exc}")
+
     @classmethod
-    def from_bytes(cls, data: bytes) -> "RunReader":
-        return cls(data)
+    def from_bytes(cls, data: bytes, source: str = "<memory>") -> "RunReader":
+        return cls(data, source=source)
 
     @classmethod
     def open(cls, path: str) -> "RunReader":
@@ -940,8 +988,13 @@ class RunReader:
             # Zero-length or unmappable file: fall back to a plain read.
             data = fp.read()
             fp.close()
-            return cls(data)
-        return cls(mapped, mapped=mapped, fileobj=fp)
+            return cls(data, source=str(path))
+        try:
+            return cls(mapped, mapped=mapped, fileobj=fp, source=str(path))
+        except CorruptTrace:
+            mapped.close()
+            fp.close()
+            raise
 
     def close(self) -> None:
         if self._mapped is not None:
@@ -976,6 +1029,7 @@ class RunReader:
                 strings.append(buf[pos:pos + n].decode("utf-8"))
                 pos += n
             self.strings = strings
+            n_ids = len(strings)
             n_groups, pos = _read_vu(buf, pos)
             self.groups: List[GroupReader] = []
             for _ in range(n_groups):
@@ -988,6 +1042,10 @@ class RunReader:
                 for _ in range(n_files):
                     fid, pos = _read_vu(buf, pos)
                     file_ids.append(fid)
+                # Footer-only accessors (task, files, distinct page stats)
+                # resolve ids without a decode boundary: check them here.
+                if max(file_ids + [task_id]) >= n_ids:
+                    raise IndexError("string id out of range")
                 families: Dict[str, Tuple[int, List[_ColumnMeta]]] = {}
                 for family in _FAMILY_ORDER:
                     n_rows, pos = _read_vu(buf, pos)
@@ -1000,6 +1058,8 @@ class RunReader:
                         length, pos = _read_vu(buf, pos)
                         count, pos = _read_vu(buf, pos)
                         stats, pos = _read_stats(buf, pos, count)
+                        if max(stats.distinct_ids or (0,)) >= n_ids:
+                            raise IndexError("string id out of range")
                         metas.append(_ColumnMeta(
                             enc=enc, offset=offset, length=length,
                             count=count, stats=stats))
@@ -1007,9 +1067,8 @@ class RunReader:
                 self.groups.append(GroupReader(self, _GroupMeta(
                     task_id=task_id, start=start, end=end,
                     file_ids=file_ids, families=families)))
-        except (IndexError, struct.error) as exc:
-            raise ValueError(
-                "corrupt columnar trace: truncated footer") from exc
+        except _DECODE_ERRORS as exc:
+            raise self._corrupt(exc) from exc
 
     def profiles(self, with_io_records: bool = True) -> List:
         """Materialize every group as a row-form :class:`TaskProfile`."""
@@ -1017,16 +1076,22 @@ class RunReader:
                 for g in self.groups]
 
 
-def decode_run(data: bytes, with_io_records: bool = True) -> List:
-    """Decode every profile of a columnar file (single- or multi-group)."""
-    return RunReader.from_bytes(data).profiles(
+def decode_run(data: bytes, with_io_records: bool = True,
+               source: str = "<memory>") -> List:
+    """Decode every profile of a columnar file (single- or multi-group).
+
+    Raises :class:`CorruptTrace` naming ``source`` when ``data`` does not
+    decode."""
+    return RunReader.from_bytes(data, source=source).profiles(
         with_io_records=with_io_records)
 
 
-def decode_columnar(data: bytes, with_io_records: bool = True):
+def decode_columnar(data: bytes, with_io_records: bool = True,
+                    source: str = "<memory>"):
     """Decode a single-profile columnar trace (inverse of
     :func:`encode_columnar`)."""
-    profiles = decode_run(data, with_io_records=with_io_records)
+    profiles = decode_run(data, with_io_records=with_io_records,
+                          source=source)
     if len(profiles) != 1:
         raise ValueError(
             f"expected a single-profile columnar trace, found "

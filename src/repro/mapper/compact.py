@@ -1,6 +1,6 @@
 """The ``dayu-compact`` command-line entry point.
 
-Merges many per-task trace files — any mix of ``*.json``, ``*.dayu`` and
+Merges many per-task trace files — any mix of ``*.json`` and
 ``*.dayuc`` — into one sorted, footer-indexed columnar run file, so
 opening an entire run for analysis is a single ``open``/``mmap`` instead
 of one parse per task.  Groups are ordered by task start time, the same
@@ -32,7 +32,7 @@ def compact_main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument("traces",
                         help="directory of saved task profiles "
-                             "(*.json, *.dayu and/or *.dayuc)")
+                             "(*.json and/or *.dayuc)")
     parser.add_argument("--out", required=True, metavar="RUN.dayuc",
                         help="output run file path")
     parser.add_argument("--no-records", action="store_true",
@@ -46,7 +46,7 @@ def compact_main(argv: List[str] | None = None) -> int:
     from repro.cli_common import diagnose_traces_dir
     from repro.mapper.columnar import compact_profiles
     from repro.mapper.persist import (
-        UnknownTraceFormat,
+        TRACE_READ_ERRORS,
         load_profiles_path,
         trace_paths,
     )
@@ -56,7 +56,7 @@ def compact_main(argv: List[str] | None = None) -> int:
         profiles = [p for path in paths
                     for p in load_profiles_path(
                         path, with_io_records=not args.no_records)]
-    except UnknownTraceFormat as exc:
+    except TRACE_READ_ERRORS as exc:
         print(f"dayu-compact: {exc}", file=sys.stderr)
         return 2
     if not profiles:

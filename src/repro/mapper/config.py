@@ -42,11 +42,9 @@ class DaYuConfig:
             False only aggregate session statistics are kept — constant
             storage overhead, as the paper describes.
         trace_format: On-disk profile format written by
-            :meth:`DataSemanticMapper.save` — ``"binary"`` for the compact
-            struct-packed codec (:mod:`repro.mapper.codec`),
-            ``"columnar"`` for the footer-indexed analytics form
-            (:mod:`repro.mapper.columnar`), ``"json"`` for the verbose
-            interchange form.
+            :meth:`DataSemanticMapper.save` — ``"columnar"`` for the
+            footer-indexed binary form (:mod:`repro.mapper.columnar`),
+            ``"json"`` for the verbose interchange form.
         vfd_costs: Modeled VFD profiler costs.
         vol_costs: Modeled VOL profiler costs.
         mapper_cost_per_record: Modeled Characteristic Mapper join cost per
@@ -69,9 +67,9 @@ class DaYuConfig:
             raise ValueError(f"skip_ops must be non-negative, got {self.skip_ops}")
         if not self.output_dir.startswith("/"):
             raise ValueError(f"output_dir must be absolute, got {self.output_dir!r}")
-        if self.trace_format not in ("json", "binary", "columnar"):
+        if self.trace_format not in ("json", "columnar"):
             raise ValueError(
-                f"trace_format must be 'json', 'binary' or 'columnar', "
+                f"trace_format must be 'json' or 'columnar', "
                 f"got {self.trace_format!r}")
 
     @classmethod

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional
 
-from repro.mapper import codec
+from repro.mapper import columnar
 from repro.mapper.config import DaYuConfig
 from repro.mapper.stats import DatasetIoStats, map_characteristics
 from repro.posix.simfs import SimFS
@@ -72,14 +72,8 @@ class TaskProfile:
         """The JSON interchange form of the profile."""
         return json.dumps(self.to_json_dict()).encode()
 
-    def serialize_binary(self) -> bytes:
-        """The compact binary storage form (:mod:`repro.mapper.codec`)."""
-        return codec.encode_profile(self)
-
     def serialize_columnar(self) -> bytes:
-        """The columnar analytics form (:mod:`repro.mapper.columnar`)."""
-        from repro.mapper import columnar
-
+        """The columnar binary form (:mod:`repro.mapper.columnar`)."""
         return columnar.encode_columnar(self)
 
     @property
@@ -87,16 +81,28 @@ class TaskProfile:
         """Size of the persisted JSON trace."""
         return len(self.serialize())
 
+    def _columnar_bytes_of(self, **families) -> int:
+        """Columnar bytes the given field families add to an otherwise
+        empty trace — the fixed container (magic, footer skeleton of the
+        empty column chunks) is not charged to any family."""
+        bare = TaskProfile(task=None, span=self.span, files=[],
+                           object_profiles=[], file_sessions=[],
+                           io_records=[], dataset_stats=[])
+        return (len(columnar.encode_columnar(replace(bare, **families)))
+                - len(columnar.encode_columnar(bare)))
+
     @property
     def vfd_binary_bytes(self) -> int:
-        """Real encoded size of the compact VFD trace (per-op records +
-        sessions) — the paper's Figure 9d numerator."""
-        return codec.vfd_trace_nbytes(self.io_records, self.file_sessions)
+        """Real encoded size of the VFD trace (per-op records + sessions)
+        in the columnar format — the paper's Figure 9d numerator."""
+        return self._columnar_bytes_of(io_records=self.io_records,
+                                       file_sessions=self.file_sessions)
 
     @property
     def vol_binary_bytes(self) -> int:
-        """Real encoded size of the compact VOL trace (per-object profiles)."""
-        return codec.vol_trace_nbytes(self.object_profiles)
+        """Real encoded size of the VOL trace (per-object profiles) in
+        the columnar format."""
+        return self._columnar_bytes_of(object_profiles=self.object_profiles)
 
 
 class TaskContext:
@@ -249,14 +255,13 @@ class DataSemanticMapper:
     # ------------------------------------------------------------------
     def _serialized(self, profile: TaskProfile, trace_format: str | None):
         fmt = trace_format or self.config.trace_format
-        if fmt == "binary":
-            return codec.BINARY_TRACE_SUFFIX, profile.serialize_binary()
         if fmt == "columnar":
-            from repro.mapper import columnar
-
             return (columnar.COLUMNAR_TRACE_SUFFIX,
                     profile.serialize_columnar())
-        return ".json", profile.serialize()
+        if fmt == "json":
+            return ".json", profile.serialize()
+        raise ValueError(f"trace_format must be 'json' or 'columnar', "
+                         f"got {fmt!r}")
 
     def save(self, fs: SimFS, trace_format: str | None = None) -> List[str]:
         """Write each task profile into ``config.output_dir``.
@@ -264,7 +269,7 @@ class DataSemanticMapper:
         Returns the written paths.  This is the "recorded statistics"
         storage whose footprint the paper's Figure 9d measures.  The
         format defaults to ``config.trace_format`` (``"json"`` interchange
-        or the compact ``"binary"`` codec).
+        or the ``"columnar"`` binary form).
         """
         written = []
         for name, profile in self.profiles.items():

@@ -1,14 +1,16 @@
 """Trace persistence: loading saved task profiles for offline analysis.
 
 DaYu's runtime writes one profile per task
-(:meth:`DataSemanticMapper.save`) — compact binary
-(:mod:`repro.mapper.codec`, ``*.dayu``) or JSON interchange (``*.json``);
-the offline Workflow Analyzer then works from those files — a different
-process, usually a different machine.  This module provides the read side:
-reconstructing :class:`~repro.mapper.mapper.TaskProfile` objects (and
-everything they contain) from either serialized form, so graphs and
-diagnostics can be built without re-running the workflow.  Loaders sniff
-the format from the payload, so directories may mix both.
+(:meth:`DataSemanticMapper.save`) — columnar
+(:mod:`repro.mapper.columnar`, ``*.dayuc``) or JSON interchange
+(``*.json``); the offline Workflow Analyzer then works from those files —
+a different process, usually a different machine.  This module provides
+the read side: reconstructing :class:`~repro.mapper.mapper.TaskProfile`
+objects (and everything they contain) from either serialized form, so
+graphs and diagnostics can be built without re-running the workflow.
+Loaders sniff the format from the payload, so directories may mix both.
+The retired row-binary format (``DYU1`` magic) is recognized only to be
+rejected with :class:`RetiredTraceFormat`.
 
 ``with_io_records=False`` skips materializing the per-operation record
 list — the dominant trace section, which graph construction and the
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import List
 
-from repro.mapper import codec, columnar
+from repro.mapper import columnar
 from repro.mapper.mapper import TaskProfile
 from repro.mapper.stats import DatasetIoStats
 from repro.posix.simfs import SimFS
@@ -32,11 +34,11 @@ from repro.vol.tracer import DataObjectProfile
 __all__ = [
     "profile_from_json_dict",
     "UnknownTraceFormat",
+    "RetiredTraceFormat",
+    "TRACE_READ_ERRORS",
     "sniff_trace_format",
     "sniff_trace_format_path",
     "load_profile",
-    "load_profile_path",
-    "load_profiles",
     "load_profiles_path",
     "load_profiles_from_dir",
     "load_profiles_from_host_dir",
@@ -45,8 +47,13 @@ __all__ = [
 #: Extensions recognized as saved task profiles.  ``.dayuc`` files may be
 #: single-profile traces or multi-profile compacted runs; the
 #: ``load_profiles*`` loaders flatten either.
-TRACE_SUFFIXES = (".json", codec.BINARY_TRACE_SUFFIX,
-                  columnar.COLUMNAR_TRACE_SUFFIX)
+TRACE_SUFFIXES = (".json", columnar.COLUMNAR_TRACE_SUFFIX)
+
+#: Magic and suffix of the retired row-binary trace format, kept only so
+#: such traces are rejected by name (:class:`RetiredTraceFormat`) rather
+#: than silently skipped.
+RETIRED_MAGIC = b"DYU1"
+RETIRED_SUFFIX = ".dayu"
 
 
 def _object_profile_from(d: dict) -> DataObjectProfile:
@@ -146,54 +153,47 @@ def profile_from_json_dict(payload: dict,
     )
 
 
-def load_profile(data: bytes | str, with_io_records: bool = True) -> TaskProfile:
-    """Parse one serialized profile — row binary, columnar, or JSON,
-    sniffed from the payload.  A multi-profile columnar run file is an
-    error here; use :func:`load_profiles_path` to flatten those."""
-    if isinstance(data, bytes) and codec.is_binary_trace(data):
-        return codec.decode_profile(data, with_io_records=with_io_records)
+def load_profile(data: bytes | str, with_io_records: bool = True,
+                 source: str = "<memory>") -> TaskProfile:
+    """Parse one serialized profile — columnar or JSON, sniffed from the
+    payload.  A multi-profile columnar run file is an error here; use
+    :func:`load_profiles_path` to flatten those."""
+    if isinstance(data, bytes) and data[:4] == RETIRED_MAGIC:
+        raise RetiredTraceFormat(source)
     if isinstance(data, bytes) and columnar.is_columnar_trace(data):
         return columnar.decode_columnar(data,
-                                        with_io_records=with_io_records)
+                                        with_io_records=with_io_records,
+                                        source=source)
     if isinstance(data, bytes):
         data = data.decode()
     return profile_from_json_dict(json.loads(data),
                                   with_io_records=with_io_records)
 
 
-def load_profile_path(path, with_io_records: bool = True) -> TaskProfile:
-    """Load one saved profile from a host path (any format).
-
-    Raises :class:`UnknownTraceFormat` on files too short to carry the
-    format magic."""
-    from pathlib import Path
-
-    data = Path(path).read_bytes()
-    if len(data) < 4:
-        raise UnknownTraceFormat(str(path), len(data))
-    return load_profile(data, with_io_records=with_io_records)
-
-
 def load_profiles_path(path, with_io_records: bool = True) -> List[TaskProfile]:
     """Load every profile a host trace file holds (any format).
 
-    JSON and row-binary traces hold exactly one; a columnar ``.dayuc``
-    file may be a compacted run holding many.  Raises
-    :class:`UnknownTraceFormat` on files too short to carry the magic.
+    JSON traces hold exactly one; a columnar ``.dayuc`` file may be a
+    compacted run holding many.  Raises one of
+    :data:`TRACE_READ_ERRORS` — each naming the path — on files too
+    short to carry the magic, in the retired row-binary format, or
+    failing to decode as columnar.
     """
     from pathlib import Path
 
     data = Path(path).read_bytes()
     if len(data) < 4:
         raise UnknownTraceFormat(str(path), len(data))
-    if columnar.is_columnar_trace(data):
-        return columnar.decode_run(data, with_io_records=with_io_records)
-    return [load_profile(data, with_io_records=with_io_records)]
+    return _decode_all(data, with_io_records, str(path))
 
 
-def load_profiles(blobs, with_io_records: bool = True) -> List[TaskProfile]:
-    """Parse many serialized profiles, preserving order."""
-    return [load_profile(b, with_io_records=with_io_records) for b in blobs]
+def _decode_all(data, with_io_records: bool, source: str) -> List[TaskProfile]:
+    """Every profile of one serialized trace: a columnar run flattens."""
+    if isinstance(data, bytes) and columnar.is_columnar_trace(data):
+        return columnar.decode_run(data, with_io_records=with_io_records,
+                                   source=source)
+    return [load_profile(data, with_io_records=with_io_records,
+                         source=source)]
 
 
 class UnknownTraceFormat(ValueError):
@@ -212,18 +212,39 @@ class UnknownTraceFormat(ValueError):
             "(need at least 4 bytes of magic; empty or truncated file?)")
 
 
+class RetiredTraceFormat(ValueError):
+    """A trace in the retired row-binary format (``DYU1`` magic).
+
+    Carries the offending ``path`` ("<memory>" for in-memory payloads).
+    No reader for the format remains; the trace has to be recorded again
+    as JSON or columnar.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        super().__init__(
+            f"{path}: row-binary DaYu trace (DYU1) is a retired format; "
+            "record it again with --trace-format json or columnar")
+
+
+#: Every typed error a trace read can raise, each naming its source; the
+#: CLIs report any of them as a one-line diagnosis with exit status 2.
+TRACE_READ_ERRORS = (UnknownTraceFormat, RetiredTraceFormat,
+                     columnar.CorruptTrace)
+
+
 def sniff_trace_format(head: bytes, source: str = "<memory>") -> str:
     """Classify a trace payload by its magic bytes.
 
-    ``"binary"`` for the row codec (``DYU1``), ``"columnar"`` for the
-    column-chunk form (``DYC1``), ``"json"`` otherwise.  Four bytes of
-    the payload suffice; fewer raise :class:`UnknownTraceFormat` naming
-    ``source``.
+    ``"columnar"`` for the column-chunk form (``DYC1``), ``"json"``
+    otherwise.  Four bytes of the payload suffice; fewer raise
+    :class:`UnknownTraceFormat` and the retired row-binary magic
+    (``DYU1``) raises :class:`RetiredTraceFormat`, both naming ``source``.
     """
     if len(head) < 4:
         raise UnknownTraceFormat(source, len(head))
-    if codec.is_binary_trace(head):
-        return "binary"
+    if head[:4] == RETIRED_MAGIC:
+        raise RetiredTraceFormat(source)
     if columnar.is_columnar_trace(head):
         return "columnar"
     return "json"
@@ -244,19 +265,21 @@ def trace_paths(directory: str, trace_format: str = "auto") -> List[str]:
 
     ``trace_format`` restricts to one on-disk format, classified by magic
     bytes — not by suffix — so mislabelled files are filtered correctly;
-    the default ``"auto"`` accepts everything.  A missing directory
+    the default ``"auto"`` accepts everything, retired ``.dayu`` files
+    included so that loading them fails by name.  A missing directory
     yields no paths (callers report "no profiles" rather than a
     traceback)."""
     from pathlib import Path
 
-    if trace_format not in ("auto", "json", "binary", "columnar"):
+    if trace_format not in ("auto", "json", "columnar"):
         raise ValueError(f"bad trace_format {trace_format!r}: use 'auto', "
-                         "'json', 'binary' or 'columnar'")
+                         "'json' or 'columnar'")
     base = Path(directory)
     if not base.is_dir():
         return []
     paths = sorted(
-        str(p) for p in base.iterdir() if p.suffix in TRACE_SUFFIXES
+        str(p) for p in base.iterdir()
+        if p.suffix in TRACE_SUFFIXES or p.suffix == RETIRED_SUFFIX
     )
     if trace_format == "auto":
         return paths
@@ -266,7 +289,7 @@ def trace_paths(directory: str, trace_format: str = "auto") -> List[str]:
 def load_profiles_from_host_dir(
     directory: str, with_io_records: bool = True
 ) -> List[TaskProfile]:
-    """Load every saved profile (``*.json`` / ``*.dayu`` / ``*.dayuc``)
+    """Load every saved profile (``*.json`` / ``*.dayuc``)
     from a real (host) directory, ordered by task start time.  This is
     what the ``dayu-analyze`` CLI consumes; compacted run files are
     flattened."""
@@ -288,11 +311,6 @@ def load_profiles_from_dir(fs: SimFS, directory: str,
         fd = fs.open(path, "r")
         raw = fs.read(fd, fs.file_size(fd))
         fs.close(fd)
-        if isinstance(raw, bytes) and columnar.is_columnar_trace(raw):
-            profiles.extend(
-                columnar.decode_run(raw, with_io_records=with_io_records))
-        else:
-            profiles.append(
-                load_profile(raw, with_io_records=with_io_records))
+        profiles.extend(_decode_all(raw, with_io_records, path))
     profiles.sort(key=lambda p: p.span.start)
     return profiles

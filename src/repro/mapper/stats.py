@@ -169,7 +169,7 @@ class DatasetIoStats:
     # ------------------------------------------------------------------
     def region_runs(self) -> List[Tuple[int, int, int]]:
         """The page histogram as sorted, disjoint ``(first_page, last_page,
-        count)`` runs — the compact form the binary codec stores and the
+        count)`` runs — the compact form the columnar trace stores and the
         SDG region wiring consumes."""
         if not self._runs_coalesced:
             self._region_runs = _coalesce_runs(self._region_runs)
@@ -177,7 +177,7 @@ class DatasetIoStats:
         return list(self._region_runs)
 
     def set_region_runs(self, runs: Iterable[Tuple[int, int, int]]) -> None:
-        """Replace the histogram with already-coalesced runs (codec decode)."""
+        """Replace the histogram with already-coalesced runs (trace decode)."""
         self._region_runs = list(runs)
         self._runs_coalesced = True
         self._regions_cache = None

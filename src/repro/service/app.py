@@ -14,7 +14,7 @@ GET    ``/healthz``                 liveness (no auth)
 GET    ``/metrics``                 Prometheus text exposition (no auth)
 GET    ``/runs``                    this tenant's runs
 GET    ``/runs/<run>``              one run's summary
-POST   ``/runs/<run>/traces``       upload one trace (json/.dayu/.dayuc;
+POST   ``/runs/<run>/traces``       upload one trace (json/.dayuc;
                                     ``Content-Length`` or chunked)
 GET    ``/runs/<run>/ftg``          canonical FTG JSON
 GET    ``/runs/<run>/sdg``          canonical SDG JSON
@@ -26,13 +26,14 @@ PUT    ``/baseline``                install a lint baseline
 ====== ============================ =======================================
 
 The wire format for uploads is exactly the on-disk trace format — JSON
-interchange, the PR 1 row codec (``DYU1``), or the PR 6 columnar form
-(``DYC1``, single trace or whole compacted run) — classified by
+interchange or the columnar form (``DYC1``, single trace or whole
+compacted run) — classified by
 :func:`~repro.mapper.persist.sniff_trace_format` from the first four
 bytes; a body too short to carry the magic is rejected with the typed
-``unknown-trace-format`` error, a body that sniffs but does not decode
-with ``malformed-trace``, and in neither case is quota charged or disk
-touched.
+``unknown-trace-format`` error, one in the retired row-binary format
+(``DYU1``) with ``retired-trace-format``, a body that sniffs but does
+not decode with ``malformed-trace``, and in none of these cases is
+quota charged or disk touched.
 
 Multi-tenancy: a bearer token (``Authorization: Bearer <t>`` or
 ``X-DaYu-Token: <t>``) maps to a tenant; every run, byte of quota, and
@@ -58,6 +59,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.mapper import columnar
 from repro.mapper.persist import (
+    RetiredTraceFormat,
     UnknownTraceFormat,
     load_profile,
     sniff_trace_format,
@@ -69,6 +71,7 @@ from repro.service.errors import (
     MalformedTrace,
     NotFound,
     PayloadTooLarge,
+    RetiredTrace,
     ServiceError,
     TruncatedTrace,
     UnknownRun,
@@ -451,6 +454,8 @@ class DayuService:
                 f"{len(payload)} byte(s) is too short to be a DaYu trace "
                 "(need at least 4 bytes of magic; empty or truncated "
                 "upload?)", size=len(payload))
+        except RetiredTraceFormat as exc:
+            raise RetiredTrace(str(exc), size=len(payload)) from exc
         try:
             if fmt == "columnar":
                 profiles = columnar.decode_run(payload,

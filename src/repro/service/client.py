@@ -125,7 +125,7 @@ class ServiceClient:
 
     def upload(self, run: str, payload: bytes,
                chunked: bool = False) -> dict:
-        """Upload one serialized trace (json/.dayu/.dayuc bytes)."""
+        """Upload one serialized trace (json/.dayuc bytes)."""
         return self._json("POST", f"/runs/{run}/traces", payload,
                           chunked=chunked)
 
@@ -172,7 +172,7 @@ def _collect_traces(specs: List[str]) -> List[Path]:
                            if q.suffix in TRACE_SUFFIXES)
             if not found:
                 raise FileNotFoundError(
-                    f"no saved profiles (*.json/*.dayu/*.dayuc) in {spec!r}")
+                    f"no saved profiles (*.json/*.dayuc) in {spec!r}")
             out.extend(found)
         elif p.is_file():
             out.append(p)

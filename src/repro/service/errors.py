@@ -24,6 +24,7 @@ __all__ = [
     "BadRequest",
     "TruncatedTrace",
     "MalformedTrace",
+    "RetiredTrace",
     "BadName",
     "AuthRequired",
     "UnknownRun",
@@ -70,6 +71,16 @@ class MalformedTrace(BadRequest):
     """Sniffed fine but failed to decode as the sniffed format."""
 
     code = "malformed-trace"
+
+
+class RetiredTrace(BadRequest):
+    """Upload in the retired row-binary trace format (``DYU1`` magic).
+
+    The upload counterpart of
+    :class:`repro.mapper.persist.RetiredTraceFormat`.
+    """
+
+    code = "retired-trace-format"
 
 
 class BadName(BadRequest):

@@ -5,7 +5,7 @@ Disk layout, rooted at the service's ``--root`` directory::
     <root>/<tenant>/baseline              accepted-finding fingerprints
     <root>/<tenant>/runs/<run>/run.dayuc  compacted run file (atomic)
     <root>/<tenant>/runs/<run>/incoming/  one file per accepted upload
-        000001.json / 000002.dayu / ...
+        000001.json / 000002.dayuc / ...
 
 Durability contract: an upload is written to ``incoming/`` with
 :func:`repro.ioutil.atomic_write_bytes` *before* the HTTP 200 is sent,
@@ -42,7 +42,7 @@ __all__ = ["TenantQuota", "StoredTrace", "RunStore", "NAME_RE"]
 NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 #: Extension per sniffed wire format.
-_EXT = {"json": ".json", "binary": ".dayu", "columnar": ".dayuc"}
+_EXT = {"json": ".json", "columnar": ".dayuc"}
 
 #: The compacted run file inside a run directory.
 RUN_FILE = "run.dayuc"

@@ -58,8 +58,8 @@ class TracerCosts:
 class VfdIoRecord:
     """One traced low-level I/O operation (Table II, parameters 5-7).
 
-    The compact on-disk form (varint fields, interned string ids) is
-    produced by :mod:`repro.mapper.codec`.
+    The compact on-disk form (per-field column chunks, interned string
+    ids) is produced by :mod:`repro.mapper.columnar`.
     """
 
     task: Optional[str]
@@ -333,15 +333,6 @@ class VfdTracer:
     def storage_bytes(self) -> int:
         """Bytes of serialized (JSON interchange) trace output."""
         return len(self.serialize())
-
-    @property
-    def binary_trace_bytes(self) -> int:
-        """Bytes of the compact on-disk trace — the storage-overhead
-        metric of the paper's Figure 9d.  Measured by actually encoding
-        the trace with :mod:`repro.mapper.codec`."""
-        from repro.mapper.codec import vfd_trace_nbytes
-
-        return vfd_trace_nbytes(self.records, self.sessions)
 
 
 class TracingVFD(VirtualFileDriver):

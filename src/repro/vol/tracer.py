@@ -51,7 +51,7 @@ class VolCosts:
 class DataObjectProfile:
     """Accumulated semantics for one data object within one file (Table I).
 
-    The compact on-disk form is produced by :mod:`repro.mapper.codec`.
+    The compact on-disk form is produced by :mod:`repro.mapper.columnar`.
     """
 
     task: Optional[str]
@@ -279,12 +279,3 @@ class VolTracer:
     @property
     def storage_bytes(self) -> int:
         return len(self.serialize())
-
-    @property
-    def binary_trace_bytes(self) -> int:
-        """Bytes of the compact on-disk trace (Figure 9d's VOL series) —
-        proportional to distinct data objects, not to operation count.
-        Measured by actually encoding with :mod:`repro.mapper.codec`."""
-        from repro.mapper.codec import vol_trace_nbytes
-
-        return vol_trace_nbytes(self.all_profiles())

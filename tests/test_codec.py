@@ -1,82 +1,45 @@
-"""Binary trace codec: JSON↔binary equivalence, streaming I/O, skipping,
-and the coalesced page-run storage behind the region histograms."""
+"""The trace codec (the columnar binary form of a task profile):
+JSON↔binary equivalence, file-object I/O, skipping the per-op records,
+sizes, config-driven save format, and the coalesced page-run storage
+behind the region histograms."""
 
 import io
 import json
 
 import pytest
 
-from repro.mapper import codec
+from repro.mapper import columnar
+from repro.mapper.columnar import (
+    COLUMNAR_TRACE_SUFFIX,
+    CorruptTrace,
+    decode_columnar,
+    encode_columnar,
+    is_columnar_trace,
+)
 from repro.mapper.config import DaYuConfig
 from repro.mapper.mapper import TaskProfile
-from repro.mapper.persist import load_profile, load_profiles_from_host_dir
+from repro.mapper.persist import (
+    load_profile,
+    load_profiles_from_host_dir,
+    load_profiles_path,
+)
 from repro.mapper.stats import DatasetIoStats, _coalesce_runs
 from repro.simclock import TimeSpan
 from repro.vfd.base import IoClass
-from repro.vfd.tracing import FileSession, VfdIoRecord
-from repro.vol.tracer import DataObjectProfile
+from repro.vfd.tracing import VfdIoRecord
 
-
-def make_profile(task="t0"):
-    """A hand-built profile exercising every serialized field, including
-    the awkward ones: None timestamps, unset first_raw_op, negative-able
-    floats, unicode names, shared interned strings."""
-    file_a = "/pfs/run/μ-data.h5"
-    file_b = "/pfs/run/other.h5"
-    records = [
-        VfdIoRecord(task=task, file=file_a, op="write", offset=0,
-                    nbytes=4096, start=1.25, duration=0.5,
-                    access_type=IoClass.METADATA, data_object=None),
-        VfdIoRecord(task=task, file=file_a, op="read", offset=4096,
-                    nbytes=123, start=2.0, duration=0.0,
-                    access_type=IoClass.RAW, data_object="/ds/α"),
-        VfdIoRecord(task=None, file=file_b, op="write", offset=1 << 40,
-                    nbytes=0, start=0.1, duration=1e-9,
-                    access_type=IoClass.RAW, data_object="/ds/α"),
-    ]
-    sessions = [
-        FileSession(task=task, file=file_a, open_time=1.0, close_time=3.5,
-                    read_ops=1, write_ops=1, read_bytes=123,
-                    write_bytes=4096, sequential_ops=1, sequential_raw_ops=1,
-                    metadata_ops=1, raw_ops=1, data_objects=["/ds/α"]),
-        FileSession(task=task, file=file_b, open_time=4.0, close_time=None),
-    ]
-    objects = [
-        DataObjectProfile(task=task, file=file_a, object_name="/ds/α",
-                          acquired=1.0, released=3.0, open_count=2,
-                          shape=(64, 128), dtype="float64", layout="chunked",
-                          nbytes=64 * 128 * 8, reads=1, writes=0,
-                          elements_read=8192),
-        DataObjectProfile(task=None, file=file_b, object_name="/empty",
-                          acquired=0.0, released=None),
-    ]
-    full = DatasetIoStats(task=task, file=file_a, data_object="/ds/α",
-                          reads=3, writes=2, bytes_read=300, bytes_written=200,
-                          data_ops=4, data_bytes=450, metadata_ops=1,
-                          metadata_bytes=50, io_time=0.125,
-                          first_start=1.5, last_end=2.5, first_raw_op="read")
-    full.regions = {0: 2, 1: 2, 7: 1, 1000000: 3}
-    bare = DatasetIoStats(task=None, file=file_b, data_object="/empty")
-    return TaskProfile(
-        task=task,
-        span=TimeSpan(0.5, 9.75),
-        files=[file_a, file_b],
-        object_profiles=objects,
-        file_sessions=sessions,
-        io_records=records,
-        dataset_stats=[full, bare],
-    )
+from tests.test_columnar import make_profile
 
 
 class TestRoundTrip:
     def test_every_field_survives(self):
         p = make_profile()
-        q = codec.decode_profile(codec.encode_profile(p))
+        q = decode_columnar(encode_columnar(p))
         assert q.to_json_dict() == p.to_json_dict()
 
     def test_dataclass_level_equality(self):
         p = make_profile()
-        q = codec.decode_profile(codec.encode_profile(p))
+        q = decode_columnar(encode_columnar(p))
         assert q.io_records == p.io_records
         assert [s.to_json_dict() for s in q.file_sessions] == \
                [s.to_json_dict() for s in p.file_sessions]
@@ -88,7 +51,7 @@ class TestRoundTrip:
 
     def test_binary_vs_json_loaders_agree(self):
         p = make_profile()
-        via_binary = load_profile(codec.encode_profile(p))
+        via_binary = load_profile(encode_columnar(p))
         via_json = load_profile(p.serialize())
         assert via_binary.to_json_dict() == via_json.to_json_dict()
 
@@ -96,14 +59,14 @@ class TestRoundTrip:
         p = TaskProfile(task="empty", span=TimeSpan(0.0, 0.0), files=[],
                         object_profiles=[], file_sessions=[], io_records=[],
                         dataset_stats=[])
-        q = codec.decode_profile(codec.encode_profile(p))
+        q = decode_columnar(encode_columnar(p))
         assert q.to_json_dict() == p.to_json_dict()
 
     def test_float_exactness(self):
         p = make_profile()
         p.span = TimeSpan(1 / 3, 2 / 3)
         p.dataset_stats[0].io_time = 0.1 + 0.2  # not exactly 0.3
-        q = codec.decode_profile(codec.encode_profile(p))
+        q = decode_columnar(encode_columnar(p))
         assert q.span.start == p.span.start
         assert q.dataset_stats[0].io_time == p.dataset_stats[0].io_time
 
@@ -111,8 +74,7 @@ class TestRoundTrip:
 class TestSkipRecords:
     def test_records_skipped_rest_identical(self):
         p = make_profile()
-        q = codec.decode_profile(codec.encode_profile(p),
-                                 with_io_records=False)
+        q = decode_columnar(encode_columnar(p), with_io_records=False)
         assert q.io_records == []
         want = p.to_json_dict()
         got = q.to_json_dict()
@@ -130,30 +92,32 @@ class TestSkipRecords:
 class TestStreaming:
     def test_write_read_file_object(self, tmp_path):
         p = make_profile()
-        path = tmp_path / f"t0{codec.BINARY_TRACE_SUFFIX}"
+        path = tmp_path / f"t0{COLUMNAR_TRACE_SUFFIX}"
         with open(path, "wb") as fp:
-            codec.write_profile(fp, p)
-        with open(path, "rb") as fp:
-            q = codec.read_profile(fp)
+            columnar.write_run(fp, [p])
+        [q] = load_profiles_path(str(path))
         assert q.to_json_dict() == p.to_json_dict()
-        assert codec.is_binary_trace(path.read_bytes())
+        assert is_columnar_trace(path.read_bytes())
+        buf = io.BytesIO()
+        columnar.write_run(buf, [p])
+        assert buf.getvalue() == path.read_bytes()
 
     def test_sniffing(self):
         p = make_profile()
-        assert codec.is_binary_trace(codec.encode_profile(p))
-        assert not codec.is_binary_trace(p.serialize())
-        assert not codec.is_binary_trace(b"")
+        assert is_columnar_trace(encode_columnar(p))
+        assert not is_columnar_trace(p.serialize())
+        assert not is_columnar_trace(b"")
 
     def test_corrupt_payload_rejected(self):
-        blob = codec.encode_profile(make_profile())
-        with pytest.raises(ValueError):
-            codec.decode_profile(blob[:-3])
+        blob = encode_columnar(make_profile())
+        with pytest.raises(CorruptTrace):
+            decode_columnar(blob[:-3])
 
     def test_mixed_format_directory(self, tmp_path):
         p = make_profile("alpha")
         r = make_profile("beta")
         (tmp_path / "alpha.json").write_bytes(p.serialize())
-        (tmp_path / "beta.dayu").write_bytes(codec.encode_profile(r))
+        (tmp_path / "beta.dayuc").write_bytes(encode_columnar(r))
         loaded = load_profiles_from_host_dir(str(tmp_path))
         assert sorted(q.task for q in loaded) == ["alpha", "beta"]
 
@@ -161,27 +125,39 @@ class TestStreaming:
 class TestSizes:
     def test_binary_much_smaller_than_json(self):
         p = make_profile()
-        assert len(codec.encode_profile(p)) * 3 < len(p.serialize())
+        p.io_records = p.io_records * 50  # records dominate real traces
+        assert len(encode_columnar(p)) * 3 < len(p.serialize())
 
     def test_trace_nbytes_match_encodings(self):
         p = make_profile()
-        assert p.vfd_binary_bytes == len(
-            codec.encode_vfd_trace(p.io_records, p.file_sessions))
-        assert p.vol_binary_bytes == len(
-            codec.encode_vol_trace(p.object_profiles))
+        bare = TaskProfile(task=None, span=p.span, files=[],
+                           object_profiles=[], file_sessions=[],
+                           io_records=[], dataset_stats=[])
+        container = len(encode_columnar(bare))
+        vfd = TaskProfile(task=None, span=p.span, files=[],
+                          object_profiles=[], file_sessions=p.file_sessions,
+                          io_records=p.io_records, dataset_stats=[])
+        vol = TaskProfile(task=None, span=p.span, files=[],
+                          object_profiles=p.object_profiles,
+                          file_sessions=[], io_records=[], dataset_stats=[])
+        assert p.vfd_binary_bytes == len(encode_columnar(vfd)) - container
+        assert p.vol_binary_bytes == len(encode_columnar(vol)) - container
 
     def test_vfd_bytes_grow_with_records(self):
         p = make_profile()
-        fewer = codec.vfd_trace_nbytes(p.io_records[:1], p.file_sessions)
-        assert p.vfd_binary_bytes > fewer > 0
+        fewer = make_profile()
+        fewer.io_records = p.io_records[:1]
+        assert p.vfd_binary_bytes > fewer.vfd_binary_bytes > 0
 
 
 class TestConfig:
     def test_trace_format_validated(self):
-        assert DaYuConfig(trace_format="binary").trace_format == "binary"
+        assert DaYuConfig(trace_format="columnar").trace_format == "columnar"
         assert DaYuConfig().trace_format == "json"
         with pytest.raises(ValueError):
             DaYuConfig(trace_format="xml")
+        with pytest.raises(ValueError):
+            DaYuConfig(trace_format="binary")  # the retired row format
 
     def test_config_drives_save_format(self):
         from repro.mapper.mapper import DataSemanticMapper
@@ -189,13 +165,15 @@ class TestConfig:
 
         p = make_profile()
         mapper = DataSemanticMapper(SimClock(),
-                                    DaYuConfig(trace_format="binary"))
+                                    DaYuConfig(trace_format="columnar"))
         suffix, blob = mapper._serialized(p, None)
-        assert suffix == codec.BINARY_TRACE_SUFFIX
-        assert codec.is_binary_trace(blob)
+        assert suffix == COLUMNAR_TRACE_SUFFIX
+        assert is_columnar_trace(blob)
         suffix, blob = mapper._serialized(p, "json")
         assert suffix == ".json"
         json.loads(blob)
+        with pytest.raises(ValueError):
+            mapper._serialized(p, "binary")
 
 
 class TestCoalescedRegions:

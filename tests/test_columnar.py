@@ -1,5 +1,6 @@
-"""Columnar trace format: fuzzed round-trips, page-stat pushdown, bulk
-graph builds, format sniffing, run compaction, and the --jobs 1 inline
+"""Columnar trace format: fuzzed round-trips, typed errors on corrupt
+bytes, page-stat pushdown, bulk graph builds, format sniffing (and the
+retired row-binary rejection), run compaction, and the --jobs 1 inline
 guarantee."""
 
 import json
@@ -9,9 +10,10 @@ import pytest
 
 from repro.analyzer import ParallelAnalyzer, build_ftg, build_sdg, graph_to_json
 from repro.analyzer.parallel import ParallelAnalyzer as _PA
-from repro.mapper import codec, columnar
+from repro.mapper import columnar
 from repro.mapper.columnar import (
     COLUMNAR_MAGIC,
+    CorruptTrace,
     GroupStatsView,
     RunReader,
     RunStatsView,
@@ -24,6 +26,7 @@ from repro.mapper.columnar import (
 )
 from repro.mapper.mapper import TaskProfile
 from repro.mapper.persist import (
+    RetiredTraceFormat,
     load_profiles_path,
     sniff_trace_format,
     trace_paths,
@@ -34,7 +37,56 @@ from repro.vfd.base import IoClass
 from repro.vfd.tracing import FileSession, VfdIoRecord
 from repro.vol.tracer import DataObjectProfile
 
-from tests.test_codec import make_profile
+
+def make_profile(task="t0"):
+    """A hand-built profile exercising every serialized field, including
+    the awkward ones: None timestamps, unset first_raw_op, negative-able
+    floats, unicode names, shared interned strings."""
+    file_a = "/pfs/run/μ-data.h5"
+    file_b = "/pfs/run/other.h5"
+    records = [
+        VfdIoRecord(task=task, file=file_a, op="write", offset=0,
+                    nbytes=4096, start=1.25, duration=0.5,
+                    access_type=IoClass.METADATA, data_object=None),
+        VfdIoRecord(task=task, file=file_a, op="read", offset=4096,
+                    nbytes=123, start=2.0, duration=0.0,
+                    access_type=IoClass.RAW, data_object="/ds/α"),
+        VfdIoRecord(task=None, file=file_b, op="write", offset=1 << 40,
+                    nbytes=0, start=0.1, duration=1e-9,
+                    access_type=IoClass.RAW, data_object="/ds/α"),
+    ]
+    sessions = [
+        FileSession(task=task, file=file_a, open_time=1.0, close_time=3.5,
+                    read_ops=1, write_ops=1, read_bytes=123,
+                    write_bytes=4096, sequential_ops=1, sequential_raw_ops=1,
+                    metadata_ops=1, raw_ops=1, data_objects=["/ds/α"]),
+        FileSession(task=task, file=file_b, open_time=4.0, close_time=None),
+    ]
+    objects = [
+        DataObjectProfile(task=task, file=file_a, object_name="/ds/α",
+                          acquired=1.0, released=3.0, open_count=2,
+                          shape=(64, 128), dtype="float64", layout="chunked",
+                          nbytes=64 * 128 * 8, reads=1, writes=0,
+                          elements_read=8192),
+        DataObjectProfile(task=None, file=file_b, object_name="/empty",
+                          acquired=0.0, released=None),
+    ]
+    full = DatasetIoStats(task=task, file=file_a, data_object="/ds/α",
+                          reads=3, writes=2, bytes_read=300, bytes_written=200,
+                          data_ops=4, data_bytes=450, metadata_ops=1,
+                          metadata_bytes=50, io_time=0.125,
+                          first_start=1.5, last_end=2.5, first_raw_op="read")
+    full.regions = {0: 2, 1: 2, 7: 1, 1000000: 3}
+    bare = DatasetIoStats(task=None, file=file_b, data_object="/empty")
+    return TaskProfile(
+        task=task,
+        span=TimeSpan(0.5, 9.75),
+        files=[file_a, file_b],
+        object_profiles=objects,
+        file_sessions=sessions,
+        io_records=records,
+        dataset_stats=[full, bare],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -165,25 +217,17 @@ class TestFuzzRoundTrip:
         for p, q in zip(profiles, back):
             assert_profiles_equal(p, q)
 
-    def test_row_columnar_row_via_codec(self):
-        # row binary -> columnar -> row binary is byte-identical
-        p = make_profile()
-        q = decode_columnar(encode_columnar(p))
-        assert codec.encode_profile(q) == codec.encode_profile(p)
-
     def test_handbuilt_profile(self):
         p = make_profile()
         assert_profiles_equal(p, decode_columnar(encode_columnar(p)))
 
     def test_none_task_profile(self):
-        # The row codec round-trips a None task as None; parity demands
-        # the columnar codec does too.
+        # A None task round-trips as None, not as "".
         p = TaskProfile(task=None, span=TimeSpan(0.0, 1.0), files=[],
                         object_profiles=[], file_sessions=[], io_records=[],
                         dataset_stats=[])
         q = decode_columnar(encode_columnar(p))
         assert q.task is None
-        assert codec.decode_profile(codec.encode_profile(p)).task is None
 
     def test_empty_profile_and_empty_run(self):
         p = TaskProfile(task="empty", span=TimeSpan(0.0, 0.0), files=[],
@@ -208,10 +252,81 @@ class TestFuzzRoundTrip:
 
     def test_corrupt_rejected(self):
         blob = encode_columnar(make_profile())
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptTrace):
             RunReader.from_bytes(b"XXXX" + blob[4:])
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptTrace):
             RunReader.from_bytes(blob[:-20] + b"\x00" * 16 + COLUMNAR_MAGIC)
+
+
+def _mutants(blob: bytes, rng: random.Random, n: int):
+    """``n`` copies of ``blob``, each with 1-4 bytes overwritten,
+    deleted or inserted at random positions."""
+    for _ in range(n):
+        data = bytearray(blob)
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randrange(len(data))
+            edit = rng.randrange(3)
+            if edit == 0:
+                data[pos] = rng.randrange(256)
+            elif edit == 1:
+                del data[pos]
+            else:
+                data.insert(pos, rng.randrange(256))
+        yield bytes(data)
+
+
+class TestCorruptBytes:
+    """Mutated ``.dayuc`` bytes either decode or raise the one typed
+    :class:`CorruptTrace` naming the source — never a stray KeyError or
+    IndexError from inside a column decoder."""
+
+    def test_seeded_mutations_decode_or_raise_corrupt_trace(self):
+        rng = random.Random(1234)
+        blob = encode_run([make_profile("t0"), make_profile("t1")])
+        outcomes = {"decoded": 0, "rejected": 0}
+        for data in _mutants(blob, rng, 2500):
+            try:
+                decode_run(data, source="fuzz.dayuc")
+                reader = RunReader.from_bytes(data, source="fuzz.dayuc")
+                for group in reader:
+                    group.stats_columns(with_region_runs=True)
+                    GroupStatsView(group).distinct("stats", "file")
+                outcomes["decoded"] += 1
+            except CorruptTrace as exc:
+                assert exc.source == "fuzz.dayuc"
+                assert str(exc).startswith("fuzz.dayuc: ")
+                outcomes["rejected"] += 1
+        assert outcomes["rejected"] > 0 and outcomes["decoded"] > 0
+
+    def test_cli_exits_2_naming_the_file(self, tmp_path, capsys):
+        from repro.cli import analyze_main
+        from repro.lint.cli import lint_main
+        from repro.mapper.compact import compact_main
+
+        blob = encode_run([make_profile("t0"), make_profile("t1")])
+        bad = next(d for d in _mutants(blob, random.Random(1234), 100)
+                   if _raises_corrupt(d))
+        path = tmp_path / "traces" / "run.dayuc"
+        path.parent.mkdir()
+        path.write_bytes(bad)
+        for prog, main, argv in (
+                ("dayu-analyze", analyze_main,
+                 [str(path.parent), "--out", str(tmp_path / "g"),
+                  "--graph-json"]),
+                ("dayu-lint", lint_main, [str(path.parent)]),
+                ("dayu-compact", compact_main,
+                 [str(path.parent), "--out", str(tmp_path / "out.dayuc")])):
+            assert main(argv) == 2, prog
+            err = capsys.readouterr().err
+            assert err.startswith(f"{prog}: {path}: corrupt columnar trace")
+
+
+def _raises_corrupt(data: bytes) -> bool:
+    try:
+        decode_run(data)
+    except CorruptTrace:
+        return True
+    return False
 
 
 class TestBulkGraphs:
@@ -345,15 +460,15 @@ class TestPushdownLint:
 class TestSniffingAndLoading:
     def test_sniff(self):
         p = make_profile()
-        assert sniff_trace_format(codec.encode_profile(p)) == "binary"
         assert sniff_trace_format(encode_columnar(p)) == "columnar"
         assert sniff_trace_format(p.serialize()) == "json"
+        with pytest.raises(RetiredTraceFormat, match="t.dayu"):
+            sniff_trace_format(b"DYU1\x02\x00", source="t.dayu")
 
     def test_mixed_directory_auto(self, tmp_path):
         p0, p1, p2 = (make_profile(f"t{i}") for i in range(3))
         (tmp_path / "a.json").write_bytes(p0.serialize())
-        (tmp_path / "b.dayu").write_bytes(codec.encode_profile(p1))
-        (tmp_path / "c.dayuc").write_bytes(encode_columnar(p2))
+        (tmp_path / "b.dayuc").write_bytes(encode_run([p1, p2]))
         analyzer = ParallelAnalyzer(max_workers=1, with_io_records=True)
         profiles = analyzer.load(str(tmp_path))
         assert sorted(p.task for p in profiles) == ["t0", "t1", "t2"]

@@ -68,7 +68,11 @@ class TestFig9:
         vfd = table.column("vfd_storage_percent")
         vol = table.column("vol_storage_percent")
         assert vfd[2] > vfd[1] > vfd[0]
-        assert vol[2] == pytest.approx(vol[0], rel=0.05)  # flat
+        # Flat: VOL bytes do not grow with op count.  The write-only row
+        # (no reads, so zero-valued read counters) sits one fixed-width
+        # column step (1 -> 4 bytes per object) below the others.
+        assert vol[2] == vol[1]
+        assert vol[2] == pytest.approx(vol[0], rel=0.1)
         # Roughly linear: equal op increments give equal storage increments.
         assert (vfd[2] - vfd[1]) == pytest.approx(vfd[1] - vfd[0], rel=0.2)
 

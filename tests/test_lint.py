@@ -4,7 +4,7 @@ Coverage demanded by the acceptance gates:
 
 - DY2xx hazards fire on the seeded corner-case fixture and stay silent
   on the clean bundled workloads (PyFLEXTRKR / DDMD / ARLDM / h5bench);
-- VOL-vs-VFD reconciliation (DY3xx) passes on both JSON and binary
+- VOL-vs-VFD reconciliation (DY3xx) passes on both JSON and columnar
   persisted traces, and each sanitizer rule catches its corruption;
 - SARIF 2.1.0 output validates against the SARIF schema;
 - baselines suppress accepted findings; the parallel path matches the
@@ -165,10 +165,10 @@ class TestCleanWorkloads:
 
 
 # ----------------------------------------------------------------------
-# Persisted traces: JSON and binary, serial and parallel
+# Persisted traces: JSON and columnar, serial and parallel
 # ----------------------------------------------------------------------
 class TestPersistedTraces:
-    @pytest.fixture(scope="class", params=["json", "binary"])
+    @pytest.fixture(scope="class", params=["json", "columnar"])
     def saved_traces(self, request, hazard_env, tmp_path_factory):
         d = tmp_path_factory.mktemp(f"traces_{request.param}")
         hazard_env.mapper.save_to_host_dir(str(d),
@@ -654,7 +654,7 @@ class TestCli:
     @pytest.fixture(scope="class")
     def trace_dir(self, hazard_env, tmp_path_factory):
         d = tmp_path_factory.mktemp("cli_traces")
-        hazard_env.mapper.save_to_host_dir(str(d), trace_format="binary")
+        hazard_env.mapper.save_to_host_dir(str(d), trace_format="columnar")
         return str(d)
 
     def test_exit_one_on_errors(self, trace_dir, capsys):

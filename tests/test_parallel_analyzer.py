@@ -215,11 +215,9 @@ class TestParallelAnalyzer:
         self._check(ddmd_profiles, workers, tmp_path)
 
     def _check(self, profiles, workers, tmp_path):
-        from repro.mapper import codec
-
         for p in profiles:
-            (tmp_path / f"{p.task}{codec.BINARY_TRACE_SUFFIX}").write_bytes(
-                codec.encode_profile(p))
+            (tmp_path / f"{p.task}.dayuc").write_bytes(
+                p.serialize_columnar())
         ordered = sorted(profiles, key=lambda p: p.span.start)
         serial_ftg = graph_to_json(build_ftg(ordered))
         serial_sdg = graph_to_json(build_sdg(ordered, with_regions=True,
@@ -233,11 +231,9 @@ class TestParallelAnalyzer:
 
     def test_load_skips_records_by_default(self, pyflextrkr_profiles,
                                            tmp_path):
-        from repro.mapper import codec
-
         for p in pyflextrkr_profiles:
-            (tmp_path / f"{p.task}{codec.BINARY_TRACE_SUFFIX}").write_bytes(
-                codec.encode_profile(p))
+            (tmp_path / f"{p.task}.dayuc").write_bytes(
+                p.serialize_columnar())
         loaded = ParallelAnalyzer(max_workers=1).load(str(tmp_path))
         assert all(p.io_records == [] for p in loaded)
         assert any(p.dataset_stats for p in loaded)

@@ -159,7 +159,7 @@ class TestCli:
         assert "does not exist" in capsys.readouterr().err
 
     def test_analyze_truncated_trace_exits_2(self, tmp_path, capsys):
-        (tmp_path / "t.dayu").write_bytes(b"DY")
+        (tmp_path / "t.dayuc").write_bytes(b"DY")
         assert analyze_main([str(tmp_path)]) == 2
         assert "too short" in capsys.readouterr().err
 

@@ -37,8 +37,7 @@ from repro.lint import (
     sensitivity_report_from_findings,
 )
 from repro.lint.cli import lint_main
-from repro.mapper.codec import encode_profile
-from repro.mapper.columnar import encode_run
+from repro.mapper.columnar import encode_columnar, encode_run
 from repro.mapper.persist import (
     UnknownTraceFormat,
     load_profiles_path,
@@ -94,14 +93,15 @@ def racy_report(racy_run):
 
 @pytest.fixture(scope="module")
 def racy_traces(racy_run, tmp_path_factory):
-    """The same run persisted: row traces, a columnar run, attempts doc."""
+    """The same run persisted: per-task traces, a compacted columnar run,
+    attempts doc."""
     base = tmp_path_factory.mktemp("racy")
     row = base / "row"
     col = base / "col"
     row.mkdir()
     col.mkdir()
     for p in racy_run.profiles:
-        (row / f"{p.task}.dayu").write_bytes(encode_profile(p))
+        (row / f"{p.task}.dayuc").write_bytes(encode_columnar(p))
     ordered = sorted(racy_run.profiles, key=lambda p: p.span.start)
     (col / "run.dayuc").write_bytes(encode_run(ordered))
     attempts = base / "attempts.json"
@@ -362,9 +362,9 @@ class TestCli:
         assert "unknown workload" in capsys.readouterr().err
 
     def test_exit_2_unreadable_trace(self, tmp_path, capsys):
-        (tmp_path / "empty.dayu").write_bytes(b"")
+        (tmp_path / "empty.dayuc").write_bytes(b"")
         assert lint_main([str(tmp_path), "--races"]) == 2
-        assert "empty.dayu" in capsys.readouterr().err
+        assert "empty.dayuc" in capsys.readouterr().err
 
     def test_exit_2_bad_attempts(self, racy_traces, tmp_path, capsys):
         bad = tmp_path / "attempts.json"
@@ -437,7 +437,7 @@ class TestCli:
 class TestUnknownTraceFormat:
     @pytest.mark.parametrize("payload", [b"", b"DY"])
     def test_sniff_names_the_path(self, tmp_path, payload):
-        path = tmp_path / "stub.dayu"
+        path = tmp_path / "stub.dayuc"
         path.write_bytes(payload)
         with pytest.raises(UnknownTraceFormat) as exc:
             sniff_trace_format_path(path)
@@ -445,7 +445,7 @@ class TestUnknownTraceFormat:
         assert exc.value.size == len(payload)
 
     def test_loaders_raise_it_too(self, tmp_path):
-        path = tmp_path / "stub.dayu"
+        path = tmp_path / "stub.dayuc"
         path.write_bytes(b"\x00")
         with pytest.raises(UnknownTraceFormat):
             load_profiles_path(path)

@@ -31,6 +31,9 @@ from repro.service.loadgen import percentile, run_load
 from repro.simclock import SimClock
 from repro.storage import Mount, make_device
 
+#: Magic of the retired row-binary trace format plus a few frame bytes.
+RETIRED_TRACE = b"DYU1\x02\x01\x00"
+
 
 # ----------------------------------------------------------------------
 # Fixtures
@@ -174,10 +177,10 @@ class TestRunStore:
         store = RunStore(tmp_path / "s")
         p = small_profiles[0]
         r1 = store.append("t", "r", p.serialize(), "json")
-        r2 = store.append("t", "r", p.serialize_binary(), "binary")
+        r2 = store.append("t", "r", p.serialize_columnar(), "columnar")
         assert (r1.seq, r2.seq) == (1, 2)
         assert r1.path.endswith("000001.json")
-        assert r2.path.endswith("000002.dayu")
+        assert r2.path.endswith("000002.dayuc")
         assert store.bytes_used("t") == r1.nbytes + r2.nbytes
 
     def test_byte_quota_rejects_before_disk(self, tmp_path, small_profiles):
@@ -202,9 +205,9 @@ class TestRunStore:
     def test_bad_names_rejected(self, tmp_path):
         store = RunStore(tmp_path / "s")
         with pytest.raises(BadName):
-            store.append("t", "../escape", b"DYU1", "binary")
+            store.append("t", "../escape", b"{}", "json")
         with pytest.raises(BadName):
-            store.append("bad/tenant", "r", b"DYU1", "binary")
+            store.append("bad/tenant", "r", b"{}", "json")
 
     def test_scan_gc_and_seq_resume(self, tmp_path, small_profiles):
         root = tmp_path / "s"
@@ -345,17 +348,21 @@ class TestServiceHttp:
             assert exc.value.code == "not-found"
 
     def test_upload_all_three_formats(self, server, small_profiles):
+        # JSON and columnar are accepted; the retired row-binary format
+        # gets its own typed 400 and stores nothing.
         with server.client() as c:
             p1, p2, p3 = small_profiles
             r = c.upload("r", p1.serialize())
             assert (r["format"], r["added"]) == ("json", 1)
-            r = c.upload("r", p2.serialize_binary())
-            assert (r["format"], r["added"]) == ("binary", 1)
+            with pytest.raises(ServiceClientError) as exc:
+                c.upload("r", RETIRED_TRACE)
+            assert exc.value.status == 400
+            assert exc.value.code == "retired-trace-format"
             r = c.upload("r", p3.serialize_columnar())
             assert (r["format"], r["added"]) == ("columnar", 1)
             info = c.run_info("r")
-            assert info["profiles"] == 3
-            assert info["tasks"] == sorted(p.task for p in small_profiles)
+            assert info["profiles"] == 2
+            assert info["tasks"] == sorted([p1.task, p3.task])
 
     def test_truncated_upload_typed_error(self, server):
         with server.client() as c:
@@ -371,9 +378,9 @@ class TestServiceHttp:
     def test_malformed_upload_typed_error(self, server):
         with server.client() as c:
             with pytest.raises(ServiceClientError) as exc:
-                c.upload("r", b"DYU1garbage-after-magic")
+                c.upload("r", b"DYC1garbage-after-magic")
             assert exc.value.code == "malformed-trace"
-            assert exc.value.details["format"] == "binary"
+            assert exc.value.details["format"] == "columnar"
             assert c.runs()["bytes_used"] == 0
 
     def test_chunked_upload_equivalent(self, server, small_profiles):
@@ -390,7 +397,7 @@ class TestServiceHttp:
                 c.graph("ghost", "ftg")
             assert exc.value.code == "unknown-run"
             with pytest.raises(ServiceClientError) as exc:
-                c.upload("..", b"DYU1")
+                c.upload("..", b"{}")
             assert exc.value.code == "bad-name"
 
     def test_method_not_allowed(self, server):
@@ -581,7 +588,7 @@ class TestClientCli:
 
     def test_server_rejection_exits_1(self, server, tmp_path, capsys):
         url = f"http://{server.host}:{server.port}"
-        bad = tmp_path / "bad.dayu"
+        bad = tmp_path / "bad.dayuc"
         bad.write_bytes(b"DY")
         assert client_main([url, "upload", "r", str(bad)]) == 1
         assert "unknown-trace-format" in capsys.readouterr().err
@@ -589,6 +596,36 @@ class TestClientCli:
     def test_unreachable_server_exits_2(self, capsys):
         assert client_main(["http://127.0.0.1:1", "runs"]) == 2
         assert "cannot reach" in capsys.readouterr().err
+
+
+class TestRetiredTraceFormat:
+    def test_row_binary_trace_rejected_everywhere(self, server, tmp_path,
+                                                  capsys):
+        """A retired row-binary trace gets one typed error, naming the
+        file, from every reader: exit 2 from dayu-analyze, dayu-lint and
+        dayu-compact, and a 400 from dayu-serve."""
+        from repro.lint.cli import lint_main
+
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        path = traces / "t0.dayu"
+        path.write_bytes(RETIRED_TRACE)
+        for prog, main, argv in (
+                ("dayu-analyze", analyze_main,
+                 [str(traces), "--out", str(tmp_path / "g")]),
+                ("dayu-lint", lint_main, [str(traces)]),
+                ("dayu-compact", compact_main,
+                 [str(traces), "--out", str(tmp_path / "run.dayuc")])):
+            assert main(argv) == 2, prog
+            err = capsys.readouterr().err
+            assert err.startswith(f"{prog}: {path}: ")
+            assert "retired format" in err
+        with server.client() as c:
+            with pytest.raises(ServiceClientError) as exc:
+                c.upload("r", RETIRED_TRACE)
+            assert exc.value.status == 400
+            assert exc.value.code == "retired-trace-format"
+            assert c.runs()["runs"] == []
 
 
 class TestServeCli:
