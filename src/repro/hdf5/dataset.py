@@ -39,7 +39,34 @@ from repro.hdf5.btree import ChunkBTree
 from repro.hdf5.oheader import MessageType
 from repro.vfd.base import IoClass
 
-__all__ = ["Dataset"]
+__all__ = ["Dataset", "DatasetDescriptor"]
+
+
+class DatasetDescriptor:
+    """A dataset's decoded dataspace, datatype and storage layout.
+
+    Decoded once per open object and kept on the file's object record, so
+    every :class:`Dataset` handle on that object shares it: a resize or a
+    layout update made through one handle is seen by all of them.
+    """
+
+    __slots__ = ("space", "dtype", "layout")
+
+    def __init__(self, space: Dataspace, dtype: Datatype, layout: Layout) -> None:
+        self.space = space
+        self.dtype = dtype
+        self.layout = layout
+
+    @classmethod
+    def from_header(cls, header, path: str) -> "DatasetDescriptor":
+        space_msg = header.find(MessageType.DATASPACE)
+        type_msg = header.find(MessageType.DATATYPE)
+        layout_msg = header.find(MessageType.LAYOUT)
+        if space_msg is None or type_msg is None or layout_msg is None:
+            raise H5StateError(f"object at {path!r} is not a complete dataset")
+        space, _ = Dataspace.decode(space_msg.payload)
+        dtype, _ = Datatype.decode(type_msg.payload)
+        return cls(space, dtype, decode_layout(layout_msg.payload))
 
 
 class Dataset:
@@ -49,16 +76,24 @@ class Dataset:
         self._file = file
         self._oid = oid
         self._path = path
-        header = file._record(oid).header
-        space_msg = header.find(MessageType.DATASPACE)
-        type_msg = header.find(MessageType.DATATYPE)
-        layout_msg = header.find(MessageType.LAYOUT)
-        if space_msg is None or type_msg is None or layout_msg is None:
-            raise H5StateError(f"object at {path!r} is not a complete dataset")
-        self._space, _ = Dataspace.decode(space_msg.payload)
-        self._dtype, _ = Datatype.decode(type_msg.payload)
-        self._layout: Layout = decode_layout(layout_msg.payload)
+        rec = file._record(oid)
+        if rec.descriptor is None:
+            rec.descriptor = DatasetDescriptor.from_header(rec.header, path)
+        self._desc: DatasetDescriptor = rec.descriptor
+        # Per handle; re-pointed when another handle moves the shared root.
         self._btree: Optional[ChunkBTree] = None
+
+    @property
+    def _space(self) -> Dataspace:
+        return self._desc.space
+
+    @property
+    def _dtype(self) -> Datatype:
+        return self._desc.dtype
+
+    @property
+    def _layout(self) -> Layout:
+        return self._desc.layout
 
     # ------------------------------------------------------------------
     # Introspection
@@ -126,7 +161,9 @@ class Dataset:
         layout = self._layout
         if not isinstance(layout, ChunkedLayout):
             raise H5LayoutError("dataset is not chunked")
-        if self._btree is None:
+        if self._btree is None or (
+            layout.indexed and self._btree.root_addr != layout.btree_addr
+        ):
             if layout.indexed:
                 self._btree = ChunkBTree(
                     self._file.metaio, len(layout.chunk_shape), layout.btree_addr
@@ -565,7 +602,7 @@ class Dataset:
             )
         if any(d < 0 for d in new_shape):
             raise H5TypeError(f"negative extent in {new_shape}")
-        self._space = Dataspace(new_shape)
+        self._desc.space = Dataspace(new_shape)
         self._header.replace(MessageType.DATASPACE, self._space.encode())
         self._touch()
 

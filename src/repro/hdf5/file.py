@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.hdf5.dataset import Dataset
-from repro.hdf5.errors import H5FormatError, H5StateError
+from repro.hdf5.dataset import Dataset, DatasetDescriptor
+from repro.hdf5.errors import H5FormatError, H5NameError, H5StateError
 from repro.hdf5.format import SUPERBLOCK_SIZE, UNDEF_ADDR, Superblock
 from repro.hdf5.freespace import FreeSpaceManager
 from repro.hdf5.group import Group
@@ -36,8 +36,6 @@ from repro.hdf5.oheader import (
     MessageType,
     ObjectHeader,
     ObjectKind,
-    decode_link,
-    encode_link,
 )
 from repro.posix.simfs import SimFS
 from repro.vfd.base import IoClass, VirtualFileDriver
@@ -55,6 +53,8 @@ class _ObjectRecord:
     parent_oid: Optional[int]
     name: str  # link name within the parent ("" for the root)
     dirty: bool = False
+    # Datasets only: decoded on first open, shared by every handle.
+    descriptor: Optional[DatasetDescriptor] = None
 
 
 class H5File:
@@ -221,8 +221,7 @@ class H5File:
         rec = self._record(oid)
         header = rec.header
         if rec.kind == ObjectKind.GROUP:
-            for m in header.find_all(MessageType.LINK):
-                name, kind, child_addr = decode_link(m.payload)
+            for name, kind, child_addr in header.links():
                 child_oid = self.adopt(child_addr, parent_oid=oid,
                                        name=name, kind=kind)
                 self.reclaim_object(child_oid)
@@ -293,15 +292,13 @@ class H5File:
             self._superblock.root_addr = new_addr
             return
         parent = self._record(rec.parent_oid)
-        for m in parent.header.find_all(MessageType.LINK):
-            link_name, kind, _ = decode_link(m.payload)
-            if link_name == rec.name:
-                m.payload = encode_link(link_name, kind, new_addr)
-                parent.dirty = True
-                return
-        raise H5FormatError(
-            f"parent of {rec.name!r} has no link to it (corrupt registry)"
-        )
+        try:
+            parent.header.repoint_link(rec.name, new_addr)
+        except H5NameError:
+            raise H5FormatError(
+                f"parent of {rec.name!r} has no link to it (corrupt registry)"
+            ) from None
+        parent.dirty = True
 
     def flush(self) -> None:
         """Write all pending state: heap directories, dirty headers, superblock."""

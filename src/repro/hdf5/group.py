@@ -3,6 +3,9 @@
 A group is an object header whose LINK messages name its children.  Links
 carry the child's kind and header address; traversing a path therefore
 reads one header per component (metadata I/O, cached after first touch).
+Finding a name within a header is an O(1) lookup in the header's link
+index (:meth:`~repro.hdf5.oheader.ObjectHeader.link`): CPU work over bytes
+already read, which does no I/O and never appears in the VFD trace.
 
 ``create_dataset`` accepts nested paths (``"a/b/dset"``), creating
 intermediate groups like h5py.
@@ -23,13 +26,7 @@ from repro.hdf5.layout import (
     ContiguousLayout,
     encode_layout,
 )
-from repro.hdf5.oheader import (
-    Message,
-    MessageType,
-    ObjectKind,
-    decode_link,
-    encode_link,
-)
+from repro.hdf5.oheader import Message, MessageType, ObjectKind
 
 __all__ = ["Group"]
 
@@ -67,25 +64,18 @@ class Group:
     # ------------------------------------------------------------------
     # Links
     # ------------------------------------------------------------------
-    def _links(self) -> List[Tuple[str, ObjectKind, int]]:
-        return [
-            decode_link(m.payload)
-            for m in self._header.find_all(MessageType.LINK)
-        ]
-
     def keys(self) -> List[str]:
         """Child names in link order."""
-        return [name for name, _, _ in self._links()]
+        return [name for name, _, _ in self._header.links()]
 
     def __contains__(self, name: str) -> bool:
         head, _, rest = name.strip("/").partition("/")
-        for link_name, _, _ in self._links():
-            if link_name == head:
-                if not rest:
-                    return True
-                child = self._open_child(head)
-                return isinstance(child, Group) and rest in child
-        return False
+        if self._header.link(head) is None:
+            return False
+        if not rest:
+            return True
+        child = self._open_child(head)
+        return isinstance(child, Group) and rest in child
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.keys())
@@ -93,35 +83,15 @@ class Group:
     def __len__(self) -> int:
         return len(self.keys())
 
-    def _find_link(self, name: str) -> Optional[Tuple[ObjectKind, int]]:
-        for link_name, kind, addr in self._links():
-            if link_name == name:
-                return kind, addr
-        return None
-
     def _add_link(self, name: str, kind: ObjectKind, addr: int) -> None:
-        if self._find_link(name) is not None:
-            raise H5NameError(f"name {name!r} already exists in {self._path!r}")
-        self._header.messages.append(
-            Message(MessageType.LINK, encode_link(name, kind, addr))
-        )
+        self._header.add_link(name, kind, addr)
         self._touch()
-
-    def _update_link(self, name: str, new_addr: int) -> None:
-        """Re-point a child link after its header relocated."""
-        for m in self._header.find_all(MessageType.LINK):
-            link_name, kind, _ = decode_link(m.payload)
-            if link_name == name:
-                m.payload = encode_link(link_name, kind, new_addr)
-                self._touch()
-                return
-        raise H5NameError(f"no link named {name!r} in {self._path!r}")
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def _open_child(self, name: str) -> Union["Group", Dataset]:
-        found = self._find_link(name)
+        found = self._header.link(name)
         if found is None:
             raise H5NameError(f"no object named {name!r} in {self._path!r}")
         kind, addr = found
@@ -153,7 +123,7 @@ class Group:
     def create_group(self, path: str) -> "Group":
         """Create (and return) a sub-group; intermediate groups are made."""
         parent, leaf = self._descend_for_create(path)
-        if parent._find_link(leaf) is not None:
+        if parent._header.link(leaf) is not None:
             raise H5NameError(f"name {leaf!r} already exists in {parent.name!r}")
         oid = self._file.new_object(
             ObjectKind.GROUP, parent_oid=parent._oid, name=leaf, messages=[]
@@ -195,7 +165,7 @@ class Group:
             compression_level: zlib level 1-9.
         """
         parent, leaf = self._descend_for_create(path)
-        if parent._find_link(leaf) is not None:
+        if parent._header.link(leaf) is not None:
             raise H5NameError(f"name {leaf!r} already exists in {parent.name!r}")
         if isinstance(shape, int):
             shape = (shape,)
@@ -266,15 +236,11 @@ class Group:
         (collections may be shared), matching HDF5's default behaviour —
         deletion is a fragmentation source, not a compaction.
         """
-        if self._find_link(name) is None:
+        if self._header.link(name) is None:
             raise H5NameError(f"no object named {name!r} in {self._path!r}")
         child = self._open_child(name)
         self._file.reclaim_object(child._oid)
-        removed = self._header.remove(
-            lambda m: m.type == MessageType.LINK
-            and decode_link(m.payload)[0] == name
-        )
-        assert removed == 1
+        self._header.remove_link(name)
         self._touch()
 
     def __delitem__(self, name: str) -> None:
@@ -287,13 +253,13 @@ class Group:
         """All immediate child datasets (in link order)."""
         return [
             self._open_child(name)
-            for name, kind, _ in self._links()
+            for name, kind, _ in self._header.links()
             if kind == ObjectKind.DATASET
         ]
 
     def visit(self, func) -> None:
         """Call ``func(path, object)`` for every descendant, depth-first."""
-        for name, kind, _ in self._links():
+        for name, _, _ in self._header.links():
             child = self._open_child(name)
             func(child.name, child)
             if isinstance(child, Group):

@@ -6,6 +6,11 @@ storage layout, attributes, and (for groups) links to children.  Object
 headers are pure format metadata; every byte read or written here reaches
 the VFD flagged :attr:`~repro.vfd.base.IoClass.METADATA`.
 
+A header's LINK messages are also reachable through a name index (see
+:meth:`ObjectHeader.link`), so resolving one name within a group does not
+grow with the group's size.  The index is CPU state over bytes already
+read; it performs no I/O of its own.
+
 Headers are allocated with slack capacity.  When messages outgrow the
 capacity the header must *relocate* to a larger block, freeing the old one —
 one of the mechanisms by which descriptive formats fragment their files.
@@ -16,9 +21,9 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.hdf5.errors import H5FormatError
+from repro.hdf5.errors import H5FormatError, H5NameError
 from repro.hdf5.format import pack_bytes, unpack_bytes
 
 __all__ = ["MessageType", "Message", "ObjectKind", "ObjectHeader", "OHDR_PREFIX_SIZE"]
@@ -76,11 +81,22 @@ class Message:
 
 @dataclass
 class ObjectHeader:
-    """An object header block: kind + message list + block capacity."""
+    """An object header block: kind + message list + block capacity.
+
+    ``messages`` is the source of truth for :meth:`encode`.  LINK messages
+    are read and written only through the link API (:meth:`link`,
+    :meth:`links`, :meth:`add_link`, :meth:`repoint_link`,
+    :meth:`remove_link`), which keeps a name index over them: built on
+    first use from the decoded messages, then updated by every mutation.
+    """
 
     kind: ObjectKind
     messages: List[Message] = field(default_factory=list)
     capacity: int = DEFAULT_HEADER_CAPACITY
+    # name -> (kind, addr, LINK message), in message order.
+    _link_index: Optional[Dict[str, Tuple[ObjectKind, int, Message]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Sizing
@@ -127,6 +143,58 @@ class ObjectHeader:
         before = len(self.messages)
         self.messages = [m for m in self.messages if not predicate(m)]
         return before - len(self.messages)
+
+    # ------------------------------------------------------------------
+    # Links (name index over the LINK messages)
+    # ------------------------------------------------------------------
+    def _index(self) -> Dict[str, Tuple[ObjectKind, int, Message]]:
+        index = self._link_index
+        if index is None:
+            index = {}
+            for m in self.messages:
+                if m.type == MessageType.LINK:
+                    name, kind, addr = decode_link(m.payload)
+                    if name in index:
+                        raise H5FormatError(f"duplicate link name {name!r}")
+                    index[name] = (kind, addr, m)
+            self._link_index = index
+        return index
+
+    def link(self, name: str) -> Optional[Tuple[ObjectKind, int]]:
+        """``(kind, addr)`` of the child linked as ``name``, or None."""
+        entry = self._index().get(name)
+        return None if entry is None else entry[:2]
+
+    def links(self) -> List[Tuple[str, ObjectKind, int]]:
+        """Every ``(name, kind, addr)`` link, in message order."""
+        return [(name, kind, addr)
+                for name, (kind, addr, _) in self._index().items()]
+
+    def add_link(self, name: str, kind: ObjectKind, addr: int) -> None:
+        """Append a LINK message; ``name`` must be new to this header."""
+        index = self._index()
+        if name in index:
+            raise H5NameError(f"link {name!r} already exists")
+        msg = Message(MessageType.LINK, encode_link(name, kind, addr))
+        self.messages.append(msg)
+        index[name] = (kind, addr, msg)
+
+    def repoint_link(self, name: str, addr: int) -> None:
+        """Point the link ``name`` at a new header address."""
+        index = self._index()
+        if name not in index:
+            raise H5NameError(f"no link named {name!r}")
+        kind, _, msg = index[name]
+        msg.payload = encode_link(name, kind, addr)
+        index[name] = (kind, addr, msg)
+
+    def remove_link(self, name: str) -> None:
+        """Drop the LINK message for ``name``."""
+        entry = self._index().pop(name, None)
+        if entry is None:
+            raise H5NameError(f"no link named {name!r}")
+        msg = entry[2]
+        self.messages = [m for m in self.messages if m is not msg]
 
     # ------------------------------------------------------------------
     # Serialization

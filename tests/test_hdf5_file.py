@@ -4,10 +4,11 @@ attributes, layouts, persistence across sessions, and I/O-shape properties
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from repro.hdf5 import H5File, Selection
+from repro.hdf5 import Group, H5File, Selection
 from repro.hdf5.errors import H5LayoutError, H5NameError, H5StateError, H5TypeError
+from repro.hdf5.oheader import ObjectKind
 from repro.posix import SimFS
 from repro.simclock import SimClock
 from repro.storage import Mount, make_device
@@ -504,3 +505,196 @@ class TestPropertyRoundtrips:
                 d.write(block, Selection.hyperslab(((r0, rc), (c0, cc))))
                 ref[r0:r0 + rc, c0:c0 + cc] = block
             np.testing.assert_array_equal(d.read(), ref)
+
+
+class TestSharedDatasetHandles:
+    """Every handle on one dataset sees the same extent and layout."""
+
+    def test_resize_seen_by_second_handle(self, fs):
+        with H5File(fs, "/a.h5", "w") as f:
+            d = f.create_dataset("d", shape=(4,), layout="chunked", chunks=(4,))
+            d2 = f["d"]
+            d.resize((400,))
+            d.write(np.arange(400.0))
+            assert d2.shape == f["d"].shape == (400,)
+            np.testing.assert_array_equal(d2.read(), np.arange(400.0))
+            assert d2._layout.btree_addr == d._layout.btree_addr
+        with H5File(fs, "/a.h5", "r") as f:
+            assert f["d"].shape == (400,)
+            assert f["d"].read().sum() == np.arange(400.0).sum()
+
+    def test_second_handle_follows_btree_root_split(self, fs):
+        with H5File(fs, "/a.h5", "w") as f:
+            d = f.create_dataset("d", shape=(400,), layout="chunked", chunks=(4,))
+            d.write(np.ones(4), Selection.hyperslab(((0, 4),)))
+            d2 = f["d"]
+            d2.read()  # d2 now holds its own index on the one-leaf root
+            root = d._layout.btree_addr
+            d.write(np.arange(400.0))  # 100 chunks: the root splits
+            assert d._layout.btree_addr != root
+            np.testing.assert_array_equal(d2.read(), np.arange(400.0))
+
+
+_NAMES = ("a", "b", "c", "d")
+
+
+def _ref_groups(ref, prefix=()):
+    """(path, node) of every group in a reference tree, root first."""
+    yield prefix, ref
+    for name, child in ref.items():
+        if isinstance(child, dict):
+            yield from _ref_groups(child, prefix + (name,))
+
+
+def _ref_objects(ref, prefix=()):
+    for name, child in ref.items():
+        yield prefix + (name,)
+        if isinstance(child, dict):
+            yield from _ref_objects(child, prefix + (name,))
+
+
+def _open(f, path):
+    return f["/".join(path)] if path else f.root
+
+
+def _assert_tree_matches(f, ref, attrs):
+    """keys() (in order), ``in`` and ``[]`` agree with the reference."""
+    for path, node in _ref_groups(ref):
+        grp = _open(f, path)
+        assert grp.keys() == list(node)
+        assert dict(grp.attrs.items()) == attrs.get(path, {})
+        for name in _NAMES:
+            full = "/".join(path + (name,))
+            assert (name in grp) == (name in node) == (full in f)
+            if name not in node:
+                assert grp._header.link(name) is None
+                with pytest.raises(H5NameError):
+                    grp[name]
+                continue
+            obj = grp[name]
+            if isinstance(node[name], dict):
+                assert isinstance(obj, Group)
+            else:
+                assert not isinstance(obj, Group)
+                np.testing.assert_array_equal(obj.read(), [node[name]] * 2)
+                assert dict(obj.attrs.items()) == attrs.get(path + (name,), {})
+
+
+def _ref_create(node, parts, value) -> bool:
+    """Apply a (possibly nested) create to the reference; False if the
+    file must refuse it.  A refusal never leaves intermediates behind:
+    only an existing dataset can block a path, and everything above it
+    already existed."""
+    for part in parts[:-1]:
+        child = node.setdefault(part, {})
+        if not isinstance(child, dict):
+            return False
+        node = child
+    if parts[-1] in node:
+        return False
+    node[parts[-1]] = value
+    return True
+
+
+class TestLinkIndexCoherence:
+    """The per-header link index stays in step with the LINK messages
+    through creates, deletes and header relocation, in memory and after a
+    reopen decodes every header from bytes."""
+
+    @seed(13)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_namespace_edits(self, data):
+        fs = make_fs()
+        ref: dict = {}
+        attrs: dict = {}
+        f = H5File(fs, "/p.h5", "w")
+        for step in range(data.draw(st.integers(1, 25), label="steps")):
+            op = data.draw(st.sampled_from(
+                ["group", "dataset", "delete", "attr", "flush"]), label="op")
+            groups = [p for p, _ in _ref_groups(ref)]
+            if op in ("group", "dataset"):
+                parent = data.draw(st.sampled_from(groups), label="parent")
+                parts = tuple(data.draw(
+                    st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2),
+                    label="parts"))
+                node = ref
+                for part in parent:
+                    node = node[part]
+                value = {} if op == "group" else step
+                ok = _ref_create(node, parts, value)
+                target = _open(f, parent)
+                if not ok:
+                    with pytest.raises(H5NameError):
+                        if op == "group":
+                            target.create_group("/".join(parts))
+                        else:
+                            target.create_dataset("/".join(parts), shape=(2,),
+                                                  data=[step, step])
+                elif op == "group":
+                    target.create_group("/".join(parts))
+                else:
+                    target.create_dataset("/".join(parts), shape=(2,),
+                                          data=[step, step])
+            elif op == "delete":
+                parent = data.draw(st.sampled_from(groups), label="parent")
+                name = data.draw(st.sampled_from(_NAMES), label="name")
+                node = ref
+                for part in parent:
+                    node = node[part]
+                grp = _open(f, parent)
+                if name in node:
+                    grp.delete(name)
+                    del node[name]
+                    gone = parent + (name,)
+                    for key in [k for k in attrs if k[:len(gone)] == gone]:
+                        del attrs[key]
+                    assert grp._header.link(name) is None
+                else:
+                    with pytest.raises(H5NameError):
+                        grp.delete(name)
+            elif op == "attr":
+                # Large values push the header past its 256-byte block, so
+                # the next flush relocates it and re-points its parent link.
+                path = data.draw(st.sampled_from(
+                    groups + list(_ref_objects(ref))), label="target")
+                key = data.draw(st.sampled_from(["k0", "k1", "k2"]), label="key")
+                value = "x" * data.draw(st.integers(1, 400), label="size")
+                _open(f, path).attrs[key] = value
+                attrs.setdefault(path, {})[key] = value
+            else:
+                f.flush()
+            _assert_tree_matches(f, ref, attrs)
+        f.close()
+        with H5File(fs, "/p.h5", "r") as f:
+            _assert_tree_matches(f, ref, attrs)
+
+    def test_relocated_header_repoints_parent_link(self, fs):
+        with H5File(fs, "/a.h5", "w") as f:
+            g = f.create_group("g")
+            g.create_dataset("d", shape=(2,), data=[1.0, 2.0])
+            f.flush()
+            before = f._record(g._oid).addr
+            g.attrs["pad"] = "x" * 400
+            f.flush()
+            after = f._record(g._oid).addr
+            assert after != before
+            assert f.root._header.link("g") == (ObjectKind.GROUP, after)
+        with H5File(fs, "/a.h5", "r") as f:
+            np.testing.assert_array_equal(f["g/d"].read(), [1.0, 2.0])
+            assert f["g"].attrs["pad"] == "x" * 400
+
+    def test_duplicate_and_deleted_names(self, fs):
+        with H5File(fs, "/a.h5", "w") as f:
+            f.create_dataset("g/d", shape=(1,))
+            with pytest.raises(H5NameError):
+                f.create_dataset("g/d", shape=(1,))
+            with pytest.raises(H5NameError):
+                f.create_group("g")
+            f["g"].delete("d")
+            assert f["g"]._header.link("d") is None
+            assert "g/d" not in f and f["g"].keys() == []
+            with pytest.raises(H5NameError):
+                f["g/d"]
+            f.create_group("g/d")  # the name is free again
+            assert f["g"].keys() == ["d"]

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.hdf5.dataspace import Dataspace, Selection, selection_runs
 from repro.hdf5.datatype import Datatype
-from repro.hdf5.errors import H5FormatError, H5TypeError
+from repro.hdf5.errors import H5FormatError, H5NameError, H5TypeError
 from repro.hdf5.format import SUPERBLOCK_SIZE, Superblock
 from repro.hdf5.freespace import FreeSpaceManager
 from repro.hdf5.layout import (
@@ -259,6 +259,43 @@ class TestObjectHeader:
     def test_bad_signature(self):
         with pytest.raises(H5FormatError):
             ObjectHeader.decode(b"XXXX" + b"\x00" * 60)
+
+    def test_link_api_keeps_message_order_and_bytes(self):
+        h = ObjectHeader(kind=ObjectKind.GROUP)
+        h.messages.append(Message(MessageType.ATTRIBUTE, b"attr"))
+        h.add_link("b", ObjectKind.GROUP, 10)
+        h.add_link("a", ObjectKind.DATASET, 20)
+        h.add_link("c", ObjectKind.DATASET, 30)
+        h.repoint_link("a", 99)
+        h.remove_link("b")
+        assert h.links() == [("a", ObjectKind.DATASET, 99),
+                             ("c", ObjectKind.DATASET, 30)]
+        assert h.link("a") == (ObjectKind.DATASET, 99)
+        assert h.link("b") is None
+        assert [m.type for m in h.messages] == [
+            MessageType.ATTRIBUTE, MessageType.LINK, MessageType.LINK]
+        assert h.messages[1].payload == encode_link("a", ObjectKind.DATASET, 99)
+        decoded = ObjectHeader.decode(h.encode())
+        assert decoded.links() == h.links()
+        assert decoded.encode() == h.encode()
+
+    def test_link_api_rejects_bad_names(self):
+        h = ObjectHeader(kind=ObjectKind.GROUP)
+        h.add_link("a", ObjectKind.GROUP, 10)
+        with pytest.raises(H5NameError):
+            h.add_link("a", ObjectKind.DATASET, 20)
+        with pytest.raises(H5NameError):
+            h.repoint_link("z", 1)
+        with pytest.raises(H5NameError):
+            h.remove_link("z")
+        assert h.links() == [("a", ObjectKind.GROUP, 10)]
+
+    def test_duplicate_link_names_in_bytes_are_corrupt(self):
+        link = Message(MessageType.LINK, encode_link("a", ObjectKind.GROUP, 10))
+        h = ObjectHeader(kind=ObjectKind.GROUP, messages=[link, link])
+        decoded = ObjectHeader.decode(h.encode())
+        with pytest.raises(H5FormatError):
+            decoded.link("a")
 
 
 class TestLinkAndAttributeCodecs:
