@@ -6,8 +6,8 @@ reuse by multiple downstream stages.
 """
 
 from repro.analyzer import build_ftg, file_node
-from repro.diagnostics import InsightKind, diagnose
 from repro.experiments.common import fresh_env
+from repro.lint import ADVISORY, lint_profiles
 from repro.workloads.pyflextrkr import (
     PyflextrkrParams,
     build_pyflextrkr,
@@ -23,15 +23,15 @@ def test_fig4_ftg(run_once):
         prepare_pyflextrkr_inputs(env.cluster, params)
         env.runner.run(build_pyflextrkr(params))
         profiles = list(env.mapper.profiles.values())
-        return build_ftg(profiles), diagnose(profiles, late_fraction=0.2), params
+        return build_ftg(profiles), lint_profiles(profiles, ADVISORY), params
 
     ftg, report, params = run_once(build)
     # Circle 1: stage-3 write-after-read.
-    war = report.by_kind(InsightKind.WRITE_AFTER_READ)
-    assert any("run_gettracks" in i.tasks for i in war)
+    war = [f for f in report.findings if f.code == "DY702"]
+    assert any("run_gettracks" in f.tasks for f in war)
     # Circle 2: terrain inputs only needed mid-workflow.
-    tdi = report.by_kind(InsightKind.TIME_DEPENDENT_INPUT)
-    assert any("terrain" in i.subject for i in tdi)
+    tdi = [f for f in report.findings if f.code == "DY704"]
+    assert any("terrain" in f.subject for f in tdi)
     # Circle 3: stage-1 outputs reused by multiple downstream stages.
     feature = file_node(params.feature(0))
     assert ftg.nodes[feature]["reused"]

@@ -5,8 +5,8 @@ Regenerates the SDG and checks the observation: many small datasets
 """
 
 from repro.analyzer import NodeKind, build_sdg
-from repro.diagnostics import InsightKind, diagnose
 from repro.experiments.common import fresh_env
+from repro.lint import ADVISORY, lint_profiles
 from repro.workloads.pyflextrkr import (
     PyflextrkrParams,
     build_pyflextrkr,
@@ -25,7 +25,7 @@ def test_fig5_stage9_sdg(run_once):
         env.runner.run(build_pyflextrkr(params))
         stage9 = [p for n, p in env.mapper.profiles.items()
                   if n.startswith("run_speed")]
-        return build_sdg(stage9), diagnose(stage9, min_datasets=16)
+        return build_sdg(stage9), lint_profiles(stage9, ADVISORY)
 
     sdg, report = run_once(build)
     # The SDG's dataset layer is crowded with tiny datasets.
@@ -33,6 +33,6 @@ def test_fig5_stage9_sdg(run_once):
                      if a["kind"] == NodeKind.DATASET.value
                      and "speed_" in a["label"]]
     assert len(dataset_nodes) >= 32
-    scattering = report.by_kind(InsightKind.DATA_SCATTERING)
+    scattering = [f for f in report.findings if f.code == "DY706"]
     assert scattering
-    assert all(i.evidence["avg_bytes"] < 500 for i in scattering)
+    assert all(f.evidence["avg_bytes"] < 500 for f in scattering)

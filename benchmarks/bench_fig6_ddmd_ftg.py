@@ -6,8 +6,8 @@ and training/inference share no data dependency.
 """
 
 from repro.analyzer import build_ftg, file_node, task_node
-from repro.diagnostics import InsightKind, diagnose
 from repro.experiments.common import fresh_env
+from repro.lint import ADVISORY, lint_profiles
 from repro.workloads.ddmd import DdmdParams, build_ddmd
 
 
@@ -18,7 +18,8 @@ def test_fig6_ddmd_ftg(run_once):
                             frames=128, epochs=10, chunk_elems=128)
         env.runner.run(build_ddmd(params))
         profiles = list(env.mapper.profiles.values())
-        return build_ftg(profiles), diagnose(profiles), params
+        return (build_ftg(profiles), lint_profiles(profiles, ADVISORY),
+                params)
 
     ftg, report, params = run_once(build)
     agg, tr, inf = "aggregate_0000", "training_0000", "inference_0000"
@@ -33,5 +34,5 @@ def test_fig6_ddmd_ftg(run_once):
     assert file_node(params.aggregated(0)) in training_inputs
     assert len(sim_inputs) == 1
     # Embedding files show the read-after-write reuse the paper circles.
-    raw = report.by_kind(InsightKind.READ_AFTER_WRITE)
-    assert any("embeddings-epoch-5" in i.subject for i in raw)
+    raw = [f for f in report.findings if f.code == "DY703"]
+    assert any("embeddings-epoch-5" in f.subject for f in raw)

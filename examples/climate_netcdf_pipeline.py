@@ -9,7 +9,8 @@ optimizer:
    statistics) under DaYu;
 2. inspect how record interleaving shows up in the joined statistics
    (one scattered operation per record — netCDF's signature pattern);
-3. diagnose, triage with the advisor, auto-build an optimization plan,
+3. run the advisory lint pass, print its severity-sorted findings and
+   recommendations, auto-build an optimization plan,
    and re-run with the plan's staging + co-scheduling applied;
 4. quantify the improvement with the run comparison tool.
 
@@ -17,8 +18,9 @@ Run:  python examples/climate_netcdf_pipeline.py
 """
 
 from repro.analyzer import compare_runs
-from repro.diagnostics import advise, diagnose
 from repro.experiments.common import fresh_env
+from repro.guidelines import recommend
+from repro.lint import ADVISORY, lint_profiles
 from repro.optimizer import build_plan
 from repro.workloads import ClimateParams, build_climate
 
@@ -40,11 +42,16 @@ def main() -> None:
           f"{temp.writes} separate records "
           f"({temp.bytes_written} B total) — one POSIX op per record\n")
 
-    report = diagnose(env.mapper.profiles.values())
-    print(advise(report.insights).render())
+    report = lint_profiles(list(env.mapper.profiles.values()), ADVISORY)
+    for finding in report.findings:
+        print(f"  {finding}")
+    print(report.summary())
+    print("\nRecommended actions:")
+    for rec in recommend(report.findings):
+        print(f"  - {rec}")
 
     # ---------------- automated optimization --------------------------
-    plan = build_plan(report, env.cluster)
+    plan = build_plan(report.findings, env.cluster)
     print()
     print(plan.summary())
 

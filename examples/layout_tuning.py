@@ -18,10 +18,10 @@ Run:  python examples/layout_tuning.py
 import numpy as np
 
 from repro.analyzer import NodeKind, build_sdg
-from repro.diagnostics import InsightKind, diagnose
 from repro.experiments.common import fresh_env
 from repro.guidelines import AccessPattern, advise_layout
 from repro.hdf5 import H5File
+from repro.lint import ADVISORY, lint_profiles
 from repro.middleware import consolidate_datasets, convert_layout, read_consolidated
 from repro.workloads.arldm import ArldmParams, build_arldm
 
@@ -40,9 +40,10 @@ def vlen_layout_study() -> None:
         print(f"  {layout:<11} arldm_saveh5: {wall * 1e3:7.1f} ms, "
               f"{writes} POSIX writes")
         if layout == "contiguous":
-            report = diagnose([save])
-            for insight in report.by_kind(InsightKind.VLEN_LAYOUT)[:1]:
-                print(f"    DaYu: {insight.description}")
+            report = lint_profiles([save], ADVISORY)
+            for finding in [f for f in report.findings
+                            if f.code == "DY105"][:1]:
+                print(f"    DaYu: {finding.message}")
             sdg = build_sdg([save], with_regions=True, region_bytes=262144)
             regions = [n for n, a in sdg.nodes(data=True)
                        if a["kind"] == NodeKind.REGION.value]

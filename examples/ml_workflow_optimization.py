@@ -15,9 +15,9 @@ Reproduces the paper's Section VI-B loop:
 Run:  python examples/ml_workflow_optimization.py
 """
 
-from repro.diagnostics import InsightKind, diagnose
 from repro.experiments.common import fresh_env
 from repro.experiments.fig12_ddmd import Fig12Params, run_fig12
+from repro.lint import ADVISORY, lint_profiles
 from repro.workloads.ddmd import DdmdParams, build_ddmd
 
 
@@ -39,13 +39,13 @@ def main() -> None:
               f"{s.metadata_ops} metadata ops "
               f"({'METADATA-ONLY' if s.metadata_only else 'reads data'})")
 
-    report = diagnose(profiles)
+    report = lint_profiles(profiles, ADVISORY)
     print("\nKey insights DaYu finds:")
-    for kind in (InsightKind.PARTIAL_FILE_ACCESS, InsightKind.READONLY_SEQUENTIAL,
-                 InsightKind.TASK_INDEPENDENCE, InsightKind.METADATA_OVERHEAD,
-                 InsightKind.READ_AFTER_WRITE):
-        for insight in report.by_kind(kind)[:2]:
-            print(f"  - {insight}")
+    # partial access, sequential scans, task independence, metadata
+    # overhead, read-after-write
+    for code in ("DY707", "DY709", "DY710", "DY708", "DY703"):
+        for finding in [f for f in report.findings if f.code == code][:2]:
+            print(f"  - {finding}")
 
     # ------------- phase 2: apply the guidelines and measure ----------
     print("\nApplying the optimizations over 3 iterations "

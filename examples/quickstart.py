@@ -16,8 +16,8 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.analyzer import build_sdg, to_html
-from repro.diagnostics import diagnose
 from repro.hdf5 import Selection
+from repro.lint import ADVISORY, lint_profiles
 from repro.mapper import DaYuConfig, DataSemanticMapper, overhead_report
 from repro.posix import SimFS
 from repro.simclock import SimClock
@@ -64,8 +64,11 @@ def main() -> None:
           f"(VFD {report.vfd_percent:.3f}% / VOL {report.vol_percent:.3f}%), "
           f"trace storage {report.storage_percent:.3f}% of data volume.")
 
-    insights = diagnose([profile])
-    print(f"\n{insights.summary()}")
+    advice = lint_profiles([profile], ADVISORY)
+    print()
+    for finding in advice.findings:
+        print(f"  {finding}")
+    print(advice.summary())
 
     sdg = build_sdg([profile], with_regions=True, region_bytes=4096)
     out = "quickstart_sdg.html"

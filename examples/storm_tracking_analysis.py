@@ -5,18 +5,18 @@ Reproduces the paper's Section VI-A study end to end:
 
 1. run the full PyFLEXTRKR I/O skeleton on a simulated two-node cluster;
 2. build and export the workflow's File-Task Graph (the paper's Figure 4);
-3. diagnose the dataflow — data reuse, the stage-3 write-after-read, the
-   stage-6 time-dependent inputs, disposable data, and the stage-9 data
-   scattering (Figure 5);
+3. run the advisory lint pass over the dataflow — data reuse, the
+   stage-3 write-after-read, the stage-6 time-dependent inputs,
+   disposable data, and the stage-9 data scattering (Figure 5);
 4. print the optimization recommendations DaYu's guidelines derive.
 
 Run:  python examples/storm_tracking_analysis.py
 """
 
 from repro.analyzer import build_ftg, build_sdg, to_html
-from repro.diagnostics import diagnose
 from repro.experiments.common import fresh_env
 from repro.guidelines import recommend
+from repro.lint import ADVISORY, lint_profiles
 from repro.workloads.pyflextrkr import (
     PyflextrkrParams,
     build_pyflextrkr,
@@ -49,11 +49,13 @@ def main() -> None:
                          title="PyFLEXTRKR Stage-9 SDG (cf. Figure 5)"))
     print("Wrote pyflextrkr_ftg.html and pyflextrkr_stage9_sdg.html\n")
 
-    report = diagnose(profiles, late_fraction=0.25)
+    report = lint_profiles(profiles, ADVISORY)
+    for finding in report.findings:
+        print(f"  {finding}")
     print(report.summary())
 
     print("\nRecommended optimizations (strongest support first):")
-    for rec in recommend(report.insights)[:8]:
+    for rec in recommend(report.findings)[:8]:
         print(f"  - {rec}")
 
 

@@ -13,7 +13,7 @@ Package map (bottom of the stack first):
   simulated time base, device cost models, and POSIX filesystem;
 - :mod:`repro.vfd`, :mod:`repro.hdf5`, :mod:`repro.netcdf`,
   :mod:`repro.vol` — the instrumented I/O stacks;
-- :mod:`repro.mapper`, :mod:`repro.analyzer`, :mod:`repro.diagnostics`,
+- :mod:`repro.mapper`, :mod:`repro.analyzer`, :mod:`repro.lint`,
   :mod:`repro.guidelines` — DaYu itself;
 - :mod:`repro.middleware`, :mod:`repro.optimizer` — the optimization
   machinery (tiered caching, staging, consolidation, layout conversion,

@@ -273,6 +273,7 @@ class ParallelAnalyzer:
         profiles: Sequence[TaskProfile],
         config: Optional["LintConfig"] = None,
         attempts: Optional[Dict[str, int]] = None,
+        task_order: Optional[Sequence[str]] = None,
     ) -> "LintReport":
         """Sharded :func:`~repro.lint.engine.lint_profiles` — same report.
 
@@ -283,7 +284,8 @@ class ParallelAnalyzer:
         them.  Race rules reuse the worker-computed summaries, so the
         report (and its fingerprints) is byte-identical to the serial
         :func:`~repro.lint.engine.lint_profiles`.  ``attempts`` feeds the
-        DY505 retry-race rule.
+        DY505 retry-race rule; ``task_order`` is a recovered execution
+        order for the DY7xx advisory rules.
         """
         from repro.lint.engine import (
             LintReport,
@@ -304,8 +306,9 @@ class ParallelAnalyzer:
             for shard_findings, summary in shard:
                 findings.extend(shard_findings)
                 summaries.append(summary)
-        findings.extend(
-            run_workflow_rules(profiles, config, summaries=summaries))
+        findings.extend(run_workflow_rules(profiles, config,
+                                           summaries=summaries,
+                                           task_order=task_order))
         if config.enabled_rules(scope="race"):
             ctx = build_trace_race_context(profiles, config,
                                            summaries=summaries,
@@ -407,7 +410,7 @@ class ParallelAnalyzer:
                     evaluated += 1
                     findings.extend(r.check(profile, config))
             if surviving:
-                index = build_index(summaries)
+                index = build_index(summaries, profiles)
                 ordering = compute_ordering(profiles)
                 for r in surviving:
                     evaluated += 1

@@ -8,8 +8,9 @@ plus the optimization loop the paper performed by hand:
   ``--plan`` executes a solved ``dayu-plan/v1`` placement instead of
   the default round-robin one.
 - ``dayu-analyze`` — the offline Workflow Analyzer: load saved profiles,
-  build the FTG/SDG (HTML + DOT), run the diagnostics, and print the
-  findings with their optimization recommendations.
+  build the FTG/SDG (HTML + DOT), run the advisory lint pass
+  (:data:`repro.lint.ADVISORY`), and print the findings with their
+  optimization recommendations.
 - ``dayu-plan`` — solve a fig11-style locality placement for a bundled
   workload from the static cost model, entirely pre-run, and write the
   executable plan artifact.
@@ -32,9 +33,15 @@ from typing import List
 from repro.analyzer import to_dot, to_html
 from repro.cli_common import diagnose_traces_dir, positive_int
 from repro.ioutil import atomic_write_json, atomic_write_text
-from repro.diagnostics import diagnose
 from repro.experiments.common import fresh_env
 from repro.guidelines import recommend
+from repro.lint import (
+    ADVISORY,
+    ADVISORY_CODES,
+    LintReport,
+    execution_order,
+    get_rule,
+)
 
 from repro.workloads.registry import WORKLOADS as _WORKLOADS
 from repro.workloads.registry import build_workload as _build_workload
@@ -240,8 +247,6 @@ def analyze_main(argv: List[str] | None = None) -> int:
     parser.add_argument("--infer-order", action="store_true",
                         help="recover task execution order from the traces' "
                              "producer/consumer relations")
-    parser.add_argument("--advisor", action="store_true",
-                        help="print the severity-triaged advisor report")
     parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes for loading and graph "
                              "construction (default 1 = serial)")
@@ -293,24 +298,30 @@ def analyze_main(argv: List[str] | None = None) -> int:
           f"SDG: {sdg.number_of_nodes()} nodes / {sdg.number_of_edges()} edges")
     print(f"Wrote {out}/ftg.html, {out}/sdg.html (+ .dot)")
 
-    report = diagnose(profiles)
+    # One lint pass: the advisory selection runs every default rule too,
+    # so --lint's report is its default-enabled share.
+    report = analyzer.lint(profiles, ADVISORY, task_order=task_order)
+    advisory = LintReport(
+        findings=[f for f in report.findings if f.code in ADVISORY_CODES],
+        tasks=report.tasks)
     print()
-    if args.advisor:
-        from repro.diagnostics import advise
-
-        print(advise(report.insights).render())
-    else:
-        print(report.summary())
-    recs = recommend(report.insights)
+    for finding in advisory.findings:
+        print(f"  {finding}")
+    print(advisory.summary())
+    recs = recommend(advisory.findings,
+                     [p.task for p in execution_order(profiles, task_order)])
     if recs:
         print(f"\nTop recommendations:")
         for rec in recs[: args.top]:
             print(f"  - {rec}")
-    atomic_write_text(out / "insights.json", report.to_json())
+    atomic_write_text(out / "insights.json", advisory.to_json())
     print(f"\nWrote {out}/insights.json")
 
     if args.lint:
-        lint_report = analyzer.lint(profiles)
+        lint_report = LintReport(
+            findings=[f for f in report.findings
+                      if get_rule(f.code).default_enabled],
+            tasks=report.tasks)
         print()
         for finding in lint_report.findings:
             print(f"  {finding}")

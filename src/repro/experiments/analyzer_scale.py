@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analyzer import build_ftg, build_sdg, to_html
-from repro.diagnostics import diagnose
+from repro.lint import ADVISORY, lint_profiles
 from repro.mapper.mapper import TaskProfile
 from repro.mapper.stats import DatasetIoStats
 from repro.simclock import TimeSpan
@@ -145,7 +145,7 @@ def run_analyzer_scale(scale: SyntheticScale = SyntheticScale()) -> dict:
     t0 = time.perf_counter()
     ftg = build_ftg(profiles)
     sdg = build_sdg(profiles)
-    report = diagnose(profiles)
+    report = lint_profiles(profiles, ADVISORY)
     analyze_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -158,7 +158,7 @@ def run_analyzer_scale(scale: SyntheticScale = SyntheticScale()) -> dict:
         "ftg_edges": ftg.number_of_edges(),
         "sdg_nodes": sdg.number_of_nodes(),
         "sdg_edges": sdg.number_of_edges(),
-        "insights": len(report),
+        "findings": len(report.findings),
         "analyze_seconds": analyze_seconds,
         "render_seconds": render_seconds,
         "html_bytes": len(ftg_html) + len(sdg_html),

@@ -1,19 +1,21 @@
-"""The recommendation engine: diagnostic insights → concrete actions.
+"""The recommendation engine: advisory lint findings → concrete actions.
 
-Every insight carries the *name* of the guideline addressing it; this
-module turns each into an executable :class:`Recommendation` — the action
-vocabulary the paper's evaluation applies (cache, prefetch, rolling
-stage-in, stage-out, consolidate, convert layout, co-schedule,
-parallelize, skip-unused).
+Each DY7xx advisory finding (plus DY105 vlen-contiguous) names an
+optimization the paper's guidelines prescribe; this module turns each
+into an executable :class:`Recommendation` — the action vocabulary the
+paper's evaluation applies (cache, prefetch, rolling stage-in,
+stage-out, consolidate, convert layout, co-schedule, parallelize,
+skip-unused).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.diagnostics.insights import Insight, InsightKind
+from repro.lint.advisory import in_paper_order
+from repro.lint.findings import Finding
 
 __all__ = ["Action", "Recommendation", "recommend"]
 
@@ -33,31 +35,32 @@ class Action(str, enum.Enum):
     PARALLELIZE = "parallelize"
 
 
-#: Which action each insight kind maps to.
-_ACTION_FOR: Dict[InsightKind, Action] = {
-    InsightKind.DATA_REUSE: Action.CACHE_IN_FAST_TIER,
-    InsightKind.WRITE_AFTER_READ: Action.CACHE_IN_FAST_TIER,
-    InsightKind.READ_AFTER_WRITE: Action.CACHE_IN_FAST_TIER,
-    InsightKind.TIME_DEPENDENT_INPUT: Action.PREFETCH_BEFORE_USE,
-    InsightKind.DISPOSABLE_DATA: Action.STAGE_OUT,
-    InsightKind.DATA_SCATTERING: Action.CONSOLIDATE_DATASETS,
-    InsightKind.PARTIAL_FILE_ACCESS: Action.SKIP_UNUSED_DATA,
-    InsightKind.METADATA_OVERHEAD: Action.CONVERT_TO_CONTIGUOUS,
-    InsightKind.READONLY_SEQUENTIAL: Action.ROLLING_STAGE_IN,
-    InsightKind.TASK_INDEPENDENCE: Action.PARALLELIZE,
-    InsightKind.VLEN_LAYOUT: Action.CONVERT_TO_CHUNKED,
+#: Which action each advisory rule code maps to.
+_ACTION_FOR: Dict[str, Action] = {
+    "DY701": Action.CACHE_IN_FAST_TIER,
+    "DY702": Action.CACHE_IN_FAST_TIER,
+    "DY703": Action.CACHE_IN_FAST_TIER,
+    "DY704": Action.PREFETCH_BEFORE_USE,
+    "DY705": Action.STAGE_OUT,
+    "DY706": Action.CONSOLIDATE_DATASETS,
+    "DY707": Action.SKIP_UNUSED_DATA,
+    "DY708": Action.CONVERT_TO_CONTIGUOUS,
+    "DY709": Action.ROLLING_STAGE_IN,
+    "DY710": Action.PARALLELIZE,
+    "DY105": Action.CONVERT_TO_CHUNKED,
 }
 
 
 @dataclass
 class Recommendation:
-    """One actionable optimization derived from an insight."""
+    """One actionable optimization derived from a lint finding."""
 
     action: Action
     target: str
     tasks: List[str] = field(default_factory=list)
     rationale: str = ""
-    insight_kind: InsightKind | None = None
+    #: Rule code of the first finding behind it.
+    code: Optional[str] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,36 +68,42 @@ class Recommendation:
             "target": self.target,
             "tasks": self.tasks,
             "rationale": self.rationale,
-            "insight_kind": self.insight_kind.value if self.insight_kind else None,
+            "code": self.code,
         }
 
     def __str__(self) -> str:
         return f"{self.action.value}({self.target}) — {self.rationale}"
 
 
-def recommend(insights: Sequence[Insight]) -> List[Recommendation]:
-    """Translate insights into deduplicated, ordered recommendations.
+def recommend(findings: Iterable[Finding],
+              task_order: Sequence[str] = ()) -> List[Recommendation]:
+    """Translate advisory findings into deduplicated, ordered
+    recommendations; findings of non-advisory rules are ignored.
 
-    Recommendations are deduplicated by (action, target) — many insights
-    can point at the same fix — and ordered by how many insights support
-    each, strongest first.
+    Recommendations are deduplicated by (action, target) — many findings
+    can point at the same fix — and ordered by how many findings support
+    each, strongest first.  Findings are read in
+    :func:`~repro.lint.advisory.in_paper_order`, so a merged
+    recommendation lists its tasks, and takes its rationale, in
+    ``task_order`` (the execution order; task names break ties when it
+    is not given) whatever order ``findings`` came in.
     """
     merged: Dict[tuple, Recommendation] = {}
     support: Dict[tuple, int] = {}
-    for insight in insights:
-        action = _ACTION_FOR[insight.kind]
-        key = (action, insight.subject)
+    for finding in in_paper_order(findings, task_order):
+        action = _ACTION_FOR[finding.code]
+        key = (action, finding.subject)
         if key not in merged:
             merged[key] = Recommendation(
                 action=action,
-                target=insight.subject,
-                tasks=list(insight.tasks),
-                rationale=insight.description,
-                insight_kind=insight.kind,
+                target=finding.subject,
+                tasks=list(finding.tasks),
+                rationale=finding.message,
+                code=finding.code,
             )
             support[key] = 0
         else:
-            for t in insight.tasks:
+            for t in finding.tasks:
                 if t not in merged[key].tasks:
                     merged[key].tasks.append(t)
         support[key] += 1

@@ -1,8 +1,8 @@
 """``repro.lint`` — dayu-lint: static dataflow hazard detection and
 trace sanitizing over saved DaYu task profiles.
 
-Three rule families over the same joined VOL/VFD trace data the
-FTG/SDG are built from:
+Rule families over the same joined VOL/VFD trace data the FTG/SDG are
+built from, and over the workflow definition itself:
 
 - **DY1xx** semantic anti-patterns (dead writes, phantom reads,
   small-I/O amplification, layout disagreements);
@@ -17,7 +17,13 @@ FTG/SDG are built from:
 - **DY5xx** happens-before races (opt-in: ``--races`` / ``--select
   DY5*``) — vector-clock analysis under dependency-only vs as-executed
   orderings, schedule-sensitivity reports, and concrete reorder
-  witnesses for every conviction.
+  witnesses for every conviction;
+- **DY60x/DY65x** predicted performance and prediction drift (opt-in:
+  ``--cost``) — the static cost prophet;
+- **DY7xx** advisory findings (opt-in: :data:`ADVISORY`, which also
+  selects DY105) — the paper's case-study observations, which
+  :func:`repro.guidelines.recommend` and
+  :func:`repro.optimizer.build_plan` turn into optimization actions.
 
 Typical use::
 
@@ -25,6 +31,12 @@ Typical use::
     report = lint_profiles(profiles, LintConfig(disable=("DY103",)))
     if report.errors:
         print(report.to_json())
+
+the advisory pass behind ``dayu-analyze``::
+
+    from repro.lint import ADVISORY, lint_profiles
+    from repro.guidelines import recommend
+    recs = recommend(lint_profiles(profiles, ADVISORY).findings)
 
 pre-run, with no traces on disk::
 
@@ -44,8 +56,11 @@ from repro.lint.context import (
     WorkflowIndex,
     build_index,
     compute_ordering,
+    execution_order,
     summarize_profile,
 )
+
+from repro.lint.advisory import ADVISORY, ADVISORY_CODES
 
 # Importing the engine pulls in the rule modules, populating the registry.
 from repro.lint.engine import (
@@ -85,6 +100,8 @@ from repro.lint.static import (
 )
 
 __all__ = [
+    "ADVISORY",
+    "ADVISORY_CODES",
     "Finding",
     "Severity",
     "LintRule",
@@ -98,6 +115,7 @@ __all__ = [
     "OrderingInfo",
     "build_index",
     "compute_ordering",
+    "execution_order",
     "summarize_profile",
     "lint_profiles",
     "lint_workflow",

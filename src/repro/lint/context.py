@@ -46,6 +46,7 @@ __all__ = [
     "summarize_profile",
     "build_index",
     "compute_ordering",
+    "execution_order",
 ]
 
 
@@ -289,6 +290,12 @@ class WorkflowIndex:
     #: file -> tasks that wrote it at all (any I/O class).
     file_writers: Dict[str, Set[str]]
     exact: bool
+    #: The decoded profiles the digests came from, in execution order
+    #: (:func:`execution_order`), for the DY7xx advisory rules that need
+    #: fields the digests drop (object sizes, dtypes, first raw operation,
+    #: session sequentiality).  Empty when the index was built from
+    #: digests alone (race and static contexts).
+    profiles: List[TaskProfile] = field(default_factory=list)
 
     def tasks(self) -> List[str]:
         return [s.task for s in self.summaries]
@@ -328,7 +335,26 @@ def compute_ordering(profiles: Sequence[TaskProfile]) -> OrderingInfo:
     return OrderingInfo(dag, find_dependency_cycle(dag))
 
 
-def build_index(summaries: Sequence[ProfileSummary]) -> WorkflowIndex:
+def execution_order(profiles: Sequence[TaskProfile],
+                    task_order: Optional[Sequence[str]] = None,
+                    ) -> List[TaskProfile]:
+    """``profiles`` in the order the workflow ran them.
+
+    That is ``task_order``'s order when one is given (a recovered order
+    such as :func:`repro.analyzer.infer_task_order`'s; tasks it omits go
+    last), else ``(span.start, task)`` — the same sequence whichever order
+    serial, sharded or columnar loading produced.
+    """
+    if task_order is None:
+        return sorted(profiles, key=lambda p: (p.span.start, p.task))
+    rank = {task: i for i, task in enumerate(task_order)}
+    return sorted(profiles, key=lambda p: (rank.get(p.task, len(rank)),
+                                           p.span.start, p.task))
+
+
+def build_index(summaries: Sequence[ProfileSummary],
+                profiles: Sequence[TaskProfile] = (),
+                task_order: Optional[Sequence[str]] = None) -> WorkflowIndex:
     by_object: Dict[Tuple[str, str], List[ObjectAccess]] = defaultdict(list)
     file_writers: Dict[str, Set[str]] = defaultdict(set)
     for summary in summaries:
@@ -341,4 +367,5 @@ def build_index(summaries: Sequence[ProfileSummary]) -> WorkflowIndex:
         by_object=dict(by_object),
         file_writers=dict(file_writers),
         exact=all(s.exact for s in summaries),
+        profiles=execution_order(profiles, task_order),
     )

@@ -37,6 +37,7 @@ from repro.lint.rules import LintConfig, LintRule
 from repro.mapper.mapper import TaskProfile
 
 # Importing the rule modules populates the registry.
+from repro.lint import advisory as _advisory  # noqa: F401
 from repro.lint import drift as _drift  # noqa: F401
 from repro.lint import hazards as _hazards  # noqa: F401
 from repro.lint import integrity as _integrity  # noqa: F401
@@ -139,17 +140,21 @@ def run_profile_rules(profile: TaskProfile,
 
 def run_workflow_rules(profiles: Sequence[TaskProfile],
                        config: LintConfig,
-                       summaries=None) -> List[Finding]:
+                       summaries=None,
+                       task_order: Optional[Sequence[str]] = None,
+                       ) -> List[Finding]:
     """Evaluate every enabled workflow-scoped rule over the cross-task
     index.  ``summaries`` may carry pre-computed per-profile digests (from
-    parallel workers); missing ones are computed here."""
+    parallel workers); missing ones are computed here.  ``task_order``
+    overrides the start-time execution order the DY7xx advisory rules
+    walk (see :func:`~repro.lint.context.execution_order`)."""
     rules = config.enabled_rules(scope="workflow")
     if not rules:
         return []
     if summaries is None:
         summaries = [summarize_profile(p, config.page_size)
                      for p in profiles]
-    index = build_index(summaries)
+    index = build_index(summaries, profiles, task_order)
     ordering = compute_ordering(profiles)
     findings: List[Finding] = []
     for r in rules:
@@ -168,17 +173,21 @@ def run_race_rules(ctx, config: LintConfig) -> List[Finding]:
 
 def lint_profiles(profiles: Sequence[TaskProfile],
                   config: Optional[LintConfig] = None,
-                  attempts: Optional[Dict[str, int]] = None) -> LintReport:
+                  attempts: Optional[Dict[str, int]] = None,
+                  task_order: Optional[Sequence[str]] = None) -> LintReport:
     """Run all enabled rules over a workflow's task profiles (serially).
 
     ``attempts`` carries the runner's per-task retry counts (from
     ``WorkflowResult``); only the DY505 retry-race rule consumes it.
+    ``task_order`` is a recovered execution order for the order-sensitive
+    DY7xx advisory rules (default: by start time).
     """
     config = config or LintConfig()
     findings: List[Finding] = []
     for p in profiles:
         findings.extend(run_profile_rules(p, config))
-    findings.extend(run_workflow_rules(profiles, config))
+    findings.extend(run_workflow_rules(profiles, config,
+                                       task_order=task_order))
     if config.enabled_rules(scope="race"):
         from repro.lint.race import build_trace_race_context
 

@@ -227,7 +227,7 @@ def _extent_overflow(ctx: StaticContext,
       "A contract creates a variable-length dataset with contiguous "
       "layout — every element lands in the global heap, turning one "
       "logical access into scattered small I/O (the paper's ARLDM "
-      "finding).  Opt-in: it overlaps the optimization advisor.",
+      "finding).  Opt-in, like its traced twin DY105.",
       default_enabled=False)
 def _vlen_contiguous(ctx: StaticContext,
                      config: LintConfig) -> Iterator[Finding]:

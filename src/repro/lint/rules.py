@@ -1,6 +1,6 @@
 """The lint rule registry: stable codes, severities, enablement.
 
-Five rule families, one code block each (codes are stable API — never
+Rule families, one code block each (codes are stable API — never
 reused for a different meaning once shipped):
 
 - **DY1xx — semantic anti-patterns**: dataflow shapes that are legal but
@@ -31,11 +31,17 @@ reused for a different meaning once shipped):
 - **DY65x — prediction drift**: predicted cost/critical path vs. one
   traced run — mispredictions are themselves findings (the performance
   mirror of DY45x contract drift).
+- **DY7xx — advisory** (opt-in, :data:`repro.lint.ADVISORY`): the
+  paper's case-study observations (data reuse, time-dependent inputs,
+  disposable data, scattering, partial access, metadata overhead,
+  sequential scans, task independence) that the guidelines engine and
+  the optimization planner turn into actions.
 
 Rules register themselves via :func:`rule`; importing
 :mod:`repro.lint.semantic`, :mod:`repro.lint.hazards`,
 :mod:`repro.lint.integrity`, :mod:`repro.lint.prerun`,
-:mod:`repro.lint.drift` and :mod:`repro.lint.race` populates the
+:mod:`repro.lint.drift`, :mod:`repro.lint.race`,
+:mod:`repro.lint.perf` and :mod:`repro.lint.advisory` populates the
 registry (package ``__init__`` does this).  Each rule is
 ``profile``-scoped (evaluated per task profile, shardable across worker
 processes), ``workflow``-scoped (evaluated once over the cross-task
@@ -75,8 +81,10 @@ class LintRule:
             vs. trace join, shardable).
         description: One-line summary for ``--list-rules`` and SARIF.
         default_enabled: Whether the rule runs without explicit
-            ``--enable``.  Opt-in rules overlap the optimization advisor's
-            recommendations and fire on intentionally-inefficient bundled
+            ``--enable``.  Opt-in rules (DY105, the DY5xx races, the
+            DY6xx cost prophet, the DY7xx advisory family) are either
+            expensive or report optimization opportunities rather than
+            defects, and fire on intentionally-inefficient bundled
             fixtures, so they are registered but off by default.
         check: The rule body.  Profile scope:
             ``check(profile, config) -> findings``; workflow scope:

@@ -238,8 +238,9 @@ def _layout_mismatch(index: WorkflowIndex, ordering: OrderingInfo,
 
 @rule("DY105", "vlen-contiguous", Severity.NOTE, "profile",
       "A variable-length dataset uses a contiguous layout (no index; every "
-      "access walks the heap).  Off by default: overlaps the optimization "
-      "advisor and fires on the bundled ARLDM fixture by design.",
+      "access walks the heap).  Off by default: part of the advisory "
+      "selection with DY7xx, and fires on the bundled ARLDM fixture by "
+      "design.",
       default_enabled=False, pushdown=_vlen_contiguous_pushdown)
 def _vlen_contiguous(profile: TaskProfile,
                      config: LintConfig) -> Iterator[Finding]:

@@ -4,8 +4,8 @@
 DaYu's insights to automate optimization strategies" (paper §IX).  This
 package closes the loop the evaluation performed by hand:
 
-- :func:`~repro.optimizer.planner.build_plan` turns a diagnostic report
-  into an executable :class:`~repro.optimizer.planner.OptimizationPlan` —
+- :func:`~repro.optimizer.planner.build_plan` turns advisory lint
+  findings into an executable :class:`~repro.optimizer.planner.OptimizationPlan` —
   placement pins, stage-in/out moves, and format rewrites;
 - :meth:`OptimizationPlan.apply_format_changes` performs the layout
   rewrites/consolidations through the middleware;

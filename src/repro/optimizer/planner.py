@@ -1,12 +1,13 @@
-"""Optimization planning: diagnostic insights → an executable plan.
+"""Optimization planning: advisory lint findings → an executable plan.
 
-The planner consumes a :class:`~repro.diagnostics.report.DiagnosticReport`
-(plus the cluster it will run on) and emits concrete, ordered steps:
+The planner consumes DY7xx advisory findings (plus DY105 vlen-contiguous,
+see :data:`repro.lint.ADVISORY`) and the cluster it will run on, and
+emits concrete steps, dispatching on each finding's rule code:
 
-- ``pin`` — co-schedule the named tasks on one node (producer/consumer
-  chains found through read-after-write insights);
-- ``stage_in`` — copy a reused or sequentially-scanned file to that node's
-  local tier before its consumers run;
+- ``pin`` — co-schedule the named tasks on one node (data reuse,
+  read-after-write chains, time-dependent inputs, sequential scans);
+- ``stage_in`` — copy a reused or late-needed file to that node's local
+  tier before its consumers run;
 - ``stage_out`` — demote a disposable file once its last consumer ran;
 - ``convert_contiguous`` / ``convert_chunked`` — rewrite a file's layout;
 - ``consolidate`` — merge a scattered file's small datasets.
@@ -14,17 +15,19 @@ The planner consumes a :class:`~repro.diagnostics.report.DiagnosticReport`
 ``apply_format_changes`` executes the rewrite steps immediately (they are
 offline file transformations); the placement steps are consumed by
 :meth:`OptimizationPlan.scheduler` and :meth:`OptimizationPlan.stage_in_all`
-when re-running the workflow.
+when re-running the workflow.  Staged and staged-out replicas keep the
+source's full absolute path under their destination prefix, so distinct
+sources never share a replica.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.cluster.cluster import Cluster
-from repro.diagnostics.insights import Insight, InsightKind
-from repro.diagnostics.report import DiagnosticReport
+from repro.lint.advisory import in_paper_order
+from repro.lint.findings import Finding
 from repro.middleware.consolidate import consolidate_datasets
 from repro.middleware.layout_convert import convert_layout
 from repro.middleware.stager import stage_in, stage_out
@@ -72,14 +75,14 @@ class OptimizationPlan:
         return dict(self.staged_paths)
 
     def stage_out_all(self, fs: SimFS, dst_dir: str) -> List[str]:
-        """Perform every ``stage_out`` step into ``dst_dir``."""
+        """Perform every ``stage_out`` step into ``dst_dir`` (each file
+        keeps its full path below it)."""
         moved = []
         for step in self.by_action("stage_out"):
             if not fs.exists(step.target):
                 continue
-            name = step.target.rsplit("/", 1)[-1]
             moved.append(stage_out(fs, step.target,
-                                   f"{dst_dir.rstrip('/')}/{name}",
+                                   _under(dst_dir, step.target),
                                    remove_src=False))
         return moved
 
@@ -119,17 +122,35 @@ class OptimizationPlan:
         return "\n".join(lines)
 
 
+#: File rewrites, keyed by the rule code that calls for them.  A file
+#: gets one rewrite: the first in :func:`in_paper_order`, so
+#: consolidation beats contiguous conversion, which beats chunking.
+_REWRITE_FOR = {
+    "DY706": "consolidate",
+    "DY708": "convert_contiguous",
+    "DY105": "convert_chunked",
+}
+
+
+def _under(prefix: str, path: str) -> str:
+    """``path`` re-rooted below ``prefix`` (injective over absolute paths)."""
+    return f"{prefix.rstrip('/')}/{path.lstrip('/')}"
+
+
 def build_plan(
-    report: DiagnosticReport,
+    findings: Iterable[Finding],
     cluster: Cluster,
     *,
     target_node: Optional[str] = None,
     local_tier: Optional[str] = None,
 ) -> OptimizationPlan:
-    """Compile a diagnostic report into an executable plan.
+    """Compile advisory lint findings into an executable plan.
 
     Args:
-        report: Findings from :func:`repro.diagnostics.diagnose`.
+        findings: Lint findings, e.g. ``lint_profiles(profiles,
+            ADVISORY).findings``, in any order (they are read in
+            :func:`~repro.lint.advisory.in_paper_order`); codes without a
+            plan step are ignored.
         cluster: The cluster the optimized run will use.
         target_node: Node to co-schedule onto (default: first node).
         local_tier: Node-local tier for staging (default: the node's first
@@ -150,8 +171,7 @@ def build_plan(
         if path in staged:
             return
         staged.add(path)
-        name = path.strip("/").replace("/", "_")
-        plan.staged_paths[path] = f"{local}/{name}"
+        plan.staged_paths[path] = _under(local, path)
         plan.steps.append(PlanStep("stage_in", path, detail=f"{node}:{tier}",
                                    rationale=why))
 
@@ -163,38 +183,27 @@ def build_plan(
                 plan.steps.append(PlanStep("pin", task, detail=node,
                                            rationale=why))
 
-    for insight in report.insights:
-        if insight.kind in (InsightKind.DATA_REUSE, InsightKind.READ_AFTER_WRITE):
-            if insight.subject.startswith("/"):
-                file = insight.subject.split(":", 1)[0]
-                stage(file, insight.description)
-            pin(insight.tasks, insight.description)
-        elif insight.kind in (InsightKind.TIME_DEPENDENT_INPUT,
-                              InsightKind.READONLY_SEQUENTIAL):
-            if insight.kind is InsightKind.TIME_DEPENDENT_INPUT:
-                stage(insight.subject, insight.description)
-            pin(insight.tasks, insight.description)
-        elif insight.kind is InsightKind.DISPOSABLE_DATA:
-            plan.steps.append(PlanStep("stage_out", insight.subject,
-                                       rationale=insight.description))
-        elif insight.kind is InsightKind.DATA_SCATTERING:
-            if insight.subject not in converted:
-                converted.add(insight.subject)
-                plan.steps.append(PlanStep("consolidate", insight.subject,
-                                           rationale=insight.description))
-        elif insight.kind is InsightKind.METADATA_OVERHEAD:
-            file = insight.subject.split(":", 1)[0]
+    for f in in_paper_order(findings):
+        if f.code in ("DY701", "DY703"):
+            if f.subject.startswith("/"):
+                stage(f.subject.split(":", 1)[0], f.message)
+            pin(f.tasks, f.message)
+        elif f.code == "DY704":
+            stage(f.subject, f.message)
+            pin(f.tasks, f.message)
+        elif f.code == "DY709":
+            pin(f.tasks, f.message)
+        elif f.code == "DY705":
+            plan.steps.append(PlanStep("stage_out", f.subject,
+                                       rationale=f.message))
+        elif f.code in _REWRITE_FOR:
+            file = f.subject.split(":", 1)[0]
             if file not in converted:
                 converted.add(file)
-                plan.steps.append(PlanStep("convert_contiguous", file,
-                                           rationale=insight.description))
-        elif insight.kind is InsightKind.VLEN_LAYOUT:
-            file = insight.subject.split(":", 1)[0]
-            if file not in converted:
-                converted.add(file)
-                plan.steps.append(PlanStep("convert_chunked", file,
-                                           rationale=insight.description))
-        # PARTIAL_FILE_ACCESS and TASK_INDEPENDENCE need application-side
-        # changes (skip datasets, restructure stages); they are reported by
-        # the guidelines engine but have no file-level executable step.
+                plan.steps.append(PlanStep(_REWRITE_FOR[f.code], file,
+                                           rationale=f.message))
+        # DY702, DY707 and DY710 need application-side changes (a task's
+        # own read-modify-write, skipped datasets, restructured stages);
+        # the guidelines engine reports them but they have no file step.
     return plan
+

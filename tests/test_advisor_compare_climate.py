@@ -1,19 +1,13 @@
-"""Tests for the advisor reports, run comparison, and the netCDF climate
-workload."""
+"""Tests for advisory severity triage, run comparison, and the netCDF
+climate workload."""
 
 import numpy as np
 import pytest
 
 from repro.analyzer import compare_runs
-from repro.diagnostics import (
-    AdvisorReport,
-    InsightKind,
-    Severity,
-    advise,
-    diagnose,
-)
-from repro.diagnostics.insights import Insight
 from repro.experiments.common import fresh_env
+from repro.guidelines import recommend
+from repro.lint import ADVISORY, Severity, all_rules, lint_profiles
 from repro.mapper import DaYuConfig, DataSemanticMapper
 from repro.posix import SimFS
 from repro.simclock import SimClock
@@ -21,74 +15,120 @@ from repro.storage import Mount, make_device
 from repro.workloads import ClimateParams, build_climate
 
 
-def insight(kind, subject="/f.h5", tasks=("t",), **evidence):
-    return Insight(kind=kind, subject=subject, tasks=list(tasks),
-                   evidence=dict(evidence), description=f"about {subject}")
+def make_env():
+    clock = SimClock()
+    fs = SimFS(clock, mounts=[Mount("/", make_device("nvme"))])
+    return fs, DataSemanticMapper(clock, DaYuConfig())
+
+
+def scattered(mapper, fs, n, path="/pfs/s.h5"):
+    """One task writing ``n`` 40-byte datasets into ``path``."""
+    with mapper.task("writer") as ctx:
+        f = ctx.open(fs, path, "w")
+        for i in range(n):
+            f.create_dataset(f"s{i}", shape=(10,), dtype="i4",
+                             data=np.zeros(10, "i4"))
+        f.close()
+
+
+def reused(mapper, fs, consumers, path="/pfs/hot.h5"):
+    """A produced file read by ``consumers`` tasks."""
+    with mapper.task("producer") as ctx:
+        f = ctx.open(fs, path, "w")
+        f.create_dataset("x", shape=(1000,), data=np.zeros(1000))
+        f.close()
+    for i in range(consumers):
+        with mapper.task(f"consumer{i}") as ctx:
+            f = ctx.open(fs, path, "r")
+            f["x"].read()
+            f.close()
+
+
+def advice(mapper, code=None):
+    findings = lint_profiles(list(mapper.profiles.values()),
+                             ADVISORY).findings
+    return [f for f in findings if code is None or f.code == code]
 
 
 class TestAdvisorTriage:
     def test_massive_scattering_is_critical(self):
-        report = advise([insight(InsightKind.DATA_SCATTERING,
-                                 datasets=64, avg_bytes=100)])
-        assert report.findings[0].severity is Severity.CRITICAL
+        fs, mapper = make_env()
+        scattered(mapper, fs, 64)
+        [f] = advice(mapper, "DY706")
+        assert f.severity is Severity.ERROR
 
     def test_mild_scattering_is_warning(self):
-        report = advise([insight(InsightKind.DATA_SCATTERING,
-                                 datasets=10, avg_bytes=100)])
-        assert report.findings[0].severity is Severity.WARNING
+        fs, mapper = make_env()
+        scattered(mapper, fs, 10)
+        [f] = advice(mapper, "DY706")
+        assert f.severity is Severity.WARNING
 
     def test_heavy_metadata_is_critical(self):
-        report = advise([insight(InsightKind.METADATA_OVERHEAD,
-                                 metadata_fraction=0.7)])
-        assert report.findings[0].severity is Severity.CRITICAL
+        fs, mapper = make_env()
+        with mapper.task("w") as ctx:
+            f = ctx.open(fs, "/small.h5", "w")
+            f.create_dataset("c", shape=(64,), dtype="f8",
+                             layout="chunked", chunks=(8,),
+                             data=np.zeros(64))
+            f.close()
+        [f] = advice(mapper, "DY708")
+        assert f.evidence["metadata_fraction"] >= 0.5
+        assert f.severity is Severity.ERROR
 
     def test_light_reuse_is_info(self):
-        report = advise([insight(InsightKind.DATA_REUSE, consumers=2)])
-        assert report.findings[0].severity is Severity.INFO
+        fs, mapper = make_env()
+        reused(mapper, fs, 2)
+        [f] = advice(mapper, "DY701")
+        assert f.severity is Severity.NOTE
 
     def test_wide_reuse_is_warning(self):
-        report = advise([insight(InsightKind.DATA_REUSE, consumers=6)])
-        assert report.findings[0].severity is Severity.WARNING
+        fs, mapper = make_env()
+        reused(mapper, fs, 6)
+        [f] = advice(mapper, "DY701")
+        assert f.severity is Severity.WARNING
 
     def test_sorted_most_severe_first(self):
-        report = advise([
-            insight(InsightKind.DATA_REUSE, consumers=2),
-            insight(InsightKind.DATA_SCATTERING, datasets=64),
-            insight(InsightKind.VLEN_LAYOUT),
-        ])
-        severities = [f.severity for f in report.findings]
-        assert severities == sorted(severities, reverse=True)
+        fs, mapper = make_env()
+        scattered(mapper, fs, 64)
+        reused(mapper, fs, 2)
+        ranks = [f.severity.rank for f in advice(mapper)]
+        assert ranks == sorted(ranks, reverse=True)
+        assert ranks[0] > ranks[-1]
 
     def test_counts_and_filtering(self):
-        report = advise([
-            insight(InsightKind.DATA_SCATTERING, datasets=64),
-            insight(InsightKind.VLEN_LAYOUT),
-            insight(InsightKind.DATA_REUSE, consumers=2),
-        ])
-        counts = report.counts()
-        assert counts == {"CRITICAL": 1, "WARNING": 1, "INFO": 1}
-        assert len(report.at_least(Severity.WARNING)) == 2
+        fs, mapper = make_env()
+        scattered(mapper, fs, 64)
+        reused(mapper, fs, 6)
+        report = lint_profiles(list(mapper.profiles.values()), ADVISORY)
+        counts = {sev.value: 0 for sev in Severity}
+        for f in report.findings:
+            counts[f.severity.value] += 1
+        assert report.counts == counts
+        assert [f.code for f in report.errors] == ["DY706"]
+        assert "DY701" in {f.code for f in report.findings
+                           if f.severity is Severity.WARNING}
 
     def test_render_contains_sections_and_actions(self):
-        report = advise([
-            insight(InsightKind.DATA_SCATTERING, subject="/pfs/s.h5",
-                    datasets=64),
-            insight(InsightKind.DATA_REUSE, subject="/pfs/hot.h5",
-                    consumers=2),
-        ])
-        text = report.render()
-        assert "DaYu I/O Advisor" in text
-        assert "CRITICAL" in text and "INFO" in text
-        assert "consolidate_datasets: /pfs/s.h5" in text
-        assert "cache_in_fast_tier: /pfs/hot.h5" in text
+        fs, mapper = make_env()
+        scattered(mapper, fs, 64)
+        reused(mapper, fs, 2)
+        report = lint_profiles(list(mapper.profiles.values()), ADVISORY)
+        assert "1 error(s)" in report.summary()
+        text = "\n".join(str(r) for r in recommend(report.findings))
+        assert "consolidate_datasets(/pfs/s.h5)" in text
+        assert "cache_in_fast_tier(/pfs/hot.h5)" in text
 
     def test_empty_report_renders(self):
-        assert "0 critical" in advise([]).render()
+        assert "0 error(s)" in lint_profiles([], ADVISORY).summary()
 
     def test_every_kind_triages(self):
-        for kind in InsightKind:
-            report = advise([insight(kind)])
-            assert isinstance(report.findings[0].severity, Severity)
+        family = [r for r in all_rules()
+                  if r.code.startswith("DY7") or r.code == "DY105"]
+        assert len(family) == 11
+        for r in family:
+            assert isinstance(r.severity, Severity)
+            assert not r.default_enabled
+            assert ADVISORY.is_enabled(r)
 
 
 class TestRunComparison:
@@ -178,13 +218,12 @@ class TestClimateWorkload:
 
     def test_diagnostics_work_on_netcdf_profiles(self, run):
         env, params, result = run
-        report = diagnose(env.mapper.profiles.values())
-        raw = report.by_kind(InsightKind.READ_AFTER_WRITE)
-        assert any("merged.nc" in i.subject for i in raw)
+        report = lint_profiles(list(env.mapper.profiles.values()), ADVISORY)
+        raw = [f for f in report.findings if f.code == "DY703"]
+        assert any("merged.nc" in f.subject for f in raw)
 
     def test_advisor_end_to_end(self, run):
         env, params, result = run
-        advisor = advise(diagnose(env.mapper.profiles.values()).insights)
-        assert isinstance(advisor, AdvisorReport)
-        assert advisor.findings
-        assert "DaYu I/O Advisor" in advisor.render()
+        report = lint_profiles(list(env.mapper.profiles.values()), ADVISORY)
+        assert any(f.code.startswith("DY7") for f in report.findings)
+        assert recommend(report.findings)

@@ -1,23 +1,16 @@
-"""Unit tests for the Data Flow Diagnostics detectors and report."""
+"""Unit tests for the DY7xx advisory lint rules (the paper's case-study
+observations) and the advisory report."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.diagnostics import (
-    InsightKind,
-    detect_data_reuse,
-    detect_data_scattering,
-    detect_disposable_data,
-    detect_metadata_overhead,
-    detect_partial_file_access,
-    detect_readonly_sequential,
-    detect_task_independence,
-    detect_time_dependent_inputs,
-    detect_vlen_layout,
-    diagnose,
-)
+import repro.lint.advisory as advisory_rules
+from repro.analyzer import ParallelAnalyzer
+from repro.guidelines import Action, recommend
+from repro.lint import ADVISORY, LintConfig, lint_profiles
 from repro.mapper import DaYuConfig, DataSemanticMapper
 from repro.posix import SimFS
 from repro.simclock import SimClock
@@ -28,6 +21,17 @@ def make_env():
     clock = SimClock()
     fs = SimFS(clock, mounts=[Mount("/", make_device("nvme"))])
     return clock, fs, DataSemanticMapper(clock, DaYuConfig())
+
+
+def advisory(profiles, code, config=ADVISORY):
+    """The findings of one advisory rule over ``profiles``."""
+    return [f for f in lint_profiles(list(profiles), config).findings
+            if f.code == code]
+
+
+def action_of(finding):
+    [rec] = recommend([finding])
+    return rec.action
 
 
 class TestDataReuse:
@@ -42,12 +46,11 @@ class TestDataReuse:
                 f = ctx.open(fs, "/d.h5", "r")
                 f["x"].read()
                 f.close()
-        insights = detect_data_reuse(list(mapper.profiles.values()))
-        reuse = [i for i in insights if i.kind == InsightKind.DATA_REUSE]
+        reuse = advisory(mapper.profiles.values(), "DY701")
         assert len(reuse) == 1
         assert reuse[0].subject == "/d.h5"
         assert reuse[0].evidence["consumers"] == 3
-        assert reuse[0].guideline == "customized_caching"
+        assert action_of(reuse[0]) is Action.CACHE_IN_FAST_TIER
 
     def test_write_after_read_flagged(self):
         clock, fs, mapper = make_env()
@@ -60,9 +63,8 @@ class TestDataReuse:
             v = f["x"].read()
             f["x"].write(v + 1)
             f.close()
-        insights = detect_data_reuse(list(mapper.profiles.values()))
-        war = [i for i in insights if i.kind == InsightKind.WRITE_AFTER_READ]
-        assert any(i.tasks == ["war"] for i in war)
+        war = advisory(mapper.profiles.values(), "DY702")
+        assert any(f.tasks == ("war",) for f in war)
 
     def test_read_after_write_flagged(self):
         clock, fs, mapper = make_env()
@@ -74,8 +76,7 @@ class TestDataReuse:
             f = ctx.open(fs, "/e.h5", "r")
             f["x"].read()
             f.close()
-        insights = detect_data_reuse(list(mapper.profiles.values()))
-        raw = [i for i in insights if i.kind == InsightKind.READ_AFTER_WRITE]
+        raw = advisory(mapper.profiles.values(), "DY703")
         assert raw and raw[0].evidence["producer"] == "writer"
 
     def test_single_consumer_not_reuse(self):
@@ -88,9 +89,7 @@ class TestDataReuse:
             f = ctx.open(fs, "/d.h5", "r")
             f["x"].read()
             f.close()
-        reuse = [i for i in detect_data_reuse(list(mapper.profiles.values()))
-                 if i.kind == InsightKind.DATA_REUSE]
-        assert reuse == []
+        assert advisory(mapper.profiles.values(), "DY701") == []
 
 
 class TestTimeDependentInputs:
@@ -110,8 +109,8 @@ class TestTimeDependentInputs:
             f = ctx.open(fs, "/late.h5", "r")
             f["x"].read()
             f.close()
-        insights = detect_time_dependent_inputs(list(mapper.profiles.values()))
-        subjects = {i.subject for i in insights}
+        subjects = {f.subject
+                    for f in advisory(mapper.profiles.values(), "DY704")}
         assert "/late.h5" in subjects
         assert "/early.h5" not in subjects
 
@@ -126,10 +125,10 @@ class TestTimeDependentInputs:
             f = ctx.open(fs, "/made.h5", "r")
             f["x"].read()
             f.close()
-        assert detect_time_dependent_inputs(list(mapper.profiles.values())) == []
+        assert advisory(mapper.profiles.values(), "DY704") == []
 
     def test_empty_profiles(self):
-        assert detect_time_dependent_inputs([]) == []
+        assert lint_profiles([], ADVISORY).findings == []
 
 
 class TestDisposableData:
@@ -150,8 +149,8 @@ class TestDisposableData:
             f = ctx.open(fs, "/final.h5", "r")
             f["y"].read()
             f.close()
-        insights = detect_disposable_data(list(mapper.profiles.values()))
-        subjects = {i.subject for i in insights}
+        subjects = {f.subject
+                    for f in advisory(mapper.profiles.values(), "DY705")}
         assert "/tmp.h5" in subjects  # idle while t3 runs
         assert "/final.h5" not in subjects  # used by the last task
 
@@ -165,10 +164,10 @@ class TestDataScattering:
                 f.create_dataset(f"s{i}", shape=(10,), dtype="i4",
                                  data=np.zeros(10, "i4"))  # 40 B each
             f.close()
-        insights = detect_data_scattering(list(mapper.profiles.values()))
-        assert len(insights) == 1
-        assert insights[0].evidence["datasets"] == 32
-        assert insights[0].guideline == "data_format_optimization"
+        findings = advisory(mapper.profiles.values(), "DY706")
+        assert len(findings) == 1
+        assert findings[0].evidence["datasets"] == 32
+        assert action_of(findings[0]) is Action.CONSOLIDATE_DATASETS
 
     def test_vlen_datasets_exempt(self):
         """VL objects' inline footprint is just heap references; they must
@@ -180,7 +179,7 @@ class TestDataScattering:
                 f.create_dataset(f"v{i}", shape=(4,), dtype="vlen-bytes",
                                  data=[b"big" * 1000] * 4)
             f.close()
-        assert detect_data_scattering(list(mapper.profiles.values())) == []
+        assert advisory(mapper.profiles.values(), "DY706") == []
 
     def test_large_datasets_not_flagged(self):
         clock, fs, mapper = make_env()
@@ -190,7 +189,7 @@ class TestDataScattering:
                 f.create_dataset(f"b{i}", shape=(10_000,), dtype="f8",
                                  data=np.zeros(10_000))
             f.close()
-        assert detect_data_scattering(list(mapper.profiles.values())) == []
+        assert advisory(mapper.profiles.values(), "DY706") == []
 
 
 class TestPartialFileAccess:
@@ -210,9 +209,9 @@ class TestPartialFileAccess:
             f["rmsd"].read()
             f.close()
         profiles = [mapper.profiles["training"]]
-        insights = detect_partial_file_access(profiles)
-        assert any("contact_map" in i.subject for i in insights)
-        assert all(i.guideline == "partial_file_access" for i in insights)
+        findings = advisory(profiles, "DY707")
+        assert any("contact_map" in f.subject for f in findings)
+        assert all(action_of(f) is Action.SKIP_UNUSED_DATA for f in findings)
 
 
 class TestMetadataOverhead:
@@ -224,8 +223,8 @@ class TestMetadataOverhead:
                              layout="chunked", chunks=(8,),
                              data=np.zeros(64))
             f.close()
-        insights = detect_metadata_overhead(list(mapper.profiles.values()))
-        assert any("/c" in i.subject for i in insights)
+        findings = advisory(mapper.profiles.values(), "DY708")
+        assert any("/c" in f.subject for f in findings)
 
     def test_contiguous_not_flagged(self):
         clock, fs, mapper = make_env()
@@ -233,7 +232,7 @@ class TestMetadataOverhead:
             f = ctx.open(fs, "/c.h5", "w")
             f.create_dataset("d", shape=(64,), dtype="f8", data=np.zeros(64))
             f.close()
-        assert detect_metadata_overhead(list(mapper.profiles.values())) == []
+        assert advisory(mapper.profiles.values(), "DY708") == []
 
 
 class TestReadonlySequential:
@@ -248,10 +247,10 @@ class TestReadonlySequential:
                 f = ctx.open(fs, f"/sim{i}.h5", "r")
                 f["x"].read()
                 f.close()
-        insights = detect_readonly_sequential(list(mapper.profiles.values()))
-        assert len(insights) == 1
-        assert insights[0].subject == "aggregate"
-        assert insights[0].evidence["files"] == 4
+        findings = advisory(mapper.profiles.values(), "DY709")
+        assert len(findings) == 1
+        assert findings[0].subject == "aggregate"
+        assert findings[0].evidence["files"] == 4
 
 
 class TestTaskIndependence:
@@ -265,10 +264,33 @@ class TestTaskIndependence:
             f = ctx.open(fs, "/results.h5", "w")
             f.create_dataset("out", shape=(10,), data=np.zeros(10))
             f.close()
-        insights = detect_task_independence(list(mapper.profiles.values()))
-        assert len(insights) == 1
-        assert insights[0].tasks == ["training", "inference"]
-        assert insights[0].guideline == "task_parallelization"
+        findings = advisory(mapper.profiles.values(), "DY710")
+        assert len(findings) == 1
+        assert findings[0].tasks == ("training", "inference")
+        assert action_of(findings[0]) is Action.PARALLELIZE
+
+    def test_task_order_overrides_start_order(self):
+        # A recovered execution order (dayu-analyze --infer-order) decides
+        # which tasks are consecutive, in serial and sharded runs alike.
+        clock, fs, mapper = make_env()
+        for name in ("a", "b", "c"):
+            with mapper.task(name) as ctx:
+                f = ctx.open(fs, f"/{name}.h5", "w")
+                f.create_dataset("x", shape=(4,), data=np.zeros(4))
+                f.close()
+        profiles = list(mapper.profiles.values())
+
+        def pairs(report):
+            return [f.tasks for f in report.findings if f.code == "DY710"]
+
+        assert pairs(lint_profiles(profiles, ADVISORY)) == [("a", "b"),
+                                                            ("b", "c")]
+        order = ("c", "a", "b")
+        assert pairs(lint_profiles(profiles, ADVISORY, task_order=order)) \
+            == [("a", "b"), ("c", "a")]
+        sharded = ParallelAnalyzer(max_workers=1).lint(
+            profiles, ADVISORY, task_order=order)
+        assert pairs(sharded) == [("a", "b"), ("c", "a")]
 
     def test_dependent_pair_not_flagged(self):
         clock, fs, mapper = make_env()
@@ -280,7 +302,7 @@ class TestTaskIndependence:
             f = ctx.open(fs, "/shared.h5", "r")
             f["x"].read()
             f.close()
-        assert detect_task_independence(list(mapper.profiles.values())) == []
+        assert advisory(mapper.profiles.values(), "DY710") == []
 
 
 class TestVlenLayout:
@@ -291,9 +313,10 @@ class TestVlenLayout:
             f.create_dataset("image0", shape=(10,), dtype="vlen-bytes",
                              data=[b"img" * (i + 1) for i in range(10)])
             f.close()
-        insights = detect_vlen_layout(list(mapper.profiles.values()))
-        assert len(insights) == 1
-        assert "image0" in insights[0].subject
+        findings = advisory(mapper.profiles.values(), "DY105")
+        assert len(findings) == 1
+        assert "image0" in findings[0].subject
+        assert action_of(findings[0]) is Action.CONVERT_TO_CHUNKED
 
     def test_chunked_vlen_not_flagged(self):
         clock, fs, mapper = make_env()
@@ -303,7 +326,7 @@ class TestVlenLayout:
                              layout="chunked", chunks=(5,),
                              data=[b"img"] * 10)
             f.close()
-        assert detect_vlen_layout(list(mapper.profiles.values())) == []
+        assert advisory(mapper.profiles.values(), "DY105") == []
 
 
 class TestDiagnoseReport:
@@ -323,31 +346,40 @@ class TestDiagnoseReport:
         return list(mapper.profiles.values())
 
     def test_diagnose_runs_all_detectors(self):
-        report = diagnose(self._workflow())
-        kinds = {i.kind for i in report.insights}
-        assert InsightKind.DATA_REUSE in kinds
-        assert InsightKind.DATA_SCATTERING in kinds
+        report = lint_profiles(self._workflow(), ADVISORY)
+        codes = {f.code for f in report.findings}
+        assert "DY701" in codes
+        assert "DY706" in codes
 
-    def test_threshold_routing(self):
-        # Tighten scattering threshold until it stops firing.
-        report = diagnose(self._workflow(), min_datasets=100)
-        assert report.by_kind(InsightKind.DATA_SCATTERING) == []
+    def test_threshold_routing(self, monkeypatch):
+        # Tighten the scattering threshold until it stops firing.
+        monkeypatch.setattr(advisory_rules, "MIN_DATASETS", 100)
+        assert advisory(self._workflow(), "DY706") == []
 
     def test_unknown_threshold_rejected(self):
-        with pytest.raises(TypeError, match="unknown diagnose"):
-            diagnose([], bogus_threshold=1)
+        # Detector thresholds are module constants, not config fields.
+        with pytest.raises(TypeError):
+            replace(ADVISORY, bogus_threshold=1)
+        for name in ("min_datasets", "late_fraction"):
+            with pytest.raises(TypeError):
+                LintConfig(**{name: 1})
+        with pytest.raises(ValueError, match="bad rule selector"):
+            LintConfig(enable=("data_scattering",))
 
     def test_summary_and_json(self):
-        report = diagnose(self._workflow())
-        text = report.summary()
-        assert "guideline:" in text
+        report = lint_profiles(self._workflow(), ADVISORY)
+        assert "note(s)" in report.summary()
         parsed = json.loads(report.to_json())
-        assert len(parsed) == len(report)
+        assert len(parsed["findings"]) == len(report.findings)
 
     def test_empty_summary(self):
-        assert "No dataflow issues" in diagnose([]).summary()
+        assert "0 error(s), 0 warning(s), 0 note(s)" in \
+            lint_profiles([], ADVISORY).summary()
 
     def test_by_guideline_groups(self):
-        groups = diagnose(self._workflow()).by_guideline()
-        assert "customized_caching" in groups
-        assert all(i.guideline == g for g, items in groups.items() for i in items)
+        recs = recommend(lint_profiles(self._workflow(), ADVISORY).findings)
+        actions = {r.action for r in recs}
+        assert {Action.CACHE_IN_FAST_TIER,
+                Action.CONSOLIDATE_DATASETS} <= actions
+        assert all(r.code.startswith("DY7") or r.code == "DY105"
+                   for r in recs)

@@ -212,7 +212,7 @@ class TestAnalyzerScale:
     def test_small_scale_fast(self):
         result = run_analyzer_scale(SyntheticScale(n_tasks=10, n_files=50))
         assert result["analyze_seconds"] < 2.0
-        assert result["insights"] > 0
+        assert result["findings"] > 0
 
 
 class TestGraphArtifacts:

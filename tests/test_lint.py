@@ -450,7 +450,7 @@ class TestRegistryAndBaseline:
         codes = [r.code for r in all_rules()]
         assert codes == sorted(codes)
         assert {c[:3] for c in codes} == {"DY1", "DY2", "DY3", "DY4",
-                                          "DY5", "DY6"}
+                                          "DY5", "DY6", "DY7"}
         assert len(codes) == len(set(codes))
         assert get_rule("DY203").scope == "workflow"
         assert get_rule("DY301").scope == "profile"
@@ -459,6 +459,7 @@ class TestRegistryAndBaseline:
         assert get_rule("DY501").scope == "race"
         assert get_rule("DY601").scope == "perf"
         assert get_rule("DY651").scope == "costdrift"
+        assert get_rule("DY701").scope == "workflow"
 
     def test_config_precedence(self):
         dy105 = get_rule("DY105")

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, Node
-from repro.diagnostics import diagnose
-from repro.diagnostics.insights import Insight, InsightKind
-from repro.diagnostics.report import DiagnosticReport
 from repro.hdf5 import H5File
+from repro.lint import ADVISORY, Finding, Severity, lint_profiles
 from repro.mapper import DaYuConfig, DataSemanticMapper
 from repro.optimizer import TransparentCache, build_plan
 from repro.simclock import SimClock
@@ -27,18 +25,19 @@ def make_cluster(n=2):
     return clock, cluster
 
 
-def insight(kind, subject, tasks=("t1",), **evidence):
-    return Insight(kind=kind, subject=subject, tasks=list(tasks),
-                   evidence=dict(evidence), description="test")
+def finding(code, subject, tasks=("t1",), **evidence):
+    return Finding(code=code, rule="r", severity=Severity.NOTE,
+                   message="test", subject=subject, tasks=tuple(tasks),
+                   evidence=dict(evidence))
 
 
 class TestPlanBuilding:
     def test_reuse_becomes_stage_in_and_pins(self):
         clock, cluster = make_cluster()
-        report = DiagnosticReport([
-            insight(InsightKind.DATA_REUSE, "/pfs/hot.h5", tasks=("a", "b")),
-        ])
-        plan = build_plan(report, cluster)
+        findings = [
+            finding("DY701", "/pfs/hot.h5", tasks=("a", "b")),
+        ]
+        plan = build_plan(findings, cluster)
         assert [s.action for s in plan.by_action("stage_in")] == ["stage_in"]
         assert plan.pins == {"a": "n0", "b": "n0"}
         assert plan.resolve("/pfs/hot.h5").startswith("/local/n0/ssd/")
@@ -46,54 +45,68 @@ class TestPlanBuilding:
 
     def test_scattering_becomes_consolidate(self):
         clock, cluster = make_cluster()
-        report = DiagnosticReport([
-            insight(InsightKind.DATA_SCATTERING, "/pfs/scatter.h5"),
-        ])
-        plan = build_plan(report, cluster)
+        findings = [
+            finding("DY706", "/pfs/scatter.h5"),
+        ]
+        plan = build_plan(findings, cluster)
         assert plan.by_action("consolidate")[0].target == "/pfs/scatter.h5"
 
     def test_metadata_overhead_becomes_contiguous_conversion(self):
         clock, cluster = make_cluster()
-        report = DiagnosticReport([
-            insight(InsightKind.METADATA_OVERHEAD, "/pfs/f.h5:/dset"),
-        ])
-        plan = build_plan(report, cluster)
+        findings = [
+            finding("DY708", "/pfs/f.h5:/dset"),
+        ]
+        plan = build_plan(findings, cluster)
         assert plan.by_action("convert_contiguous")[0].target == "/pfs/f.h5"
 
     def test_vlen_becomes_chunked_conversion(self):
         clock, cluster = make_cluster()
-        report = DiagnosticReport([
-            insight(InsightKind.VLEN_LAYOUT, "/pfs/v.h5:/image0"),
-        ])
-        plan = build_plan(report, cluster)
+        findings = [
+            finding("DY105", "/pfs/v.h5:/image0"),
+        ]
+        plan = build_plan(findings, cluster)
         assert plan.by_action("convert_chunked")[0].target == "/pfs/v.h5"
 
     def test_disposable_becomes_stage_out(self):
         clock, cluster = make_cluster()
-        report = DiagnosticReport([
-            insight(InsightKind.DISPOSABLE_DATA, "/pfs/tmp.h5"),
-        ])
-        plan = build_plan(report, cluster)
+        findings = [
+            finding("DY705", "/pfs/tmp.h5"),
+        ]
+        plan = build_plan(findings, cluster)
         assert plan.by_action("stage_out")
+
+    def test_one_rewrite_per_file_whatever_the_order(self):
+        # Scattering outranks metadata overhead and vlen chunking on the
+        # same file, whichever order (or severity) the findings come in.
+        clock, cluster = make_cluster()
+        findings = [
+            finding("DY708", "/pfs/f.h5:/d"),
+            finding("DY105", "/pfs/f.h5:/v"),
+            finding("DY706", "/pfs/f.h5"),
+        ]
+        for ordered in (findings, findings[::-1]):
+            plan = build_plan(ordered, cluster)
+            assert [(s.action, s.target) for s in plan.steps] == [
+                ("consolidate", "/pfs/f.h5")]
 
     def test_duplicate_insights_deduplicated(self):
         clock, cluster = make_cluster()
-        report = DiagnosticReport([
-            insight(InsightKind.DATA_REUSE, "/pfs/hot.h5", tasks=("a",)),
-            insight(InsightKind.DATA_REUSE, "/pfs/hot.h5", tasks=("b",)),
-            insight(InsightKind.METADATA_OVERHEAD, "/pfs/f.h5:/d1"),
-            insight(InsightKind.METADATA_OVERHEAD, "/pfs/f.h5:/d2"),
-        ])
-        plan = build_plan(report, cluster)
+        findings = [
+            finding("DY701", "/pfs/hot.h5", tasks=("a",)),
+            finding("DY701", "/pfs/hot.h5", tasks=("b",)),
+            finding("DY708", "/pfs/f.h5:/d1"),
+            finding("DY708", "/pfs/f.h5:/d2"),
+        ]
+        plan = build_plan(findings, cluster)
         assert len(plan.by_action("stage_in")) == 1
         assert len(plan.by_action("convert_contiguous")) == 1
 
     def test_target_node_and_tier_selection(self):
         clock, cluster = make_cluster(3)
-        report = DiagnosticReport([
-            insight(InsightKind.DATA_REUSE, "/pfs/hot.h5", tasks=("a",)),
-        ])
-        plan = build_plan(report, cluster, target_node="n2")
+        findings = [
+            finding("DY701", "/pfs/hot.h5", tasks=("a",)),
+        ]
+        plan = build_plan(findings, cluster, target_node="n2")
         assert plan.pins["a"] == "n2"
         assert plan.resolve("/pfs/hot.h5").startswith("/local/n2/ssd/")
 
@@ -101,19 +114,19 @@ class TestPlanBuilding:
         clock = SimClock()
         cluster = Cluster(clock, [Node("bare")], {"/pfs": "nfs"})
         with pytest.raises(ValueError, match="no local storage tier"):
-            build_plan(DiagnosticReport([]), cluster)
+            build_plan([], cluster)
 
     def test_empty_report_empty_plan(self):
         clock, cluster = make_cluster()
-        plan = build_plan(DiagnosticReport([]), cluster)
+        plan = build_plan([], cluster)
         assert plan.steps == []
         assert "Nothing to optimize" in plan.summary()
 
     def test_summary_lists_steps(self):
         clock, cluster = make_cluster()
-        plan = build_plan(DiagnosticReport([
-            insight(InsightKind.DATA_SCATTERING, "/pfs/s.h5"),
-        ]), cluster)
+        plan = build_plan([
+            finding("DY706", "/pfs/s.h5"),
+        ], cluster)
         assert "consolidate" in plan.summary()
 
 
@@ -122,9 +135,9 @@ class TestPlanExecution:
         clock, cluster = make_cluster()
         with H5File(cluster.fs, "/pfs/hot.h5", "w") as f:
             f.create_dataset("d", shape=(100,), data=np.zeros(100))
-        plan = build_plan(DiagnosticReport([
-            insight(InsightKind.DATA_REUSE, "/pfs/hot.h5", tasks=("a",)),
-        ]), cluster)
+        plan = build_plan([
+            finding("DY701", "/pfs/hot.h5", tasks=("a",)),
+        ], cluster)
         staged = plan.stage_in_all(cluster.fs)
         assert cluster.fs.exists(staged["/pfs/hot.h5"])
 
@@ -134,9 +147,9 @@ class TestPlanExecution:
             f.create_dataset("d", shape=(64,), dtype="f8",
                              layout="chunked", chunks=(8,),
                              data=np.arange(64.0))
-        plan = build_plan(DiagnosticReport([
-            insight(InsightKind.METADATA_OVERHEAD, "/pfs/f.h5:/d"),
-        ]), cluster)
+        plan = build_plan([
+            finding("DY708", "/pfs/f.h5:/d"),
+        ], cluster)
         rewritten = plan.apply_format_changes(cluster.fs)
         new = rewritten["/pfs/f.h5"]
         with H5File(cluster.fs, new, "r") as f:
@@ -149,29 +162,57 @@ class TestPlanExecution:
             for i in range(10):
                 f.create_dataset(f"x{i}", shape=(4,), dtype="i4",
                                  data=np.full(4, i, np.int32))
-        plan = build_plan(DiagnosticReport([
-            insight(InsightKind.DATA_SCATTERING, "/pfs/s.h5"),
-        ]), cluster)
+        plan = build_plan([
+            finding("DY706", "/pfs/s.h5"),
+        ], cluster)
         rewritten = plan.apply_format_changes(cluster.fs)
         with H5File(cluster.fs, rewritten["/pfs/s.h5"], "r") as f:
             assert "consolidated" in f.keys()
 
     def test_missing_files_skipped(self):
         clock, cluster = make_cluster()
-        plan = build_plan(DiagnosticReport([
-            insight(InsightKind.METADATA_OVERHEAD, "/pfs/ghost.h5:/d"),
-        ]), cluster)
+        plan = build_plan([
+            finding("DY708", "/pfs/ghost.h5:/d"),
+        ], cluster)
         assert plan.apply_format_changes(cluster.fs) == {}
+
+    def test_staged_paths_never_collide(self):
+        # Flattening "/" to "_" mapped both files to one replica name.
+        clock, cluster = make_cluster()
+        sources = ("/pfs/a/b_c.h5", "/pfs/a_b/c.h5")
+        for i, path in enumerate(sources):
+            with H5File(cluster.fs, path, "w") as f:
+                f.create_dataset("d", shape=(4,), data=np.full(4, float(i)))
+        plan = build_plan([finding("DY701", path, tasks=("a", "b"))
+                           for path in sources], cluster)
+        staged = plan.stage_in_all(cluster.fs)
+        assert len(set(staged.values())) == len(sources)
+        for i, path in enumerate(sources):
+            with H5File(cluster.fs, plan.resolve(path), "r") as f:
+                np.testing.assert_array_equal(f["d"].read(),
+                                              np.full(4, float(i)))
+
+    def test_stage_out_keeps_same_named_files_apart(self):
+        clock, cluster = make_cluster()
+        sources = ("/pfs/x/out.h5", "/pfs/y/out.h5")
+        for path in sources:
+            with H5File(cluster.fs, path, "w") as f:
+                f.create_dataset("d", shape=(4,), data=np.zeros(4))
+        plan = build_plan([finding("DY705", path) for path in sources],
+                          cluster)
+        moved = plan.stage_out_all(cluster.fs, "/pfs/archive")
+        assert sorted(moved) == ["/pfs/archive/pfs/x/out.h5",
+                                 "/pfs/archive/pfs/y/out.h5"]
 
     def test_stage_out_all(self):
         clock, cluster = make_cluster()
         with H5File(cluster.fs, "/pfs/tmp.h5", "w") as f:
             f.create_dataset("d", shape=(4,), data=[1.0, 2.0, 3.0, 4.0])
-        plan = build_plan(DiagnosticReport([
-            insight(InsightKind.DISPOSABLE_DATA, "/pfs/tmp.h5"),
-        ]), cluster)
+        plan = build_plan([
+            finding("DY705", "/pfs/tmp.h5"),
+        ], cluster)
         moved = plan.stage_out_all(cluster.fs, "/pfs/archive")
-        assert moved == ["/pfs/archive/tmp.h5"]
+        assert moved == ["/pfs/archive/pfs/tmp.h5"]
 
 
 class TestEndToEndAutoOptimization:
@@ -207,8 +248,8 @@ class TestEndToEndAutoOptimization:
         baseline, mapper = self._run(cluster, self._workflow())
 
         # Diagnose and plan automatically.
-        report = diagnose(mapper.profiles.values())
-        plan = build_plan(report, cluster)
+        report = lint_profiles(list(mapper.profiles.values()), ADVISORY)
+        plan = build_plan(report.findings, cluster)
         assert plan.by_action("stage_in"), "reuse should trigger staging"
 
         # Optimized re-run in a fresh environment.

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.analyzer import build_ftg, build_sdg
+from repro.analyzer import build_ftg, build_sdg, infer_task_order
 from repro.cli import analyze_main, run_main
-from repro.diagnostics import diagnose
+from repro.lint import ADVISORY, ADVISORY_CODES, lint_profiles
 from repro.mapper import (
     DaYuConfig,
     DataSemanticMapper,
@@ -80,9 +80,9 @@ class TestProfileRoundTrip:
         fs, mapper = recorded
         originals = list(mapper.profiles.values())
         restored = [load_profile(p.serialize()) for p in originals]
-        k1 = sorted(i.kind.value for i in diagnose(originals).insights)
-        k2 = sorted(i.kind.value for i in diagnose(restored).insights)
-        assert k1 == k2
+        r1 = lint_profiles(originals, ADVISORY).to_json()
+        r2 = lint_profiles(restored, ADVISORY).to_json()
+        assert r1 == r2
 
     def test_load_from_simfs_dir(self, recorded):
         fs, mapper = recorded
@@ -122,7 +122,9 @@ class TestCli:
         assert (graphs / "sdg.html").exists()
         assert (graphs / "sdg.dot").exists()
         insights = json.loads((graphs / "insights.json").read_text())
-        assert isinstance(insights, list)
+        assert insights["tool"] == "dayu-lint"
+        assert any(f["code"].startswith("DY7") for f in insights["findings"])
+        assert "Top recommendations:" in out
 
     @pytest.mark.parametrize("workload", ["arldm", "h5bench", "corner"])
     def test_run_other_workloads(self, workload, tmp_path):
@@ -139,14 +141,37 @@ class TestCli:
         assert run_main(["ddmd", "--out", str(traces), "--scale", "0.2"]) == 0
         capsys.readouterr()
         assert analyze_main([str(traces), "--out", str(tmp_path / "g"),
-                             "--infer-order", "--advisor"]) == 0
+                             "--infer-order"]) == 0
         out = capsys.readouterr().out
         assert "Inferred task order:" in out
-        assert "DaYu I/O Advisor" in out
+        # One severity-sorted advisory lint report, then its summary.
+        assert "DY708 [error]" in out
+        assert "dayu-lint:" in out
+        # The advisory report is the default output; no --advisor flag.
+        with pytest.raises(SystemExit):
+            analyze_main([str(traces), "--advisor"])
         # Aggregate precedes training in the recovered order.
         order_line = next(l for l in out.splitlines()
                           if l.startswith("Inferred task order"))
         assert order_line.index("aggregate") < order_line.index("training")
+
+    def test_analyze_one_pass_feeds_both_reports(self, tmp_path):
+        # insights.json holds the advisory findings under the recovered
+        # order; lint.json is exactly what a default dayu-lint pass gives.
+        traces = tmp_path / "traces"
+        assert run_main(["ddmd", "--out", str(traces), "--scale", "0.2"]) == 0
+        out = tmp_path / "g"
+        assert analyze_main([str(traces), "--out", str(out),
+                             "--infer-order", "--lint"]) == 0
+        profiles = load_profiles_from_host_dir(str(traces))
+        advisory = lint_profiles(profiles, ADVISORY,
+                                 task_order=infer_task_order(profiles))
+        insights = json.loads((out / "insights.json").read_text())
+        assert insights["findings"] == [
+            f.to_json_dict() for f in advisory.findings
+            if f.code in ADVISORY_CODES]
+        assert (out / "lint.json").read_text() == \
+            lint_profiles(profiles).to_json()
 
     def test_analyze_empty_dir_exits_2(self, tmp_path, capsys):
         # Usage error, same one-line diagnosis + status as dayu-lint and

@@ -3,13 +3,14 @@ end under DaYu profiling and exhibits the dataflow features the paper's
 case studies describe."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analyzer import build_ftg, build_sdg, dataset_node, file_node, task_node
 from repro.cluster import Cluster, Node, gpu_cluster
-from repro.diagnostics import InsightKind, diagnose
+from repro.lint import ADVISORY, lint_profiles
 from repro.mapper import DaYuConfig, DataSemanticMapper
 from repro.simclock import SimClock
 from repro.workflow import WorkflowRunner
@@ -27,6 +28,12 @@ from repro.workloads import (
     build_pyflextrkr,
     prepare_pyflextrkr_inputs,
 )
+
+
+def advice(mapper, code):
+    """One advisory rule's findings over a run's profiles."""
+    report = lint_profiles(list(mapper.profiles.values()), ADVISORY)
+    return [f for f in report.findings if f.code == code]
 
 
 def run_workload(build_fn, params, prepare=None, n_nodes=2):
@@ -88,21 +95,17 @@ class TestPyflextrkr:
 
     def test_diagnostics_find_paper_observations(self, run):
         (result, mapper, cluster), params = run
-        report = diagnose(mapper.profiles.values(),
-                          min_datasets=8, late_fraction=0.2)
-        kinds = {i.kind for i in report.insights}
-        assert InsightKind.DATA_REUSE in kinds
-        assert InsightKind.DATA_SCATTERING in kinds
-        assert InsightKind.WRITE_AFTER_READ in kinds
+        report = lint_profiles(list(mapper.profiles.values()), ADVISORY)
+        codes = {f.code for f in report.findings}
+        assert {"DY701", "DY706", "DY702"} <= codes  # reuse, scatter, WAR
         # Terrain files only needed at stage 6 -> time-dependent inputs.
-        tdi = report.by_kind(InsightKind.TIME_DEPENDENT_INPUT)
-        assert any("terrain" in i.subject for i in tdi)
+        tdi = [f for f in report.findings if f.code == "DY704"]
+        assert any("terrain" in f.subject for f in tdi)
 
     def test_scattering_in_speed_files(self, run):
         (result, mapper, cluster), params = run
-        report = diagnose(mapper.profiles.values(), min_datasets=8)
-        scattering = report.by_kind(InsightKind.DATA_SCATTERING)
-        assert any("speed_stats" in i.subject for i in scattering)
+        scattering = advice(mapper, "DY706")
+        assert any("speed_stats" in f.subject for f in scattering)
 
 
 class TestDdmd:
@@ -162,21 +165,18 @@ class TestDdmd:
 
     def test_embeddings_read_after_write(self, run):
         (result, mapper, cluster), params = run
-        report = diagnose(mapper.profiles.values())
-        raw = report.by_kind(InsightKind.READ_AFTER_WRITE)
-        assert any("embeddings-epoch-5" in i.subject for i in raw)
+        raw = advice(mapper, "DY703")
+        assert any("embeddings-epoch-5" in f.subject for f in raw)
 
     def test_partial_file_access_detected(self, run):
         (result, mapper, cluster), params = run
-        report = diagnose(mapper.profiles.values())
-        partial = report.by_kind(InsightKind.PARTIAL_FILE_ACCESS)
-        assert any("contact_map" in i.subject and "aggregated" in i.subject
-                   for i in partial)
+        partial = advice(mapper, "DY707")
+        assert any("contact_map" in f.subject and "aggregated" in f.subject
+                   for f in partial)
 
     def test_metadata_overhead_detected_for_chunked_small(self, run):
         (result, mapper, cluster), params = run
-        report = diagnose(mapper.profiles.values())
-        assert report.by_kind(InsightKind.METADATA_OVERHEAD)
+        assert advice(mapper, "DY708")
 
     def test_multi_iteration(self):
         params = DdmdParams(n_sim_tasks=2, frames=16, epochs=2, iterations=2)
@@ -221,9 +221,8 @@ class TestArldm:
 
     def test_vlen_layout_insight(self, run):
         (result, mapper, cluster), params = run
-        report = diagnose(mapper.profiles.values())
-        vlen = report.by_kind(InsightKind.VLEN_LAYOUT)
-        assert any("image0" in i.subject for i in vlen)
+        vlen = advice(mapper, "DY105")
+        assert any("image0" in f.subject for f in vlen)
 
     def test_chunked_variant_halves_writes(self):
         def writes(layout):
@@ -290,8 +289,7 @@ class TestCornerCase:
                                   read_repeats=0)
         result, mapper, cluster = run_workload(build_corner_case, params,
                                                n_nodes=1)
-        report = diagnose(mapper.profiles.values())
-        assert report.by_kind(InsightKind.DATA_SCATTERING)
+        assert advice(mapper, "DY706")
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
