@@ -13,7 +13,7 @@ into a correct FTG.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 import networkx as nx
 
@@ -21,6 +21,8 @@ from repro.mapper.mapper import TaskProfile
 
 __all__ = [
     "dependency_dag",
+    "dag_from_first_access",
+    "note_first",
     "find_dependency_cycle",
     "infer_task_order",
     "CyclicDependencyError",
@@ -59,35 +61,48 @@ def dependency_dag(profiles: Sequence[TaskProfile]) -> nx.DiGraph:
     write the same file: only writes that *precede* another task's first
     read of the file create an edge.
     """
-    g = nx.DiGraph()
+    # Per file: task -> first write time and task -> first read time.
+    writes: Dict[str, Dict[str, float]] = defaultdict(dict)
+    reads: Dict[str, Dict[str, float]] = defaultdict(dict)
     for p in profiles:
-        g.add_node(p.task)
-
-    # Per file: (task, first_write_time) and (task, first_read_time).
-    writes: Dict[str, List[Tuple[str, float]]] = defaultdict(list)
-    reads: Dict[str, List[Tuple[str, float]]] = defaultdict(list)
-    for p in profiles:
-        per_file_write: Dict[str, float] = {}
-        per_file_read: Dict[str, float] = {}
         for s in p.dataset_stats:
             if s.first_start is None:
                 continue
             if s.writes:
-                cur = per_file_write.get(s.file)
-                per_file_write[s.file] = (
-                    s.first_start if cur is None else min(cur, s.first_start))
+                note_first(writes[s.file], p.task, s.first_start)
             if s.reads:
-                cur = per_file_read.get(s.file)
-                per_file_read[s.file] = (
-                    s.first_start if cur is None else min(cur, s.first_start))
-        for file, t in per_file_write.items():
-            writes[file].append((p.task, t))
-        for file, t in per_file_read.items():
-            reads[file].append((p.task, t))
+                note_first(reads[s.file], p.task, s.first_start)
+    return dag_from_first_access([p.task for p in profiles], writes, reads)
 
-    for file, readers in reads.items():
-        for reader, read_time in readers:
-            for writer, write_time in writes.get(file, []):
+
+def note_first(per_task: Dict[str, float], task: str, t: float) -> bool:
+    """Lower ``per_task[task]`` to ``t``; True when the entry changed."""
+    cur = per_task.get(task)
+    if cur is None or t < cur:
+        per_task[task] = t
+        return True
+    return False
+
+
+def dag_from_first_access(
+    tasks: Iterable[str],
+    first_write: Mapping[str, Mapping[str, float]],
+    first_read: Mapping[str, Mapping[str, float]],
+) -> nx.DiGraph:
+    """The dependency DAG from per-file first-access times.
+
+    ``first_write[file][task]`` / ``first_read[file][task]`` is when the
+    task first touched an object of ``file`` that it wrote / read (the
+    object's first operation of any kind).  :func:`dependency_dag` derives
+    these from finished profiles; streaming lint keeps them up to date
+    from live operations, so both see the same graph.
+    """
+    g = nx.DiGraph()
+    g.add_nodes_from(tasks)
+    for file, readers in first_read.items():
+        writers = first_write.get(file, {})
+        for reader, read_time in readers.items():
+            for writer, write_time in writers.items():
                 if writer != reader and write_time < read_time:
                     g.add_edge(writer, reader, file=file)
     return g

@@ -7,7 +7,9 @@ touched which bytes of which object, at which layer, when.  Digests are
 built per profile (:func:`summarize_profile`), so
 :class:`~repro.analyzer.parallel.ParallelAnalyzer` can compute them in the
 same worker processes that shard graph construction, and only the small
-summaries travel back for the cross-task join.
+summaries travel back for the cross-task join.  Streaming lint
+(:mod:`repro.monitor.streamlint`) folds live operations into the same
+digests through :func:`fold_record`.
 
 Two precision tiers, decided per profile:
 
@@ -42,6 +44,7 @@ __all__ = [
     "WorkflowIndex",
     "OrderingInfo",
     "merge_extents",
+    "fold_record",
     "extents_overlap",
     "summarize_profile",
     "build_index",
@@ -147,6 +150,44 @@ class ProfileSummary:
     exact: bool = True
 
 
+def fold_record(acc: ObjectAccess, rec, io_class: IoClass) -> None:
+    """Fold one operation on ``acc``'s object into the digest.
+
+    ``rec`` is a saved :class:`~repro.vfd.tracing.VfdIoRecord` or a live
+    :class:`~repro.monitor.events.VfdOp` (both carry ``op``, ``offset``,
+    ``nbytes`` and ``start``); ``io_class`` is its I/O class.  Extents are
+    appended unmerged — callers merge them with :func:`merge_extents`.
+    """
+    if io_class is not IoClass.RAW:
+        # Object-scoped metadata traffic (resize updates the shape
+        # message, shape queries read it) — tracked for DY503.
+        if rec.op == "write":
+            acc.meta_writes += 1
+            if acc.first_meta_write is None or \
+                    rec.start < acc.first_meta_write:
+                acc.first_meta_write = rec.start
+        else:
+            acc.meta_reads += 1
+        return
+    extent = (rec.offset, rec.offset + rec.nbytes)
+    if rec.op == "read":
+        acc.raw_reads += 1
+        acc.raw_read_bytes += rec.nbytes
+        acc.read_extents.append(extent)
+        if acc.first_raw_read is None or rec.start < acc.first_raw_read:
+            acc.first_raw_read = rec.start
+        if acc.last_raw_read is None or rec.start > acc.last_raw_read:
+            acc.last_raw_read = rec.start
+    else:
+        acc.raw_writes += 1
+        acc.raw_write_bytes += rec.nbytes
+        acc.write_extents.append(extent)
+        if acc.first_raw_write is None or rec.start < acc.first_raw_write:
+            acc.first_raw_write = rec.start
+        if acc.last_raw_write is None or rec.start > acc.last_raw_write:
+            acc.last_raw_write = rec.start
+
+
 def _summary_from_records(profile: TaskProfile,
                           summary: ProfileSummary) -> None:
     for rec in profile.io_records:
@@ -161,34 +202,7 @@ def _summary_from_records(profile: TaskProfile,
             acc = ObjectAccess(task=profile.task, file=rec.file,
                                data_object=obj)
             summary.objects[key] = acc
-        if rec.access_type is not IoClass.RAW:
-            # Object-scoped metadata traffic (resize updates the shape
-            # message, shape queries read it) — tracked for DY503.
-            if rec.op == "write":
-                acc.meta_writes += 1
-                if acc.first_meta_write is None or \
-                        rec.start < acc.first_meta_write:
-                    acc.first_meta_write = rec.start
-            else:
-                acc.meta_reads += 1
-            continue
-        extent = (rec.offset, rec.offset + rec.nbytes)
-        if rec.op == "read":
-            acc.raw_reads += 1
-            acc.raw_read_bytes += rec.nbytes
-            acc.read_extents.append(extent)
-            if acc.first_raw_read is None or rec.start < acc.first_raw_read:
-                acc.first_raw_read = rec.start
-            if acc.last_raw_read is None or rec.start > acc.last_raw_read:
-                acc.last_raw_read = rec.start
-        else:
-            acc.raw_writes += 1
-            acc.raw_write_bytes += rec.nbytes
-            acc.write_extents.append(extent)
-            if acc.first_raw_write is None or rec.start < acc.first_raw_write:
-                acc.first_raw_write = rec.start
-            if acc.last_raw_write is None or rec.start > acc.last_raw_write:
-                acc.last_raw_write = rec.start
+        fold_record(acc, rec, rec.access_type)
 
 
 def _summary_from_stats(profile: TaskProfile, summary: ProfileSummary,

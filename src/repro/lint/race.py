@@ -87,7 +87,8 @@ class RaceContext:
     """Everything the DY5xx rules see: digests plus the two orderings.
 
     Attributes:
-        mode: ``"trace"`` (post-hoc) or ``"static"`` (pre-run).
+        mode: ``"trace"`` (post-hoc), ``"static"`` (pre-run) or
+            ``"stream"`` (mid-run, :mod:`repro.monitor.streamlint`).
         index: The cross-task access join — traced digests post-hoc,
             contract-synthesized ones pre-run.
         dep: Dependency-only happens-before (graph-backed; witnesses

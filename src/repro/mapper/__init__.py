@@ -39,6 +39,7 @@ from repro.mapper.persist import (
     load_profiles_from_dir,
     load_profiles_from_host_dir,
     load_profiles_path,
+    MalformedJsonTrace,
     profile_from_json_dict,
     RetiredTraceFormat,
     sniff_trace_format,
@@ -65,6 +66,7 @@ __all__ = [
     "sniff_trace_format",
     "UnknownTraceFormat",
     "RetiredTraceFormat",
+    "MalformedJsonTrace",
     "TRACE_READ_ERRORS",
     "CorruptTrace",
     "COLUMNAR_TRACE_SUFFIX",

@@ -17,9 +17,10 @@ Everything else in this repository is post-hoc: tracers write
   at any sim-clock instant, byte-identical to the post-hoc build at
   completion) and maintains per-interval bytes/ops/latency series keyed
   by ``(task, dataset)`` — the paper's temporal axis.
-- :mod:`~repro.monitor.streamlint` — streaming lint: a bounded-state
-  subset of the DY2xx/DY3xx rules evaluated online, raising alerts
-  mid-run with the same fingerprints as the batch engine.
+- :mod:`~repro.monitor.streamlint` — streaming lint: the registered
+  DY2xx (and opt-in DY501–503) rule bodies run online over incrementally
+  folded access digests, plus DY302's record check, raising alerts
+  mid-run with the batch engine's wording and fingerprints.
 - :mod:`~repro.monitor.export` — counters/gauges/histograms rendered as
   Prometheus text exposition or JSON snapshots.
 - :mod:`~repro.monitor.monitor` — :class:`WorkflowMonitor`, the facade

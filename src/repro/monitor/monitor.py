@@ -11,7 +11,7 @@ subscribers onto it —
   when this subscriber drops or samples);
 - ``streamlint`` — the :class:`~repro.monitor.streamlint.StreamLint`
   engine, always under the lossless *block* policy so its happens-before
-  mirror sees every recorded operation;
+  oracle sees every recorded operation;
 - ``metrics`` — feeds the :class:`~repro.monitor.export.MetricsRegistry`
   (counters/gauges/histograms for the Prometheus/JSON exporters).
 
@@ -60,11 +60,9 @@ class MonitorConfig:
     page_size: int = 4096
     #: Bound on kept dynamics intervals per (task, dataset) key.
     max_windows_per_key: Optional[int] = None
-    #: Extent-list cap per (task, dataset) in streaming lint.
-    max_extents_per_access: int = 64
     #: Evaluate the streaming lint rules.
     stream_lint: bool = True
-    #: Also stream the opt-in DY501/502/503 happens-before race mirrors
+    #: Also stream the opt-in DY501/502/503 happens-before race rules
     #: (the DY5xx family is opt-in batch-side too; DY504/505 never stream).
     stream_races: bool = False
 
@@ -95,12 +93,9 @@ class WorkflowMonitor:
         self._user_on_alert = on_alert
         self.streamlint: Optional[StreamLint] = None
         if cfg.stream_lint:
-            self.streamlint = StreamLint(
-                max_extents_per_access=cfg.max_extents_per_access,
-                on_alert=self._alert_raised,
-                races=cfg.stream_races,
-            )
-            # Lossless: the happens-before mirror must see every recorded
+            self.streamlint = StreamLint(on_alert=self._alert_raised,
+                                         races=cfg.stream_races)
+            # Lossless: the happens-before oracle must see every recorded
             # operation to keep fingerprints aligned with the batch engine.
             self.bus.subscribe(
                 "streamlint", self.streamlint.handle,

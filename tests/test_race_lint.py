@@ -306,7 +306,7 @@ class TestParallelIdentity:
 
 
 # ----------------------------------------------------------------------
-# Streaming mirrors
+# Streaming
 # ----------------------------------------------------------------------
 class TestStreamingRaces:
     def test_streamed_subset_of_batch(self, racy_run):
