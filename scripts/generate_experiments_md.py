@@ -187,8 +187,8 @@ def main() -> None:
         "(`repro.mapper.columnar`, `dayu-compact`).  Each workload's\n"
         "per-task row traces are compacted into one footer-indexed\n"
         "`.dayuc` run file; the columnar pass mmaps it, builds FTG+SDG\n"
-        "from the stats column chunks and lints with page-stat predicate\n"
-        "pushdown.  Graphs and lint fingerprints must be byte-identical\n"
+        "from the stats column chunks and lints the run's profiles.\n"
+        "Graphs and lint fingerprints must be byte-identical\n"
         "to the row path on every workload (the CI `columnar-smoke`\n"
         "gate); `BENCH_columnar.json` holds the synthetic ~1k-node gate\n"
         "(>=10x vs. the seed JSON pipeline).")

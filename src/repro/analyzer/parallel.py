@@ -193,14 +193,18 @@ class ParallelAnalyzer:
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def load(self, directory: str,
+    def load(self, source: str,
              trace_format: str = "auto") -> List[TaskProfile]:
-        """Load every saved profile under a host directory, in parallel,
-        ordered by task start time (execution order).  Formats are
-        detected from magic bytes, so mixed directories work without
-        flags; ``trace_format`` restricts to one format when given.
-        Columnar run files are flattened into their profiles."""
-        paths = trace_paths(directory, trace_format=trace_format)
+        """Load every saved profile under a host directory, or in one
+        trace file, in parallel, ordered by task start time (execution
+        order).  Formats are detected from magic bytes, so mixed
+        directories work without flags; ``trace_format`` restricts a
+        directory to one format when given.  Columnar run files are
+        flattened into their profiles."""
+        if os.path.isfile(source):
+            paths = [source]
+        else:
+            paths = trace_paths(source, trace_format=trace_format)
         loaded = self._fan_out(
             partial(_load_shard, with_io_records=self.with_io_records),
             self._chunks(paths),
@@ -325,214 +329,26 @@ class ParallelAnalyzer:
         stats_out: Optional[dict] = None,
         attempts: Optional[Dict[str, int]] = None,
     ) -> "LintReport":
-        """Lint columnar traces with page-stats predicate pushdown.
+        """:meth:`lint` over the profiles of a trace file or directory
+        (e.g. a compacted ``.dayuc`` run), loaded in start order.
 
-        ``source`` is a ``.dayuc`` file (single trace or compacted run)
-        or a directory of them.  Rules that declare a ``pushdown``
-        predicate are skipped — per group for profile-scoped rules, for
-        the whole run for workflow-scoped ones — whenever the chunk
-        footer statistics prove they cannot fire; the surviving rules see
-        exactly what :meth:`lint` would show them, so the report (and its
-        finding fingerprints) is identical to the row path's.  When every
-        workflow rule is pruned the cross-task index and happens-before
-        ordering are never built at all.
-
-        Runs in-process: the whole point is to *not* touch most of the
-        data, so there is nothing worth shipping to a pool.  Pass
-        ``stats_out`` (a dict) to receive skip counters.
+        Pass ``stats_out`` (a dict) to receive ``rules_evaluated`` (rule
+        evaluations run), ``n_groups`` (profiles linted) and
+        ``rules_skipped`` (always 0: every enabled rule runs).
         """
-        import os as _os
-
-        from repro.lint.context import (
-            build_index,
-            compute_ordering,
-            summarize_profile,
-        )
-        from repro.lint.engine import LintReport
-        from repro.lint.findings import Finding
         from repro.lint.rules import LintConfig
-        from repro.mapper.columnar import (
-            COLUMNAR_TRACE_SUFFIX,
-            GroupStatsView,
-            RunReader,
-            RunStatsView,
-        )
 
         config = config or LintConfig()
-        if _os.path.isdir(source):
-            paths = sorted(
-                _os.path.join(source, name)
-                for name in _os.listdir(source)
-                if name.endswith(COLUMNAR_TRACE_SUFFIX))
-        else:
-            paths = [source]
-        readers = [RunReader.open(p) for p in paths]
-        try:
-            groups = sorted((g for r in readers for g in r.groups),
-                            key=lambda g: g.start)
-            profile_rules = config.enabled_rules(scope="profile")
-            evaluated = skipped = 0
-            run_view = RunStatsView.over(groups)
-            surviving = []
-            for r in config.enabled_rules(scope="workflow"):
-                if r.pushdown is not None and not r.pushdown(run_view,
-                                                             config):
-                    skipped += 1
-                else:
-                    surviving.append(r)
-            # Race-scoped rules push down over the same whole-run view:
-            # a run whose page statistics show no two tasks ever wrote
-            # the same data object cannot hold a DY501, etc.
-            surviving_race = []
-            for r in config.enabled_rules(scope="race"):
-                if r.pushdown is not None and not r.pushdown(run_view,
-                                                             config):
-                    skipped += 1
-                else:
-                    surviving_race.append(r)
-            need_summaries = bool(surviving or surviving_race)
-            findings: List = []
-            profiles = []
-            summaries = []
-            for group in groups:
-                profile = group.to_profile(
-                    with_io_records=self.with_io_records)
-                profiles.append(profile)
-                if need_summaries:
-                    summaries.append(
-                        summarize_profile(profile, config.page_size))
-                view = GroupStatsView(group)
-                for r in profile_rules:
-                    if r.pushdown is not None and not r.pushdown(view,
-                                                                 config):
-                        skipped += 1
-                        continue
-                    evaluated += 1
-                    findings.extend(r.check(profile, config))
-            if surviving:
-                index = build_index(summaries, profiles)
-                ordering = compute_ordering(profiles)
-                for r in surviving:
-                    evaluated += 1
-                    findings.extend(r.check(index, ordering, config))
-            if surviving_race:
-                from repro.lint.race import build_trace_race_context
+        profiles = self.load(source)
+        if stats_out is not None:
+            def n_rules(scope: str) -> int:
+                return len(config.enabled_rules(scope=scope))
 
-                ctx = build_trace_race_context(profiles, config,
-                                               summaries=summaries,
-                                               attempts=attempts)
-                for r in surviving_race:
-                    evaluated += 1
-                    findings.extend(r.check(ctx, config))
-            if stats_out is not None:
-                stats_out["rules_evaluated"] = evaluated
-                stats_out["rules_skipped"] = skipped
-                stats_out["ordering_built"] = bool(surviving)
-                stats_out["n_groups"] = len(groups)
-            findings.sort(key=Finding.sort_key)
-            return LintReport(findings=findings,
-                              tasks=sorted(p.task for p in profiles))
-        finally:
-            for r in readers:
-                r.close()
-
-    def diff_run(
-        self,
-        source: str,
-        contracts: Dict[str, object],
-        config: Optional["LintConfig"] = None,
-        stats_out: Optional[dict] = None,
-        cost=None,
-    ) -> "LintReport":
-        """Drift (and cost-prophet) linting over columnar traces.
-
-        The columnar sibling of :meth:`diff`: joins a ``.dayuc`` run (or
-        a directory of them) against ``contracts`` through the DY45x
-        drift rules.  When ``cost`` — a
-        :class:`~repro.lint.cost.CostContext` — is supplied, the DY60x
-        predicted-performance findings are appended and the DY65x
-        prediction-drift rules run against the traced groups, with
-        their pushdown predicates evaluated over the run footer view:
-        footers record exact spans and byte sums, so a run whose traces
-        provably match the prediction is cleared without decoding a
-        column.  Findings and fingerprints are byte-identical to the
-        row path's (:meth:`diff` plus
-        :func:`~repro.lint.engine.cost_findings`).
-
-        Runs in-process, like :meth:`lint_run`; pass ``stats_out`` (a
-        dict) to receive skip counters.
-        """
-        import os as _os
-
-        from repro.lint.context import summarize_profile
-        from repro.lint.engine import (
-            LintReport,
-            run_drift_rules,
-            run_perf_rules,
-        )
-        from repro.lint.findings import Finding
-        from repro.lint.rules import LintConfig
-        from repro.mapper.columnar import (
-            COLUMNAR_TRACE_SUFFIX,
-            RunReader,
-            RunStatsView,
-        )
-
-        config = config or LintConfig()
-        if _os.path.isdir(source):
-            paths = sorted(
-                _os.path.join(source, name)
-                for name in _os.listdir(source)
-                if name.endswith(COLUMNAR_TRACE_SUFFIX))
-        else:
-            paths = [source]
-        readers = [RunReader.open(p) for p in paths]
-        try:
-            groups = sorted((g for r in readers for g in r.groups),
-                            key=lambda g: g.start)
-            drift_rules = config.enabled_rules(scope="drift")
-            evaluated = skipped = 0
-            findings: List = []
-            profiles = []
-            for group in groups:
-                profile = group.to_profile(
-                    with_io_records=self.with_io_records)
-                profiles.append(profile)
-                summary = summarize_profile(profile, config.page_size)
-                contract = contracts.get(profile.task)
-                for r in drift_rules:
-                    evaluated += 1
-                    findings.extend(r.check(summary, contract, config))
-            if cost is not None:
-                for r in config.enabled_rules(scope="perf"):
-                    evaluated += 1
-                findings.extend(run_perf_rules(cost, config))
-                run_view = RunStatsView.over(groups)
-                surviving = []
-                for r in config.enabled_rules(scope="costdrift"):
-                    if (r.pushdown is not None
-                            and not r.pushdown(run_view, config,
-                                               cost.report)):
-                        skipped += 1
-                    else:
-                        surviving.append(r)
-                if surviving:
-                    from repro.lint.cost import build_cost_drift_context
-
-                    dctx = build_cost_drift_context(cost.report, profiles)
-                    for r in surviving:
-                        evaluated += 1
-                        findings.extend(r.check(dctx, config))
-            if stats_out is not None:
-                stats_out["rules_evaluated"] = evaluated
-                stats_out["rules_skipped"] = skipped
-                stats_out["n_groups"] = len(groups)
-            findings.sort(key=Finding.sort_key)
-            return LintReport(findings=findings,
-                              tasks=sorted(p.task for p in profiles))
-        finally:
-            for r in readers:
-                r.close()
+            stats_out.update(
+                rules_evaluated=(len(profiles) * n_rules("profile")
+                                 + n_rules("workflow") + n_rules("race")),
+                rules_skipped=0, n_groups=len(profiles))
+        return self.lint(profiles, config, attempts=attempts)
 
     def diff(
         self,

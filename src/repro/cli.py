@@ -224,7 +224,7 @@ def analyze_main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument("traces",
                         help="directory of saved task profiles "
-                             "(*.json and/or *.dayuc)")
+                             "(*.json and/or *.dayuc), or one trace file")
     parser.add_argument("--out", default="graphs",
                         help="output directory for HTML/DOT graphs")
     parser.add_argument("--trace-format",

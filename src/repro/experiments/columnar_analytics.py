@@ -170,7 +170,7 @@ def run_workload_table(
         notes=["Row path: serial load of per-task traces with per-op "
                "records + graph build + lint.  Columnar path: mmap one "
                "compacted run file, build graphs from stats columns, "
-               "lint with page-stat pushdown."],
+               "lint the run's profiles."],
     )
     try:
         for name in names:

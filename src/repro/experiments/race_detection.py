@@ -8,8 +8,7 @@ workload, in all three modes:
   under its seeded fault spec with retries, so the DY505 attempt
   history is real);
 - **columnar** — the same run compacted to one ``.dayuc`` file and
-  linted through the page-stat pushdown path, asserted byte-identical
-  to the row report;
+  linted with ``lint_run``, asserted byte-identical to the row report;
 - **static** — the workflow *definition* linted pre-run from its
   access contracts, no execution at all.
 
@@ -87,9 +86,7 @@ def run_workload_races(
         (Path(tmp) / "run.dayuc").write_bytes(encode_run(profiles))
         analyzer = ParallelAnalyzer(max_workers=1, with_io_records=True)
         col_report = analyzer.lint_run(tmp, config, attempts=attempts)
-        row_report = lint_profiles(
-            [p for p in analyzer.load(tmp)], config, attempts=attempts)
-    identical = col_report.to_json() == row_report.to_json()
+    identical = col_report.to_json() == trace_report.to_json()
     return (_counts(trace_report.findings), _counts(static_report.findings),
             identical, retried)
 
@@ -117,8 +114,8 @@ def run_race_detection(scale: float = 0.5) -> ResultTable:
         "racy-pipeline and corner-hazards are the seeded fixtures, "
         "everything else must stay clean.  racy-pipeline runs under its "
         "seeded fault window with retries, so DY505 sees a real attempt "
-        "history; the columnar column asserts the page-stat-pushdown "
-        "report is byte-identical to the row path.")
+        "history; the columnar column asserts the report over the "
+        "compacted run is byte-identical to the row path.")
     return table
 
 

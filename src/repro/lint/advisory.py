@@ -35,8 +35,7 @@ operation, per-session sequential fraction) that the cross-task digests
 do not carry, from :attr:`~repro.lint.context.WorkflowIndex.profiles`.
 Every rule walks those profiles in execution order — ``(span.start,
 task)`` unless the caller passes a recovered ``task_order`` — so serial,
-sharded and columnar runs see one sequence.  None has a pushdown
-predicate: footer statistics cannot bound these shapes.
+sharded and columnar runs see one sequence.
 """
 
 from __future__ import annotations

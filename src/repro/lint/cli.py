@@ -28,12 +28,12 @@ mode — post-hoc over row or columnar traces, or pre-run with
 'DY6*'``): with ``--static`` the DY60x predicted-performance rules run
 purely from contracts and the device/cluster cost models; with
 ``--diff`` the DY65x prediction-drift rules additionally put the
-prediction itself on trial against the traced run.  ``--pushdown``
-composes with ``--diff``: over columnar traces the DY651/DY653
-predicates clear provably-matching runs from footer statistics alone.
+prediction itself on trial against the traced run.  In every trace
+mode the traces argument may also name one trace file, such as the
+compacted run ``dayu-compact --out`` writes.
 
 Exit status (same table in every mode — plain, ``--static``, ``--diff``,
-``--races``, ``--pushdown``):
+``--races``):
 
 ====  ===========================================================
 code  meaning
@@ -47,7 +47,6 @@ code  meaning
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List
 
@@ -64,7 +63,7 @@ def _parse_args(argv):
     )
     parser.add_argument("traces", nargs="?",
                         help="directory of saved task profiles "
-                             "(*.json and/or *.dayuc)")
+                             "(*.json and/or *.dayuc), or one trace file")
     parser.add_argument("--static", metavar="WORKLOAD", dest="static",
                         help="lint a bundled workflow definition pre-run "
                              "(DY40x contract rules; no traces read)")
@@ -126,18 +125,11 @@ def _parse_args(argv):
                         help="load per-operation records for byte-exact "
                              "extents and the full DY3xx sanitizer "
                              "(slower on large traces)")
-    parser.add_argument("--pushdown", action="store_true",
-                        help="columnar traces only: skip rules whose page "
-                             "statistics prove they cannot fire, without "
-                             "decoding the chunks (same findings, same "
-                             "fingerprints)")
     parser.add_argument("--list-rules", action="store_true",
                         help="list every registered rule and exit")
     args = parser.parse_args(argv)
     if args.static and args.diff:
         parser.error("--static and --diff are mutually exclusive")
-    if args.pushdown and args.static:
-        parser.error("--pushdown applies to trace linting only")
     if args.cost and not (args.static or args.diff):
         parser.error("--cost needs a workflow's contracts: "
                      "use --static or --diff")
@@ -271,46 +263,6 @@ def lint_main(argv: List[str] | None = None) -> int:
                 key=Finding.sort_key)
         else:
             report = lint_workflow(built[0], config)
-    elif args.pushdown:
-        from repro.analyzer import ParallelAnalyzer
-
-        analyzer = ParallelAnalyzer(max_workers=args.jobs,
-                                    with_io_records=args.with_io_records)
-        pd_stats: dict = {}
-        try:
-            if args.diff:
-                from repro.lint import extract_workflow_contracts
-
-                built = _workload(args.diff)
-                if built is None:
-                    return 2
-                wc = extract_workflow_contracts(built[0])
-                if args.cost:
-                    cost_ctx = _cost_context(built[0], wc)
-                report = analyzer.diff_run(args.traces, wc.effective(),
-                                           config, stats_out=pd_stats,
-                                           cost=cost_ctx)
-            else:
-                report = analyzer.lint_run(args.traces, config,
-                                           stats_out=pd_stats,
-                                           attempts=attempts)
-        except TRACE_READ_ERRORS as exc:
-            print(f"dayu-lint: {exc}", file=sys.stderr)
-            return 2
-        if not pd_stats.get("n_groups"):
-            from repro.cli_common import diagnose_traces_dir
-
-            if os.path.isdir(args.traces) or os.path.isfile(args.traces):
-                print(f"dayu-lint: no columnar profiles found in "
-                      f"{args.traces!r} (--pushdown reads *.dayuc traces)",
-                      file=sys.stderr)
-            else:
-                print(f"dayu-lint: {diagnose_traces_dir(args.traces)}",
-                      file=sys.stderr)
-            return 2
-        print(f"pushdown: {pd_stats['rules_skipped']} rule evaluation(s) "
-              f"skipped, {pd_stats['rules_evaluated']} run across "
-              f"{pd_stats['n_groups']} profile(s)", file=sys.stderr)
     else:
         from repro.analyzer import ParallelAnalyzer
 
@@ -328,17 +280,13 @@ def lint_main(argv: List[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
         if args.diff:
-            from repro.lint import diff_profiles, extract_workflow_contracts
+            from repro.lint import extract_workflow_contracts
 
             built = _workload(args.diff)
             if built is None:
                 return 2
             wc = extract_workflow_contracts(built[0])
-            contracts = wc.effective()
-            if args.jobs > 1:
-                report = analyzer.diff(profiles, contracts, config)
-            else:
-                report = diff_profiles(profiles, contracts, config)
+            report = analyzer.diff(profiles, wc.effective(), config)
             if args.cost:
                 from repro.lint.engine import cost_findings
                 from repro.lint.findings import Finding

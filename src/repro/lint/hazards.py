@@ -27,52 +27,6 @@ from repro.lint.rules import LintConfig, rule
 __all__ = []  # rules register themselves; nothing to import by name
 
 
-# ----------------------------------------------------------------------
-# Columnar page-stats predicates (``LintRule.pushdown``)
-#
-# All hazards need at least two groups touching a shared file with the
-# right read/write mix; the distinct-file page stats answer that from
-# footers alone.  Conservative by construction: page stats count metadata
-# operations too, so "this group wrote" over-approximates "raw-wrote",
-# and any unknown statistic yields True.
-# ----------------------------------------------------------------------
-def _reader_writer_pushdown(run, config: LintConfig) -> bool:
-    """A reading group and a writing group share a file (RAW/WAR races,
-    and the producer→consumer edges a dependency cycle is made of)."""
-    prior_read: set = set()
-    prior_write: set = set()
-    for g in run.groups:
-        reads = g.int_sum("stats", "reads")
-        writes = g.int_sum("stats", "writes")
-        files = g.distinct("stats", "file")
-        if reads is None or writes is None or files is None:
-            return True
-        if writes and (files & prior_read):
-            return True
-        if reads and (files & prior_write):
-            return True
-        if reads:
-            prior_read |= files
-        if writes:
-            prior_write |= files
-    return False
-
-
-def _double_writer_pushdown(run, config: LintConfig) -> bool:
-    """Two distinct groups write into a shared file (WAW / aliasing)."""
-    prior_write: set = set()
-    for g in run.groups:
-        writes = g.int_sum("stats", "writes")
-        files = g.distinct("stats", "file")
-        if writes is None or files is None:
-            return True
-        if writes:
-            if files & prior_write:
-                return True
-            prior_write |= files
-    return False
-
-
 def _racing_pairs(accs: List[ObjectAccess], ordering: OrderingInfo,
                   first_kind: str, second_kind: str):
     """Unordered task pairs where one side did ``first_kind`` raw access
@@ -107,8 +61,7 @@ def _classified_read_write_races(index: WorkflowIndex,
 @rule("DY201", "read-after-write-race", Severity.ERROR, "workflow",
       "A task reads a dataset another task wrote, with no happens-before "
       "path between them — under reordering the read can observe a "
-      "partial or missing write (RAW race).",
-      pushdown=_reader_writer_pushdown)
+      "partial or missing write (RAW race).")
 def _raw_race(index: WorkflowIndex, ordering: OrderingInfo,
               config: LintConfig) -> Iterator[Finding]:
     for kind, file, obj, writer, reader in _classified_read_write_races(
@@ -131,8 +84,7 @@ def _raw_race(index: WorkflowIndex, ordering: OrderingInfo,
 @rule("DY202", "write-after-read-race", Severity.ERROR, "workflow",
       "A task overwrites a dataset another task read, with no "
       "happens-before path between them — under reordering the write can "
-      "clobber the data before it is consumed (WAR race).",
-      pushdown=_reader_writer_pushdown)
+      "clobber the data before it is consumed (WAR race).")
 def _war_race(index: WorkflowIndex, ordering: OrderingInfo,
               config: LintConfig) -> Iterator[Finding]:
     for kind, file, obj, writer, reader in _classified_read_write_races(
@@ -157,8 +109,7 @@ def _war_race(index: WorkflowIndex, ordering: OrderingInfo,
       "Two tasks write the same dataset with no happens-before path "
       "between them — the surviving content depends on scheduling (WAW "
       "race).  Downgraded to a warning when their byte extents are "
-      "provably disjoint (collective partial-write pattern).",
-      pushdown=_double_writer_pushdown)
+      "provably disjoint (collective partial-write pattern).")
 def _double_write(index: WorkflowIndex, ordering: OrderingInfo,
                   config: LintConfig) -> Iterator[Finding]:
     for (file, obj), accs in sorted(index.by_object.items()):
@@ -199,8 +150,7 @@ def _double_write(index: WorkflowIndex, ordering: OrderingInfo,
 @rule("DY204", "cross-object-write-overlap", Severity.ERROR, "workflow",
       "Unordered tasks write byte ranges that alias across *different* "
       "objects in the same file (e.g. reallocated space or a shared "
-      "chunk) — silent corruption under reordering.",
-      pushdown=_double_writer_pushdown)
+      "chunk) — silent corruption under reordering.")
 def _cross_object_overlap(index: WorkflowIndex, ordering: OrderingInfo,
                           config: LintConfig) -> Iterator[Finding]:
     by_file = {}
@@ -240,8 +190,7 @@ def _cross_object_overlap(index: WorkflowIndex, ordering: OrderingInfo,
 
 @rule("DY205", "dependency-cycle", Severity.ERROR, "workflow",
       "The producer→consumer relations recovered from the traces form a "
-      "cycle; no execution order is consistent with the dataflow.",
-      pushdown=_reader_writer_pushdown)
+      "cycle; no execution order is consistent with the dataflow.")
 def _dependency_cycle(index: WorkflowIndex, ordering: OrderingInfo,
                       config: LintConfig) -> Iterator[Finding]:
     if ordering.cycle:

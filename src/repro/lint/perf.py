@@ -10,9 +10,6 @@ The DY65x rules (scope ``costdrift``) close the loop: once a run *has*
 been traced, the prediction itself goes on trial.  A task whose traced
 duration or byte volume disagrees with its predicted cost by a large
 factor is a finding — the performance mirror of DY45x contract drift.
-DY651/DY653 carry columnar pushdown predicates: group footers record
-exact spans and exact byte sums, so whole runs whose traces provably
-match their predictions are cleared without decoding a single column.
 
 Thresholds live on :class:`~repro.lint.rules.LintConfig` (the
 ``cost_*``, ``imbalance_factor``, ``locality_min_fraction``, and
@@ -23,9 +20,9 @@ hazards are noise at workflow scale.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
-from repro.lint.cost import CostContext, CostDriftContext, CostReport
+from repro.lint.cost import CostContext, CostDriftContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import LintConfig, rule
 from repro.storage.devices import DEVICE_CATALOG, predicted_cost
@@ -274,33 +271,11 @@ def _drifted(predicted: float, actual: float, factor: float,
     return lo <= 0 or hi >= factor * lo
 
 
-def _duration_drift_possible(task: Optional[str], duration: float,
-                             report: CostReport,
-                             config: LintConfig) -> bool:
-    if task is None:
-        return True  # unknown task: must evaluate
-    tc = report.tasks.get(task)
-    if tc is None:
-        return False  # unpredicted tasks never fire DY651
-    return _drifted(tc.total_seconds, duration, config.cost_drift_factor,
-                    config.cost_drift_min_seconds)
-
-
-def _pushdown_task_cost_drift(view, config: LintConfig,
-                              report: CostReport) -> bool:
-    """Footer spans are exact, so this predicate is too: a run is
-    cleared iff no group's span can satisfy DY651's test."""
-    return any(
-        _duration_drift_possible(g.task, max(g.end - g.start, 0.0),
-                                 report, config)
-        for g in view.groups)
-
-
 @rule("DY651", "task-cost-drift", Severity.WARNING, "costdrift",
       "A task's traced duration disagrees with its predicted cost by a "
       "large factor — the contract, the device model, or the code is "
       "wrong about this task.",
-      default_enabled=False, pushdown=_pushdown_task_cost_drift)
+      default_enabled=False)
 def _task_cost_drift(dctx: CostDriftContext,
                      config: LintConfig) -> Iterator[Finding]:
     for task in sorted(dctx.actual_durations):
@@ -357,52 +332,23 @@ def _makespan_drift(dctx: CostDriftContext,
     )
 
 
-def _volume_drift_possible(task: Optional[str],
-                           traced: Optional[Tuple[int, int]],
-                           report: CostReport,
-                           config: LintConfig) -> bool:
-    if task is None or traced is None:
-        return True  # unknown stats: must evaluate
-    tc = report.tasks.get(task)
-    if tc is None:
-        return False
-    predicted = tc.read_bytes + tc.write_bytes
-    actual = traced[0] + traced[1]
-    hi, lo = max(predicted, actual), min(predicted, actual)
-    if hi - lo < config.cost_drift_min_bytes:
-        return False
-    return lo <= 0 or hi >= config.cost_drift_factor * lo
-
-
-def _pushdown_volume_drift(view, config: LintConfig,
-                           report: CostReport) -> bool:
-    """Exact when footers carry byte sums; conservative otherwise."""
-    def traced(g) -> Optional[Tuple[int, int]]:
-        br = g.int_sum("stats", "bytes_read")
-        bw = g.int_sum("stats", "bytes_written")
-        if br is None or bw is None:
-            return None
-        return br, bw
-
-    return any(
-        _volume_drift_possible(g.task, traced(g), report, config)
-        for g in view.groups)
-
-
 @rule("DY653", "traced-volume-drift", Severity.WARNING, "costdrift",
       "A task moved a very different byte volume than its contract "
       "predicted — element counts or dtypes in the contract are stale.",
-      default_enabled=False, pushdown=_pushdown_volume_drift)
+      default_enabled=False)
 def _traced_volume_drift(dctx: CostDriftContext,
                          config: LintConfig) -> Iterator[Finding]:
     for task in sorted(dctx.actual_bytes):
-        if not _volume_drift_possible(task, dctx.actual_bytes[task],
-                                      dctx.report, config):
+        tc = dctx.report.tasks.get(task)
+        if tc is None:
             continue
-        tc = dctx.report.tasks[task]
         predicted = tc.read_bytes + tc.write_bytes
         br, bw = dctx.actual_bytes[task]
         actual = br + bw
+        hi, lo = max(predicted, actual), min(predicted, actual)
+        if (hi - lo < config.cost_drift_min_bytes
+                or (lo > 0 and hi < config.cost_drift_factor * lo)):
+            continue
         yield Finding(
             code="DY653", rule="traced-volume-drift",
             severity=Severity.WARNING,

@@ -68,7 +68,6 @@ from repro.lint.context import (
 from repro.lint.findings import Finding, Severity
 from repro.lint.hb import HbOrder, reorder_witness
 from repro.lint.rules import LintConfig, rule
-from repro.mapper.stats import FILE_METADATA_OBJECT
 
 __all__ = [
     "RaceContext",
@@ -349,55 +348,6 @@ def _race_pairs(accs: List[ObjectAccess], ctx: RaceContext,
 
 
 # ----------------------------------------------------------------------
-# Columnar page-stats pushdown (race scope sees the whole-run view)
-# ----------------------------------------------------------------------
-def _group_objects(g):
-    objs = g.distinct("stats", "data_object")
-    if objs is None:
-        return None
-    return objs - {FILE_METADATA_OBJECT}
-
-
-def _double_writer_object_pushdown(run, config: LintConfig) -> bool:
-    """Two distinct groups write rows naming a shared data object."""
-    prior: set = set()
-    for g in run.groups:
-        objs = _group_objects(g)
-        writes = g.int_sum("stats", "writes")
-        if objs is None or writes is None:
-            return True
-        if writes:
-            if objs & prior:
-                return True
-            prior |= objs
-    return False
-
-
-def _shared_object_pushdown(run, config: LintConfig) -> bool:
-    """A writing group and any other group touch a shared data object.
-
-    Conservative: page stats count metadata operations as writes too,
-    so every DY5xx precondition (data or metadata conflict) is covered;
-    any unknown statistic yields True.
-    """
-    prior_touch: set = set()
-    prior_write: set = set()
-    for g in run.groups:
-        objs = _group_objects(g)
-        writes = g.int_sum("stats", "writes")
-        if objs is None or writes is None:
-            return True
-        if objs & prior_write:
-            return True
-        if writes and (objs & prior_touch):
-            return True
-        prior_touch |= objs
-        if writes:
-            prior_write |= objs
-    return False
-
-
-# ----------------------------------------------------------------------
 # The rules
 # ----------------------------------------------------------------------
 def _conviction_evidence(ctx: RaceContext, config: LintConfig,
@@ -418,7 +368,7 @@ def _conviction_evidence(ctx: RaceContext, config: LintConfig,
       "happens-before path between them — a dataflow scheduler may run "
       "them in either order (WAW).  Provably disjoint selections "
       "downgrade to a warning.  Ships a reorder witness.",
-      default_enabled=False, pushdown=_double_writer_object_pushdown)
+      default_enabled=False)
 def _dy501(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
     for (file, obj), accs in sorted(ctx.index.by_object.items()):
         for x, y in _race_pairs(accs, ctx, "write", "write"):
@@ -445,7 +395,7 @@ def _dy501(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
       "scheduler may run the write first (or last) and change what the "
       "read observes.  Provably disjoint selections downgrade to a "
       "warning.  Ships a reorder witness.",
-      default_enabled=False, pushdown=_shared_object_pushdown)
+      default_enabled=False)
 def _dy502(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
     for (file, obj), accs in sorted(ctx.index.by_object.items()):
         for writer, reader in _race_pairs(accs, ctx, "write", "read"):
@@ -473,7 +423,7 @@ def _dy502(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
       "metadata writes, zero raw writes) is unordered against another "
       "task touching the same dataset — shape or existence changes "
       "under the toucher's feet.  Ships a reorder witness.",
-      default_enabled=False, pushdown=_shared_object_pushdown)
+      default_enabled=False)
 def _dy503(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
     for (file, obj), accs in sorted(ctx.index.by_object.items()):
         ordered = sorted(accs, key=lambda x: x.task)
@@ -531,7 +481,7 @@ def _carrier(ctx: RaceContext, before: str, after: str) -> str:
       "timing, not by dataflow dependencies.  One NOTE per workflow "
       "aggregating the must-preserve edges (dayu-sensitivity/v1) an "
       "out-of-order scheduler has to keep.",
-      default_enabled=False, pushdown=_shared_object_pushdown)
+      default_enabled=False)
 def _dy504(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
     edges: Dict[Tuple[str, str], dict] = {}
     for (file, obj), accs in sorted(ctx.index.by_object.items()):
@@ -595,7 +545,7 @@ def _dy504(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
       "replaying the lost attempt after a downstream toucher re-races "
       "the access even though the dependency DAG orders the pair.  "
       "Needs attempt history (dayu-lint --attempts).",
-      default_enabled=False, pushdown=_shared_object_pushdown)
+      default_enabled=False)
 def _dy505(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
     if not ctx.attempts:
         return

@@ -89,16 +89,6 @@ class LintRule:
         check: The rule body.  Profile scope:
             ``check(profile, config) -> findings``; workflow scope:
             ``check(index, ordering, config) -> findings``.
-        pushdown: Optional columnar page-stats predicate.  Answers "could
-            this rule possibly fire here?" from chunk footer statistics
-            alone — profile scope receives a
-            :class:`~repro.mapper.columnar.GroupStatsView`, workflow scope
-            a :class:`~repro.mapper.columnar.RunStatsView` (plus the
-            config).  ``True`` means "maybe" (evaluate the rule), ``False``
-            means "provably cannot fire" (skip it without decoding).
-            Predicates must be conservative: any unknown statistic —
-            absent column, overflowed distinct set — must yield ``True``.
-            ``None`` means the rule is always evaluated.
     """
 
     code: str
@@ -108,23 +98,17 @@ class LintRule:
     description: str
     default_enabled: bool = True
     check: Optional[Callable] = None
-    pushdown: Optional[Callable] = None
 
 
 _REGISTRY: Dict[str, LintRule] = {}
 
 
 def rule(code: str, name: str, severity: Severity, scope: str,
-         description: str, default_enabled: bool = True,
-         pushdown: Optional[Callable] = None):
+         description: str, default_enabled: bool = True):
     """Class-less registration decorator for rule check functions."""
     if scope not in ("profile", "workflow", "contract", "drift", "race",
                      "perf", "costdrift"):
         raise ValueError(f"bad rule scope {scope!r}")
-    if pushdown is not None and scope not in ("profile", "workflow", "race",
-                                              "costdrift"):
-        raise ValueError(f"pushdown predicates only apply to traced "
-                         f"scopes, not {scope!r}")
 
     def register(fn: Callable) -> Callable:
         if code in _REGISTRY:
@@ -132,7 +116,7 @@ def rule(code: str, name: str, severity: Severity, scope: str,
         _REGISTRY[code] = LintRule(
             code=code, name=name, severity=severity, scope=scope,
             description=description, default_enabled=default_enabled,
-            check=fn, pushdown=pushdown,
+            check=fn,
         )
         return fn
 

@@ -25,71 +25,6 @@ from repro.mapper.stats import FILE_METADATA_OBJECT
 __all__ = []  # rules register themselves; nothing to import by name
 
 
-# ----------------------------------------------------------------------
-# Columnar page-stats predicates (``LintRule.pushdown``)
-#
-# Each answers "could this rule fire?" from chunk footer statistics
-# alone; ``None`` from any view accessor means "unknown" and must yield
-# True.  Over-approximation is always safe — a surviving rule is simply
-# evaluated — while returning False skips the rule without decoding a
-# single column chunk.
-# ----------------------------------------------------------------------
-def _writes_pushdown(run, config: LintConfig) -> bool:
-    """Two distinct groups write into a shared file (DY101 needs an
-    ordered overwriter; any double-writer run might contain one)."""
-    prior_writers = set()
-    for g in run.groups:
-        writes = g.int_sum("stats", "writes")
-        files = g.distinct("stats", "file")
-        if writes is None or files is None:
-            return True
-        if writes:
-            if files & prior_writers:
-                return True
-            prior_writers |= files
-    return False
-
-
-def _reads_pushdown(run, config: LintConfig) -> bool:
-    """Some group read data at all — VFD raw reads or VOL element reads.
-    A run with zero reads anywhere cannot contain a phantom read."""
-    for g in run.groups:
-        reads = g.int_sum("stats", "reads")
-        elements = g.int_sum("objprofs", "elements_read")
-        if reads is None or elements is None or reads or elements:
-            return True
-    return False
-
-
-def _small_io_pushdown(view, config: LintConfig) -> bool:
-    """No object in the group reaches the DY103 operation-count floor."""
-    data_ops = view.int_max("stats", "data_ops")
-    return data_ops is None or data_ops >= config.small_io_min_ops
-
-
-def _layout_set_pushdown(run, config: LintConfig) -> bool:
-    """Fewer than two distinct layouts appear across the whole run."""
-    layouts: set = set()
-    for g in run.groups:
-        seen = g.distinct("objprofs", "layout")
-        if seen is None:
-            return True
-        layouts |= seen
-        if len(layouts) > 1:
-            return True
-    return False
-
-
-def _vlen_contiguous_pushdown(view, config: LintConfig) -> bool:
-    """The group mentions both a vlen dtype and a contiguous layout."""
-    dtypes = view.distinct("objprofs", "dtype")
-    layouts = view.distinct("objprofs", "layout")
-    if dtypes is None or layouts is None:
-        return True
-    return ("contiguous" in layouts
-            and any(d.startswith("vlen") for d in dtypes))
-
-
 def _read_windows(accs: List[ObjectAccess]) -> List[Tuple[float, float]]:
     """Each task's raw-read time window over the object."""
     out = []
@@ -104,8 +39,7 @@ def _read_windows(accs: List[ObjectAccess]) -> List[Tuple[float, float]]:
 @rule("DY101", "dead-write", Severity.WARNING, "workflow",
       "A task's write is overwritten by an ordered later task before any "
       "task reads the value — the first write is dead.  Needs byte-exact "
-      "extents (traces loaded with per-operation records).",
-      pushdown=_writes_pushdown)
+      "extents (traces loaded with per-operation records).")
 def _dead_write(index: WorkflowIndex, ordering: OrderingInfo,
                 config: LintConfig) -> Iterator[Finding]:
     for (file, obj), accs in sorted(index.by_object.items()):
@@ -152,8 +86,7 @@ def _dead_write(index: WorkflowIndex, ordering: OrderingInfo,
 
 @rule("DY102", "phantom-read", Severity.ERROR, "workflow",
       "A task reads a dataset whose data no task ever produced, in a file "
-      "created inside the workflow.",
-      pushdown=_reads_pushdown)
+      "created inside the workflow.")
 def _phantom_read(index: WorkflowIndex, ordering: OrderingInfo,
                   config: LintConfig) -> Iterator[Finding]:
     for (file, obj), accs in sorted(index.by_object.items()):
@@ -182,8 +115,7 @@ def _phantom_read(index: WorkflowIndex, ordering: OrderingInfo,
 
 
 @rule("DY103", "small-io-amplification", Severity.WARNING, "profile",
-      "One task grinds a dataset through a storm of tiny raw operations.",
-      pushdown=_small_io_pushdown)
+      "One task grinds a dataset through a storm of tiny raw operations.")
 def _small_io(profile: TaskProfile,
               config: LintConfig) -> Iterator[Finding]:
     for s in profile.dataset_stats:
@@ -209,8 +141,7 @@ def _small_io(profile: TaskProfile,
 
 @rule("DY104", "layout-mismatch", Severity.WARNING, "workflow",
       "The same dataset is described with different storage layouts by "
-      "different tasks' traces.",
-      pushdown=_layout_set_pushdown)
+      "different tasks' traces.")
 def _layout_mismatch(index: WorkflowIndex, ordering: OrderingInfo,
                      config: LintConfig) -> Iterator[Finding]:
     for (file, obj), accs in sorted(index.by_object.items()):
@@ -241,7 +172,7 @@ def _layout_mismatch(index: WorkflowIndex, ordering: OrderingInfo,
       "access walks the heap).  Off by default: part of the advisory "
       "selection with DY7xx, and fires on the bundled ARLDM fixture by "
       "design.",
-      default_enabled=False, pushdown=_vlen_contiguous_pushdown)
+      default_enabled=False)
 def _vlen_contiguous(profile: TaskProfile,
                      config: LintConfig) -> Iterator[Finding]:
     seen = set()

@@ -40,11 +40,9 @@ once no matter how many groups mention it.
 **Page statistics.**  Every chunk's footer entry carries summary stats —
 ``min``/``max``/``sum``/``count`` for numeric columns, the distinct id
 set for dictionary columns (capped; an overflow marker means "unknown")
-— enabling predicate pushdown: :class:`GroupStatsView` /
-:class:`RunStatsView` answer "could any row in this chunk satisfy rule
-X?" without decoding the chunk, which is how
-:meth:`~repro.analyzer.parallel.ParallelAnalyzer.lint_run` skips whole
-rule×chunk evaluations (see ``LintRule.pushdown``).
+— decoded with the footer as :class:`ColumnStats`.  They are part of
+the file format; readers decode the chunks they need rather than prune
+on them.
 
 **Bulk aggregation.**  :func:`build_graph_from_groups` feeds
 :meth:`~repro.analyzer.graphs.GraphBuilder.add_stats_columns` straight
@@ -62,7 +60,6 @@ from itertools import accumulate
 from typing import (
     BinaryIO,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -93,8 +90,6 @@ __all__ = [
     "GroupReader",
     "StatsColumns",
     "ColumnStats",
-    "GroupStatsView",
-    "RunStatsView",
     "build_graph_from_groups",
 ]
 
@@ -358,8 +353,7 @@ def _decode_optf64(buf: bytes, count: int) -> List[Optional[float]]:
 class ColumnStats:
     """Footer page statistics of one column chunk.
 
-    ``kind`` selects which fields are meaningful; :class:`GroupStatsView`
-    wraps the access so predicates never branch on the kind themselves.
+    ``kind`` selects which fields are meaningful.
     """
 
     kind: int
@@ -1125,64 +1119,3 @@ def build_graph_from_groups(
             g.task or "", g.start, g.end,
             g.stats_columns(with_region_runs=builder.with_regions))
     return builder.build(copy=False)
-
-
-# ----------------------------------------------------------------------
-# Predicate-pushdown views
-# ----------------------------------------------------------------------
-class GroupStatsView:
-    """Page-stats oracle over one group, for ``LintRule.pushdown``.
-
-    Every accessor answers from the footer alone — no column decode.
-    ``None`` always means "unknown" (column absent, stats overflowed),
-    which predicates must treat as "might match".
-    """
-
-    def __init__(self, group: GroupReader) -> None:
-        self._group = group
-
-    @property
-    def task(self) -> Optional[str]:
-        return self._group.task
-
-    @property
-    def start(self) -> float:
-        """Group time-span start — footer metadata, no column decode."""
-        return self._group.start
-
-    @property
-    def end(self) -> float:
-        """Group time-span end — footer metadata, no column decode."""
-        return self._group.end
-
-    def _stats(self, family: str, column: str) -> Optional[ColumnStats]:
-        meta = self._group.column_meta(family, column)
-        return meta.stats if meta is not None else None
-
-    def int_max(self, family: str, column: str) -> Optional[int]:
-        s = self._stats(family, column)
-        return s.imax if s is not None and s.kind == _STAT_INT else None
-
-    def int_sum(self, family: str, column: str) -> Optional[int]:
-        s = self._stats(family, column)
-        return s.isum if s is not None and s.kind == _STAT_INT else None
-
-    def distinct(self, family: str, column: str) -> Optional[FrozenSet[str]]:
-        """Distinct non-null strings of a dictionary column (or None
-        when unknown)."""
-        s = self._stats(family, column)
-        if s is None or s.kind != _STAT_DISTINCT:
-            return None
-        strings = self._group._reader.strings
-        return frozenset(strings[i] for i in s.distinct_ids or () if i)
-
-
-@dataclass
-class RunStatsView:
-    """Whole-run pushdown oracle: the per-group views of every chunk."""
-
-    groups: List[GroupStatsView]
-
-    @classmethod
-    def over(cls, groups: Sequence[GroupReader]) -> "RunStatsView":
-        return cls(groups=[GroupStatsView(g) for g in groups])

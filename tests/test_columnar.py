@@ -1,7 +1,7 @@
 """Columnar trace format: fuzzed round-trips, typed errors on corrupt
-bytes, page-stat pushdown, bulk graph builds, format sniffing (and the
-retired row-binary rejection), run compaction, and the --jobs 1 inline
-guarantee."""
+bytes, bulk graph builds, lint over a compacted run, format sniffing
+(and the retired row-binary rejection), run compaction, the --jobs 1
+inline guarantee, and CLI parity between row traces and a run file."""
 
 import json
 import random
@@ -10,13 +10,13 @@ import pytest
 
 from repro.analyzer import ParallelAnalyzer, build_ftg, build_sdg, graph_to_json
 from repro.analyzer.parallel import ParallelAnalyzer as _PA
+from repro.experiments.common import fresh_env
+from repro.lint import ADVISORY, LintConfig
 from repro.mapper import columnar
 from repro.mapper.columnar import (
     COLUMNAR_MAGIC,
     CorruptTrace,
-    GroupStatsView,
     RunReader,
-    RunStatsView,
     build_graph_from_groups,
     compact_profiles,
     decode_columnar,
@@ -36,6 +36,7 @@ from repro.simclock import TimeSpan
 from repro.vfd.base import IoClass
 from repro.vfd.tracing import FileSession, VfdIoRecord
 from repro.vol.tracer import DataObjectProfile
+from repro.workloads.registry import WORKLOADS, build_workload
 
 
 def make_profile(task="t0"):
@@ -290,7 +291,6 @@ class TestCorruptBytes:
                 reader = RunReader.from_bytes(data, source="fuzz.dayuc")
                 for group in reader:
                     group.stats_columns(with_region_runs=True)
-                    GroupStatsView(group).distinct("stats", "file")
                 outcomes["decoded"] += 1
             except CorruptTrace as exc:
                 assert exc.source == "fuzz.dayuc"
@@ -359,42 +359,6 @@ class TestBulkGraphs:
         assert graph_to_json(g) == graph_to_json(serial)
 
 
-class TestPageStats:
-    def test_view_matches_columns(self):
-        rng = random.Random(42)
-        profiles = [random_profile(rng, i) for i in range(8)]
-        reader = RunReader.from_bytes(encode_run(profiles))
-        for group in reader:
-            view = GroupStatsView(group)
-            reads = group.column("stats", "reads")
-            if reads:
-                assert view.int_max("stats", "reads") == max(reads)
-                assert view.int_sum("stats", "reads") == sum(reads)
-            files = view.distinct("stats", "file")
-            if files is not None:
-                assert files == frozenset(
-                    group.strid_column("stats", "file"))
-
-    def test_distinct_overflow_returns_none(self):
-        task = "many"
-        stats = [DatasetIoStats(
-            task=task, file=f"/pfs/f{i:04d}.h5", data_object="/d")
-            for i in range(columnar._DISTINCT_CAP + 1)]
-        p = TaskProfile(task=task, span=TimeSpan(0.0, 1.0),
-                        files=sorted({s.file for s in stats}),
-                        object_profiles=[], file_sessions=[], io_records=[],
-                        dataset_stats=stats)
-        reader = RunReader.from_bytes(encode_columnar(p))
-        view = GroupStatsView(reader.groups[0])
-        assert view.distinct("stats", "file") is None  # unknown, not wrong
-
-    def test_run_view_spans_groups(self):
-        profiles = [make_profile("t0"), make_profile("t1")]
-        reader = RunReader.from_bytes(encode_run(profiles))
-        view = RunStatsView.over(reader.groups)
-        assert len(view.groups) == 2
-
-
 class TestPushdownLint:
     def _row_and_columnar_reports(self, profiles, tmp_path, **kw):
         analyzer = ParallelAnalyzer(max_workers=1, **kw)
@@ -424,37 +388,24 @@ class TestPushdownLint:
             {f.fingerprint for f in col.findings}
         assert stats["rules_evaluated"] + stats["rules_skipped"] > 0
 
-    def test_pushdown_skips_on_quiet_traces(self, tmp_path):
-        # Profiles that never write and share no files: the write-hazard
-        # page predicates prove those rules can't fire.
-        profiles = []
-        for i in range(3):
-            s = DatasetIoStats(
-                task=f"t{i}", file=f"/pfs/only{i}.h5", data_object="/d",
-                reads=1, bytes_read=10, data_ops=1, data_bytes=10)
-            profiles.append(TaskProfile(
-                task=f"t{i}", span=TimeSpan(float(i), i + 1.0),
-                files=[s.file], object_profiles=[], file_sessions=[],
-                io_records=[], dataset_stats=[s]))
-        _row, _col, stats = self._row_and_columnar_reports(profiles, tmp_path)
-        assert stats["rules_skipped"] > 0
-
-    def test_rule_without_pushdown_never_skipped(self):
-        from repro.lint.rules import all_rules
-
-        no_pd = [r for r in all_rules()
-                 if r.scope in ("profile", "workflow") and r.pushdown is None]
-        # Sanity: such rules exist, and the engine treats None as
-        # "unknown — must run" (lint_run only skips when pushdown says so).
-        assert no_pd
-
-    def test_pushdown_rejects_non_lintable_scope(self):
-        from repro.lint.rules import Severity, rule
-
-        with pytest.raises(ValueError):
-            rule(code="DY999", name="bad", description="x",
-                 severity=Severity.WARNING, scope="static",
-                 pushdown=lambda v, c: True)(lambda *a: [])
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_parity_on_every_workload(self, workload, tmp_path):
+        env = fresh_env(n_nodes=2)
+        workflow, prepare = build_workload(workload, 0.05)
+        if prepare is not None:
+            prepare(env.cluster)
+        result = env.runner.run(workflow)
+        profiles = list(env.mapper.profiles.values())
+        run = tmp_path / "run.dayuc"
+        compact_profiles(profiles, run)
+        analyzer = ParallelAnalyzer(max_workers=1, with_io_records=True)
+        for config, attempts in ((LintConfig(), None),
+                                 (LintConfig(enable=("DY5",)),
+                                  dict(result.attempts)),
+                                 (ADVISORY, None)):
+            row = analyzer.lint(profiles, config, attempts=attempts)
+            col = analyzer.lint_run(str(run), config, attempts=attempts)
+            assert col.to_json() == row.to_json()
 
 
 class TestSniffingAndLoading:
@@ -589,3 +540,46 @@ class TestCliParity:
         for name in ("ftg.json", "sdg.json", "lint.json"):
             assert (g_row / name).read_bytes() == (g_col / name).read_bytes()
             json.loads((g_row / name).read_text())
+
+    @staticmethod
+    def _rows_and_run_file(tmp_path):
+        """Three JSON row traces, and ``dayu-compact --out``'s run file of
+        the same profiles."""
+        from repro.mapper.compact import compact_main
+
+        rows = tmp_path / "rows"
+        rows.mkdir()
+        for i in range(3):
+            p = make_profile(f"t{i}")
+            p.span = TimeSpan(float(i), i + 1.0)
+            (rows / f"t{i}.json").write_bytes(p.serialize())
+        run = tmp_path / "run.dayuc"
+        assert compact_main([str(rows), "--out", str(run)]) == 0
+        return rows, run
+
+    def test_analyze_reads_a_compacted_run_file(self, tmp_path, capsys):
+        from repro.cli import analyze_main
+
+        rows, run = self._rows_and_run_file(tmp_path)
+        g_row, g_file = tmp_path / "g_row", tmp_path / "g_file"
+        assert analyze_main([str(rows), "--out", str(g_row),
+                             "--graph-json", "--lint"]) == 0
+        assert analyze_main([str(run), "--out", str(g_file),
+                             "--graph-json", "--lint"]) == 0
+        capsys.readouterr()
+        for name in ("ftg.json", "sdg.json", "lint.json"):
+            assert (g_row / name).read_bytes() == (g_file / name).read_bytes()
+
+    def test_lint_reads_a_compacted_run_file(self, tmp_path, capsys):
+        from repro.lint.cli import lint_main
+
+        rows, run = self._rows_and_run_file(tmp_path)
+        out_row, out_file = tmp_path / "row.json", tmp_path / "file.json"
+        rc_row = lint_main([str(rows), "--races", "--format", "json",
+                            "--out", str(out_row)])
+        rc_file = lint_main([str(run), "--races", "--format", "json",
+                             "--out", str(out_file)])
+        capsys.readouterr()
+        assert rc_file == rc_row
+        assert out_file.read_bytes() == out_row.read_bytes()
+        assert json.loads(out_file.read_text())["findings"]

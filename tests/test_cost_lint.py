@@ -14,9 +14,9 @@ and therefore fuzzable.  The seeded property tests here pin them down:
 
 Around them: the perf-hazards ground truth is convicted by every DY60x
 rule pre-run, every other bundled workload stays DY60x-clean, the DY65x
-drift rules fire exactly when the prediction is stale, the columnar
-``diff_run`` path is byte-identical to the row path, and solved plans
-round-trip and beat the naive placement when executed.
+drift rules fire exactly when the prediction is stale, ``dayu-lint
+--diff --cost`` over a compacted run is byte-identical to the row path,
+and solved plans round-trip and beat the naive placement when executed.
 """
 
 import json
@@ -247,50 +247,48 @@ def test_stale_prediction_convicted_by_drift(perf_profiles):
     assert {"DY651", "DY652", "DY653"} <= codes
 
 
-def test_diff_run_byte_identical_to_row_path(tmp_path, perf_profiles):
-    from repro.analyzer import ParallelAnalyzer
-    from repro.lint import diff_profiles, extract_workflow_contracts
-    from repro.lint.findings import Finding
+def _diff_cost_cli(traces, out, scale="0.05"):
+    """``dayu-lint TRACES --diff perf-hazards --cost`` as JSON; returns
+    the exit code, the findings text and the cost-report text."""
+    from repro.lint.cli import lint_main
+
+    cost = out.with_suffix(".cost")
+    rc = lint_main([str(traces), "--diff", "perf-hazards", "--scale", scale,
+                    "--cost", "--format", "json", "--out", str(out),
+                    "--cost-out", str(cost)])
+    return rc, out.read_text(), cost.read_text()
+
+
+def test_diff_run_byte_identical_to_row_path(tmp_path, perf_profiles,
+                                             capsys):
     from repro.mapper.columnar import encode_run
 
-    (tmp_path / "run.dayuc").write_bytes(encode_run(perf_profiles))
-    workflow, _ = build_workload("perf-hazards", 0.05)
-    wc = extract_workflow_contracts(workflow)
-    cctx = build_cost_context(workflow, SPEC, contracts=wc)
-    config = LintConfig(enable=("DY6*",))
+    rows = tmp_path / "rows"
+    rows.mkdir()
+    for p in perf_profiles:
+        (rows / f"{p.task}.json").write_bytes(p.serialize())
+    run = tmp_path / "run.dayuc"
+    run.write_bytes(encode_run(perf_profiles))
 
-    row = diff_profiles(perf_profiles, wc.effective(), config)
-    row.findings = sorted(
-        row.findings + cost_findings(cctx, config, perf_profiles),
-        key=Finding.sort_key)
-
-    analyzer = ParallelAnalyzer(max_workers=1)
-    stats = {}
-    col = analyzer.diff_run(str(tmp_path), wc.effective(), config,
-                            stats_out=stats, cost=cctx)
-    assert col.to_json() == row.to_json()
-    assert stats["n_groups"] == len(perf_profiles)
-    # The traces match the prediction, so the exact footer predicates
-    # must have cleared both DY65x rules without decoding columns.
-    assert stats["rules_skipped"] == 2
+    row = _diff_cost_cli(rows, tmp_path / "row.json")
+    col = _diff_cost_cli(run, tmp_path / "col.json")
+    capsys.readouterr()
+    assert col == row
+    assert json.loads(col[1])["tasks"] == sorted(p.task
+                                                 for p in perf_profiles)
 
 
 def test_diff_run_keeps_drift_when_prediction_stale(tmp_path,
-                                                    perf_profiles):
-    from repro.analyzer import ParallelAnalyzer
-    from repro.lint import extract_workflow_contracts
+                                                    perf_profiles, capsys):
     from repro.mapper.columnar import encode_run
 
-    (tmp_path / "run.dayuc").write_bytes(encode_run(perf_profiles))
-    workflow, _ = build_workload("perf-hazards", 1.0)
-    wc = extract_workflow_contracts(workflow)
-    cctx = build_cost_context(workflow, SPEC, contracts=wc)
-    stats = {}
-    col = ParallelAnalyzer(max_workers=1).diff_run(
-        str(tmp_path), wc.effective(), LintConfig(enable=("DY6*",)),
-        stats_out=stats, cost=cctx)
-    assert stats["rules_skipped"] == 0
-    assert {"DY651", "DY652", "DY653"} <= {f.code for f in col.findings}
+    run = tmp_path / "run.dayuc"
+    run.write_bytes(encode_run(perf_profiles))
+    _rc, findings, _cost = _diff_cost_cli(run, tmp_path / "col.json",
+                                          scale="1.0")
+    capsys.readouterr()
+    codes = {f["code"] for f in json.loads(findings)["findings"]}
+    assert {"DY651", "DY652", "DY653"} <= codes
 
 
 # ----------------------------------------------------------------------
@@ -367,9 +365,6 @@ def test_cost_flag_usage_errors():
     # --cost-out without --cost.
     assert _exits(lint_main, ["--static", "perf-hazards",
                               "--cost-out", "x.json"]) == 2
-    # --pushdown still refuses --static (but composes with --diff).
-    assert _exits(lint_main, ["--static", "perf-hazards",
-                              "--pushdown"]) == 2
 
 
 def test_lint_cli_static_cost_convicts(tmp_path, capsys):

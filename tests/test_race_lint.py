@@ -9,8 +9,8 @@ Acceptance gates exercised here:
   extents), and every other bundled workload is DY5xx-clean;
 - static (pre-run) and post-hoc modes agree on the DY501–503
   convictions (code, subject, tasks);
-- the sharded :class:`ParallelAnalyzer` path and the columnar
-  page-stat-pushdown path produce byte-identical reports to serial;
+- the sharded :class:`ParallelAnalyzer` path and ``lint_run`` over a
+  compacted columnar run produce byte-identical reports to serial;
 - the streaming mirrors (DY501/502/503) confirm a fingerprint subset of
   batch and stay silent on clean workloads;
 - ``dayu-lint`` exit codes (0 clean / 1 new errors / 2 usage or
@@ -288,21 +288,6 @@ class TestParallelIdentity:
                               attempts=racy_run.attempts)
         assert col.to_json() == row.to_json()
         assert stats["n_groups"] == len(racy_run.profiles)
-
-    def test_pushdown_skips_races_on_disjoint_run(self, tmp_path):
-        """A run where no two tasks share an object prunes every race
-        rule from the page statistics alone."""
-        workflow, _ = build_workload("h5bench", 0.25)
-        env = fresh_env(n_nodes=2)
-        env.runner.run(workflow)
-        ordered = sorted(env.mapper.profiles.values(),
-                         key=lambda p: p.span.start)
-        (tmp_path / "run.dayuc").write_bytes(encode_run(ordered))
-        stats: dict = {}
-        report = ParallelAnalyzer(max_workers=1).lint_run(
-            str(tmp_path), RACES, stats_out=stats)
-        assert _dy5(report.findings) == []
-        assert stats["rules_skipped"] > 0
 
 
 # ----------------------------------------------------------------------
