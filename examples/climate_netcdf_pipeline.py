@@ -74,8 +74,6 @@ def main() -> None:
     staged_params = ClimateParams(
         data_dir=params.data_dir, n_models=params.n_models,
         timesteps=params.timesteps, cells=params.cells)
-    from repro.workflow.scheduler import PinnedScheduler
-
     def staged_member(i):
         return plan.staged_paths[params.member_file(i)]
 
@@ -96,7 +94,7 @@ def main() -> None:
         out.close()
 
     regrid_stage.tasks[0].fn = regrid_staged
-    runner.scheduler = PinnedScheduler({"regrid": "n0", "statistics": "n0"})
+    runner.pins = {"regrid": "n0", "statistics": "n0"}
     optimized = runner.run(type(opt_wf)("climate_rest", [regrid_stage, stats_stage]))
 
     total_opt = optimized.wall_time

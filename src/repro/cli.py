@@ -114,12 +114,11 @@ def run_main(argv: List[str] | None = None) -> int:
     if args.deps is None:
         args.deps = "stage"
 
-    plan = scheduler = None
+    plan = None
     if args.plan:
         from repro.workflow.plan import (
             PlacementPlan,
             plan_path_resolver,
-            plan_scheduler,
             stage_in_plan,
         )
 
@@ -141,16 +140,16 @@ def run_main(argv: List[str] | None = None) -> int:
             print(f"dayu-run: note: plan was solved at scale "
                   f"{plan.scale:g}, running at {args.scale:g}",
                   file=sys.stderr)
-        scheduler = plan_scheduler(plan)
 
     if args.monitor:
         from repro.monitor.cli import _print_alert
 
-        env = fresh_env(n_nodes=args.nodes, scheduler=scheduler,
-                        monitor=True, on_alert=_print_alert)
+        env = fresh_env(n_nodes=args.nodes, monitor=True,
+                        on_alert=_print_alert)
     else:
-        env = fresh_env(n_nodes=args.nodes, scheduler=scheduler)
+        env = fresh_env(n_nodes=args.nodes)
     if plan is not None:
+        env.runner.pins = plan.tasks
         env.runner.path_resolver = plan_path_resolver(plan)
     workflow, prepare = _build_workload(args.workload, args.scale)
     if prepare is not None:
@@ -184,7 +183,7 @@ def run_main(argv: List[str] | None = None) -> int:
             env.cluster, env.mapper,
             placement=args.placement,
             dependency_mode=args.deps,
-            pins=plan.tasks if plan is not None else None,
+            pins=env.runner.pins,
             path_resolver=env.runner.path_resolver,
             retry_policy=env.runner.retry_policy,
             faults=env.runner.faults)

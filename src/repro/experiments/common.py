@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.configs import gpu_cluster
@@ -11,7 +11,6 @@ from repro.mapper.config import DaYuConfig
 from repro.mapper.mapper import DataSemanticMapper
 from repro.simclock import SimClock
 from repro.workflow.runner import WorkflowRunner
-from repro.workflow.scheduler import Scheduler
 
 __all__ = ["Env", "fresh_env", "ResultTable"]
 
@@ -30,7 +29,7 @@ class Env:
 
 def fresh_env(
     n_nodes: int = 2,
-    scheduler: Optional[Scheduler] = None,
+    pins: Optional[Mapping[str, str]] = None,
     config: Optional[DaYuConfig] = None,
     monitor_config: Optional[object] = None,
     monitor: bool = False,
@@ -38,7 +37,8 @@ def fresh_env(
 ) -> Env:
     """A fresh GPU-cluster environment (BeeGFS shared + node-local SSD).
 
-    Pass ``monitor=True`` (or a ``monitor_config``) to attach a live
+    ``pins`` (task → node) go to the runner.  Pass ``monitor=True`` (or a
+    ``monitor_config``) to attach a live
     :class:`~repro.monitor.monitor.WorkflowMonitor` to the mapper.
     """
     clock = SimClock()
@@ -49,7 +49,7 @@ def fresh_env(
 
         mon = WorkflowMonitor(clock, config=monitor_config, on_alert=on_alert)
     mapper = DataSemanticMapper(clock, config or DaYuConfig(), monitor=mon)
-    runner = WorkflowRunner(cluster, mapper, scheduler)
+    runner = WorkflowRunner(cluster, mapper, pins)
     return Env(clock=clock, cluster=cluster, mapper=mapper, runner=runner,
                monitor=mon)
 

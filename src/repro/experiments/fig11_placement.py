@@ -31,7 +31,6 @@ from repro.hdf5 import H5File
 from repro.middleware.stager import stage_in, stage_out
 from repro.workflow.model import Stage, Task, Workflow
 from repro.workflow.runner import TaskRuntime, WorkflowResult
-from repro.workflow.scheduler import CoLocateScheduler
 
 __all__ = ["Fig11Config", "C1", "C2", "run_fig11", "PlacementRun"]
 
@@ -179,9 +178,7 @@ def _run_optimized(cfg: Fig11Config) -> PlacementRun:
     stage_in_time = env.clock.now - t0
 
     wf = Workflow("fig11_optimized", _stages_3_to_5(cfg, local, local))
-    env.runner.scheduler = CoLocateScheduler(
-        ["stage3", "stage4", "stage5"], node=node
-    )
+    env.runner.pins = {t.name: node for t in wf.all_tasks()}
     result = env.runner.run(wf)
 
     # Stage-out: final output back to the shared filesystem.

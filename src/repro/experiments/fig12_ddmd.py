@@ -27,7 +27,6 @@ from repro.hdf5 import H5File
 from repro.middleware.stager import stage_in
 from repro.workflow.model import Stage, Task, Workflow
 from repro.workflow.runner import TaskRuntime
-from repro.workflow.scheduler import PinnedScheduler
 from repro.workloads.ddmd import DdmdParams, build_ddmd, _DATASETS, _layout_kwargs, _sizes
 
 __all__ = ["Fig12Params", "run_fig12"]
@@ -222,7 +221,7 @@ def _run_optimized(p: Fig12Params) -> List[float]:
         pins[f"aggregate_{it:04d}"] = node0
         pins[f"inference_{it:04d}"] = node0  # co-located with the staged data
         pins[f"training_{it:04d}"] = node1   # its own node, pre-staged input
-    env.runner.scheduler = PinnedScheduler(pins)
+    env.runner.pins = pins
     result = env.runner.run(wf)
     return _iteration_walls(result, p.iterations, stages_per_iter=4)
 

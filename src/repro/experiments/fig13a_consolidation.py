@@ -26,7 +26,6 @@ from repro.hdf5 import H5File
 from repro.middleware.consolidate import consolidate_datasets, read_consolidated
 from repro.workflow.model import Stage, Task, Workflow
 from repro.workflow.runner import TaskRuntime
-from repro.workflow.scheduler import PinnedScheduler
 
 __all__ = ["Fig13aParams", "run_fig13a"]
 
@@ -83,9 +82,7 @@ def _measure(env: Env, node: str, path: str, consolidated: bool,
             Task(f"{label}_p{n_procs}_w{k}", reader(k)) for k in range(n_procs)
         ])
     ])
-    env.runner.scheduler = PinnedScheduler(
-        {t.name: node for t in wf.all_tasks()}
-    )
+    env.runner.pins = {t.name: node for t in wf.all_tasks()}
     fs = env.cluster.fs
     before = fs.io_time()
     env.runner.run(wf)

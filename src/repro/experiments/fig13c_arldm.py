@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import ResultTable, fresh_env
-from repro.workflow.scheduler import PinnedScheduler
 from repro.workloads.arldm import ArldmParams, build_arldm
 
 __all__ = ["Fig13cParams", "run_fig13c"]

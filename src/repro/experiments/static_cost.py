@@ -100,14 +100,13 @@ def _planned_run(name: str, scale: float, n_nodes: int
     from repro.optimizer import solve_placement
     from repro.workflow.plan import (
         plan_path_resolver,
-        plan_scheduler,
         stage_in_plan,
     )
 
     workflow, prepare = build_workload(name, scale)
     spec = cluster_spec("gpu", n_nodes)
     plan = solve_placement(workflow, spec, workload=name, scale=scale)
-    env = fresh_env(n_nodes=n_nodes, scheduler=plan_scheduler(plan))
+    env = fresh_env(n_nodes=n_nodes, pins=plan.tasks)
     env.runner.path_resolver = plan_path_resolver(plan)
     if prepare is not None:
         prepare(env.cluster)

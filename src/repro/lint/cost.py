@@ -42,6 +42,7 @@ from repro.mapper.mapper import TaskProfile
 from repro.storage.devices import DEVICE_CATALOG, predicted_cost
 from repro.workflow.contracts import ContractAccess
 from repro.workflow.model import Workflow
+from repro.workflow.scheduler import stage_placement
 
 __all__ = [
     "COST_SCHEMA",
@@ -57,7 +58,6 @@ __all__ = [
     "build_cost_drift_context",
     "critical_path",
     "schedule_makespan",
-    "round_robin_placement",
 ]
 
 #: Versioned schema tag for serialized cost reports.
@@ -277,18 +277,6 @@ class CostDriftContext:
 # ----------------------------------------------------------------------
 # Building the report
 # ----------------------------------------------------------------------
-def round_robin_placement(workflow: Workflow,
-                          nodes: Sequence[str]) -> Dict[str, str]:
-    """The default placement: what
-    :class:`~repro.workflow.scheduler.RoundRobinScheduler` would do —
-    per stage, task *i* lands on ``nodes[i % len(nodes)]``."""
-    placement: Dict[str, str] = {}
-    for stage in workflow.stages:
-        for i, task in enumerate(stage.tasks):
-            placement[task.name] = nodes[i % len(nodes)]
-    return placement
-
-
 def _charge(spec_dev, a: ContractAccess, concurrency: int
             ) -> Tuple[int, int, int, int, float, float]:
     """``(read_ops, read_bytes, write_ops, write_bytes, io, latency)``
@@ -328,8 +316,11 @@ def build_cost_report(
     Args:
         ctx: Static contract join (:func:`build_static_context`).
         spec: Cluster topology to price against.
-        placement: ``task -> node``; defaults to the runner's
-            round-robin placement.
+        placement: ``task -> node`` pins; unlisted tasks take the
+            stage runner's placement
+            (:func:`~repro.workflow.scheduler.stage_placement` over
+            ``spec.node_names``), so with no pins the report prices what
+            :class:`~repro.workflow.runner.WorkflowRunner` runs.
         file_placement: ``original path -> placed path`` rewrites (a
             plan's localizations); unlisted paths stay where the
             contract puts them.
@@ -340,8 +331,10 @@ def build_cost_report(
     stages run one request stream at a time.
     """
     nodes = spec.node_names
-    if placement is None:
-        placement = round_robin_placement(ctx.workflow, nodes)
+    pins = placement or {}
+    placement = {}
+    for stage in ctx.workflow.stages:
+        placement.update(stage_placement(stage, nodes, pins))
     file_placement = dict(file_placement or {})
 
     def resolve(path: str) -> str:
@@ -352,10 +345,9 @@ def build_cost_report(
     stage_costs: List[StageCost] = []
 
     for si, stage in enumerate(ctx.workflow.stages):
-        per_node = Counter(placement.get(t.name, nodes[0])
-                           for t in stage.tasks)
+        per_node = Counter(placement[t.name] for t in stage.tasks)
         for t in stage.tasks:
-            node = placement.get(t.name, nodes[0])
+            node = placement[t.name]
             tc = TaskCost(task=t.name, stage=stage.name, stage_index=si,
                           node=node, compute_seconds=t.compute_seconds)
             contract = ctx.effective.get(t.name)

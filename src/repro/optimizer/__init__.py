@@ -9,8 +9,8 @@ package closes the loop the evaluation performed by hand:
   placement pins, stage-in/out moves, and format rewrites;
 - :meth:`OptimizationPlan.apply_format_changes` performs the layout
   rewrites/consolidations through the middleware;
-- :meth:`OptimizationPlan.scheduler` yields a placement policy encoding
-  the co-scheduling decisions;
+- :attr:`OptimizationPlan.pins` holds the co-scheduling decisions as
+  task → node pins for the runner's ``pins``;
 - :class:`~repro.optimizer.transparent.TransparentCache` provides the
   "transparent and immediate runtime optimization" integration: a path
   resolver that redirects reads to node-local replicas automatically;

@@ -13,9 +13,10 @@ emits concrete steps, dispatching on each finding's rule code:
 - ``consolidate`` — merge a scattered file's small datasets.
 
 ``apply_format_changes`` executes the rewrite steps immediately (they are
-offline file transformations); the placement steps are consumed by
-:meth:`OptimizationPlan.scheduler` and :meth:`OptimizationPlan.stage_in_all`
-when re-running the workflow.  Staged and staged-out replicas keep the
+offline file transformations); the placement steps are consumed when
+re-running the workflow: :attr:`OptimizationPlan.pins` become the
+runner's ``pins`` and :meth:`OptimizationPlan.stage_in_all` copies the
+staged files.  Staged and staged-out replicas keep the
 source's full absolute path under their destination prefix, so distinct
 sources never share a replica.
 """
@@ -32,7 +33,6 @@ from repro.middleware.consolidate import consolidate_datasets
 from repro.middleware.layout_convert import convert_layout
 from repro.middleware.stager import stage_in, stage_out
 from repro.posix.simfs import SimFS
-from repro.workflow.scheduler import PinnedScheduler
 
 __all__ = ["PlanStep", "OptimizationPlan", "build_plan"]
 
@@ -52,17 +52,14 @@ class OptimizationPlan:
     """An ordered, executable set of optimization steps."""
 
     steps: List[PlanStep] = field(default_factory=list)
-    #: task name → node for the co-scheduling decisions.
+    #: task name → node for the co-scheduling decisions (the runner's
+    #: ``pins``).
     pins: Dict[str, str] = field(default_factory=dict)
     #: shared-FS path → node-local staged path.
     staged_paths: Dict[str, str] = field(default_factory=dict)
 
     def by_action(self, action: str) -> List[PlanStep]:
         return [s for s in self.steps if s.action == action]
-
-    def scheduler(self) -> PinnedScheduler:
-        """A placement policy enforcing the plan's co-scheduling pins."""
-        return PinnedScheduler(dict(self.pins))
 
     # ------------------------------------------------------------------
     # Execution

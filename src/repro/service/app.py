@@ -68,6 +68,7 @@ from repro.monitor.export import MetricsRegistry
 from repro.service.errors import (
     AuthRequired,
     BadRequest,
+    HeadersTooLarge,
     MalformedTrace,
     NotFound,
     PayloadTooLarge,
@@ -88,8 +89,15 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+
+#: Caps on one header or chunked-trailer block (request line excluded); a
+#: request over either gets 431 ``headers-too-large`` and loses its
+#: connection.
+MAX_HEADER_LINES = 100
+MAX_HEADER_BYTES = 16 * 1024
 
 #: Request-latency buckets: 100µs .. ~1.6s, powers of four.
 _LATENCY_BUCKETS = (1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2, 1.024e-1, 4.096e-1,
@@ -276,13 +284,7 @@ class DayuService:
             method, target, _version = line.decode("latin-1").split()
         except ValueError:
             raise ValueError(f"bad request line {line!r}")
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        headers = await _read_fields(reader)
         body = await self._read_body(reader, headers)
         close = headers.get("connection", "").lower() == "close"
         return _Request(method.upper(), target, headers, body, close)
@@ -294,26 +296,27 @@ class DayuService:
             chunks: List[bytes] = []
             total = 0
             while True:
-                size_line = await reader.readline()
+                size_line = await _read_line(reader)
                 try:
-                    size = int(size_line.split(b";")[0].strip() or b"0", 16)
+                    size = int(size_line.split(b";")[0].strip(), 16)
                 except ValueError:
-                    raise ValueError(f"bad chunk size {size_line!r}")
+                    size = -1
+                if size < 0:
+                    raise BadRequest(f"bad chunk size {size_line!r}")
                 if size == 0:
-                    # Swallow trailers up to the final blank line.
-                    while True:
-                        trailer = await reader.readline()
-                        if trailer in (b"\r\n", b"\n", b""):
-                            break
+                    await _read_fields(reader)  # trailers: dropped
                     break
                 total += size
                 if total > cap:
                     raise PayloadTooLarge(
                         f"chunked body exceeds {cap} bytes", max_bytes=cap)
                 chunks.append(await reader.readexactly(size))
-                await reader.readexactly(2)  # trailing CRLF
+                if await reader.readexactly(2) != b"\r\n":
+                    raise BadRequest("chunk data not followed by CRLF")
             return b"".join(chunks)
         length = int(headers.get("content-length", "0") or "0")
+        if length < 0:
+            raise BadRequest(f"negative Content-Length {length}")
         if length > cap:
             raise PayloadTooLarge(
                 f"body of {length} bytes exceeds {cap}",
@@ -529,6 +532,41 @@ class DayuService:
             raise BadRequest(f"baseline must be UTF-8 text: {exc}")
         accepted = self.store.set_baseline(tenant, text)
         return {"fingerprints": accepted}
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line; a stream that ends mid-line is a cut-off request."""
+    line = await reader.readline()
+    if not line.endswith(b"\n"):
+        raise asyncio.IncompleteReadError(line, None)
+    return line
+
+
+def _headers_too_large() -> HeadersTooLarge:
+    return HeadersTooLarge(
+        f"header block exceeds {MAX_HEADER_LINES} lines or "
+        f"{MAX_HEADER_BYTES} bytes",
+        max_lines=MAX_HEADER_LINES, max_bytes=MAX_HEADER_BYTES)
+
+
+async def _read_fields(reader: asyncio.StreamReader) -> Dict[str, str]:
+    """A header (or trailer) block up to its blank line, capped at
+    :data:`MAX_HEADER_LINES` lines and :data:`MAX_HEADER_BYTES` bytes."""
+    fields: Dict[str, str] = {}
+    n_lines = n_bytes = 0
+    while True:
+        try:
+            raw = await _read_line(reader)
+        except ValueError:  # one line past the reader's buffer limit
+            raise _headers_too_large() from None
+        if raw in (b"\r\n", b"\n"):
+            return fields
+        n_lines += 1
+        n_bytes += len(raw)
+        if n_lines > MAX_HEADER_LINES or n_bytes > MAX_HEADER_BYTES:
+            raise _headers_too_large()
+        name, _, value = raw.decode("latin-1").partition(":")
+        fields[name.strip().lower()] = value.strip()
 
 
 class ServiceErrorWithStatus(ServiceError):

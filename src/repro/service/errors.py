@@ -31,6 +31,7 @@ __all__ = [
     "NotFound",
     "QuotaExceeded",
     "PayloadTooLarge",
+    "HeadersTooLarge",
 ]
 
 
@@ -115,3 +116,10 @@ class PayloadTooLarge(ServiceError):
 
     status = 413
     code = "payload-too-large"
+
+
+class HeadersTooLarge(ServiceError):
+    """Request header block over the service's line or byte cap."""
+
+    status = 431
+    code = "headers-too-large"

@@ -5,11 +5,13 @@ carried through shared files.  This package provides:
 
 - :class:`~repro.workflow.model.Task` / ``Stage`` / ``Workflow`` — the
   workflow description;
-- :mod:`~repro.workflow.scheduler` — placement policies, including the
-  co-scheduling moves DaYu's analysis recommends;
+- :func:`~repro.workflow.scheduler.stage_placement` — round-robin
+  placement with task → node pins on top; the co-scheduling moves DaYu's
+  analysis recommends and ``dayu-plan`` plans are pins;
 - :class:`~repro.workflow.runner.WorkflowRunner` — executes the workflow
   on a simulated cluster under DaYu profiling, modelling parallel-stage
   wall-clock as the max of task durations with device contention applied;
+  both runners take the same ``pins``;
 - :mod:`~repro.workflow.dscheduler` — the event-driven per-task
   scheduler: ready-heap dispatch by cost-model rank, data-locality
   placement from SDG edge volumes, work stealing and speculative
@@ -48,12 +50,7 @@ from repro.workflow.runner import (
     WorkflowResult,
     WorkflowRunner,
 )
-from repro.workflow.scheduler import (
-    CoLocateScheduler,
-    NoAliveNodesError,
-    PinnedScheduler,
-    RoundRobinScheduler,
-)
+from repro.workflow.scheduler import NoAliveNodesError, stage_placement
 
 __all__ = [
     "Task",
@@ -65,9 +62,7 @@ __all__ = [
     "TaskRuntime",
     "RetryPolicy",
     "TaskFailure",
-    "RoundRobinScheduler",
-    "PinnedScheduler",
-    "CoLocateScheduler",
+    "stage_placement",
     "NoAliveNodesError",
     "DataflowRunner",
     "DataflowScheduler",

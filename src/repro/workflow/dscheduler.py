@@ -366,8 +366,8 @@ class DataflowScheduler:
             :func:`upward_ranks` over unit weights.
         alive: Node liveness oracle (``cluster.is_alive``); default all.
         pins: Task → node pins (a ``dayu-plan`` overlay).  A pin onto a
-            dead node is released, exactly like
-            :class:`~repro.workflow.scheduler.PinnedScheduler`.
+            dead node, or a node not in ``slots``, is not honoured: the
+            task is placed by ``policy`` instead.
         steal: Enable work stealing.
         steal_margin: Minimum virtual seconds an idle node must save
             before it may steal a task from its preferred node.
@@ -716,7 +716,9 @@ class DataflowRunner(WorkflowRunner):
             ``dataflow`` mode (defaults to running the AST extractor).
         cost_report: Optional PR 8 cost report; its per-task predicted
             seconds weight the ready-heap priorities.
-        pins: Task → node pins layered over the policy (``dayu-plan``).
+        pins: Task → node pins layered over the policy (``dayu-plan``);
+            checked against the cluster when the run starts, as in the
+            stage runner.
         steal: Enable work stealing.
         speculation: Optional :class:`SpeculationPolicy` enabling
             speculative re-execution of stragglers.
@@ -737,7 +739,7 @@ class DataflowRunner(WorkflowRunner):
         retry_policy: Optional[RetryPolicy] = None,
         faults=None,
     ) -> None:
-        super().__init__(cluster, mapper, scheduler=None,
+        super().__init__(cluster, mapper, pins=pins,
                          path_resolver=path_resolver,
                          retry_policy=retry_policy, faults=faults)
         if placement not in PLACEMENT_POLICIES:
@@ -746,7 +748,6 @@ class DataflowRunner(WorkflowRunner):
         self.dependency_mode = dependency_mode
         self.contracts = contracts
         self.cost_report = cost_report
-        self.pins = dict(pins or {})
         self.steal = steal
         self.speculation = speculation
         #: The decision engine of the most recent :meth:`run`.
@@ -802,9 +803,7 @@ class DataflowRunner(WorkflowRunner):
 
     # -- execution ------------------------------------------------------
     def run(self, workflow: Workflow) -> WorkflowResult:
-        workflow.validate()
-        result = WorkflowResult(workflow=workflow.name)
-        self.last_result = result
+        result = self._begin(workflow)
         engine = self._build_engine(workflow)
         self.last_engine = engine
         monitor = self._monitor

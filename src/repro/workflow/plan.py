@@ -5,19 +5,18 @@ node that produced their data and staged the hot files onto node-local
 flash.  A :class:`PlacementPlan` is that optimization as a derived
 artifact: task → node pins plus file → (node, tier) localizations,
 emitted by the greedy solver (:mod:`repro.optimizer.placement`) from the
-static cost report, serialized as JSON so schedulers — today's
-``dayu-run --plan``, tomorrow's dataflow-aware one — can consume it.
+static cost report, serialized as JSON so ``dayu-run --plan`` can
+execute it on either engine.
 
-Executing a plan means three things, all provided here:
+Executing a plan means three things:
 
 - :func:`plan_file_map` / :func:`plan_path_resolver` — rewrite every
   localized file's path to its ``/local/<node>/<tier>/…`` home.  The
   rewrite is strict: an unpinned task touching a localized file from the
   wrong node fails loudly with a locality error rather than silently
   reading stale shared data.
-- :func:`plan_scheduler` — a
-  :class:`~repro.workflow.scheduler.PinnedScheduler` over the plan's
-  pins (unpinned tasks keep the round-robin default).
+- ``pins=plan.tasks`` on the runner — the plan's task → node pins
+  (unpinned tasks keep the runner's default placement);
 - :func:`stage_in_plan` — copy localized files that already exist on
   shared storage (external inputs) to their planned homes, paying
   honest device costs on the simulated clock.
@@ -31,7 +30,6 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.middleware.stager import stage_in
-from repro.workflow.scheduler import PinnedScheduler
 
 __all__ = [
     "PLAN_SCHEMA",
@@ -40,7 +38,6 @@ __all__ = [
     "local_path",
     "plan_file_map",
     "plan_path_resolver",
-    "plan_scheduler",
     "stage_in_plan",
 ]
 
@@ -177,10 +174,6 @@ def plan_path_resolver(plan: PlacementPlan
         return fmap.get(path, path)
 
     return resolver
-
-
-def plan_scheduler(plan: PlacementPlan) -> PinnedScheduler:
-    return PinnedScheduler(plan.tasks)
 
 
 def stage_in_plan(cluster: Cluster, plan: PlacementPlan) -> float:

@@ -29,7 +29,7 @@ first-class state rather than an abort:
   exponential backoff charged to the ``retry_backoff`` clock account
   (application wait time — deliberately *not* a DaYu overhead account).
   When the task's node died, the retry is re-placed onto a surviving
-  node via the scheduler.
+  node by the same round-robin-with-pins rule that placed it.
 - A task that exhausts its attempts on a ``best_effort`` stage is
   recorded in the :class:`StageResult` and the run continues (graceful
   degradation); on an ordinary stage the original exception propagates —
@@ -41,18 +41,14 @@ first-class state rather than an abort:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.mapper.mapper import DataSemanticMapper, TaskContext, TaskProfile
 from repro.posix.simfs import FsError
 from repro.vol.objects import VolFile
 from repro.workflow.model import Stage, Task, Workflow
-from repro.workflow.scheduler import (
-    NoAliveNodesError,
-    RoundRobinScheduler,
-    Scheduler,
-)
+from repro.workflow.scheduler import NoAliveNodesError, stage_placement
 
 __all__ = [
     "TaskRuntime",
@@ -129,9 +125,9 @@ class RetryPolicy:
         max_attempts: Total tries per task (1 = no retries).
         backoff_base: Wait before the first retry, in simulated seconds.
         backoff_factor: Exponential growth of the wait per further retry.
-        replace: Re-place a retry through the scheduler when the task's
-            node died (surviving nodes only); with False the retry stays
-            put and fails again immediately on a dead node.
+        replace: Re-place a retry when the task's node died (surviving
+            nodes only); with False the retry stays put and fails again
+            immediately on a dead node.
     """
 
     max_attempts: int = 3
@@ -309,7 +305,9 @@ class WorkflowRunner:
     Args:
         cluster: The simulated cluster.
         mapper: The Data Semantic Mapper collecting per-task profiles.
-        scheduler: Placement policy (default round-robin).
+        pins: Task name → node name; other tasks go round-robin over the
+            alive nodes (:func:`~repro.workflow.scheduler.stage_placement`).
+            A pin to a node not in the cluster fails :meth:`run` early.
         retry_policy: Re-attempt failed tasks (default: fail fast).
         faults: Optional :class:`repro.faults.FaultInjector`; the runner
             polls it at stage/task/backoff boundaries so scheduled node
@@ -320,14 +318,14 @@ class WorkflowRunner:
         self,
         cluster: Cluster,
         mapper: DataSemanticMapper,
-        scheduler: Optional[Scheduler] = None,
+        pins: Optional[Mapping[str, str]] = None,
         path_resolver: Optional[Callable[[str, str, str], str]] = None,
         retry_policy: Optional[RetryPolicy] = None,
         faults=None,
     ) -> None:
         self.cluster = cluster
         self.mapper = mapper
-        self.scheduler = scheduler or RoundRobinScheduler()
+        self.pins = dict(pins or {})
         #: Optional ``(path, mode, node) -> path`` hook applied to every
         #: task open — the transparent-caching integration point.
         self.path_resolver = path_resolver
@@ -348,29 +346,32 @@ class WorkflowRunner:
         if self.faults is not None:
             self.faults.poll()
 
+    def _alive_nodes(self, what: str) -> List[str]:
+        nodes = self.cluster.alive_node_names()
+        if not nodes:
+            raise NoAliveNodesError(self.cluster.dead_nodes, what)
+        return nodes
+
     def _replacement_node(self, stage: Stage, task: Task) -> str:
         """A surviving node for a retry whose original node died."""
-        unpin = getattr(self.scheduler, "unpin", None)
-        if unpin is not None:
-            pinned = getattr(self.scheduler, "pins", {}).get(task.name)
-            if pinned is not None and not self.cluster.is_alive(pinned):
-                unpin(task.name)
-        fresh = self.scheduler.place(stage, self.cluster).get(task.name)
-        if fresh is not None and self.cluster.is_alive(fresh):
-            return fresh
-        alive = self.cluster.alive_node_names()
-        if not alive:
-            raise NoAliveNodesError(self.cluster.dead_nodes,
-                                    f"retry of {task.name!r}")
-        return alive[0]
+        nodes = self._alive_nodes(f"retry of {task.name!r}")
+        return stage_placement(stage, nodes, self.pins)[task.name]
+
+    def _begin(self, workflow: Workflow) -> WorkflowResult:
+        """Validate ``workflow`` and the pins; start :attr:`last_result`."""
+        workflow.validate()
+        for task, node in self.pins.items():
+            if node not in self.cluster.nodes:
+                raise KeyError(f"task {task!r} is pinned to node {node!r}, "
+                               f"which is not in the cluster")
+        self.last_result = result = WorkflowResult(workflow=workflow.name)
+        return result
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, workflow: Workflow) -> WorkflowResult:
-        workflow.validate()
-        result = WorkflowResult(workflow=workflow.name)
-        self.last_result = result
+        result = self._begin(workflow)
         try:
             for stage in workflow.stages:
                 self._run_stage(stage, result)
@@ -385,7 +386,7 @@ class WorkflowRunner:
         started_at = (result.stage_results[-1].finished_at
                       if result.stage_results else 0.0)
         try:
-            placement = self.scheduler.place(stage, self.cluster)
+            nodes = self._alive_nodes(f"stage {stage.name!r}")
         except NoAliveNodesError:
             # Total cluster death before the stage could start: record the
             # stage as aborted-empty so the partial result stays honest,
@@ -394,9 +395,7 @@ class WorkflowRunner:
                 name=stage.name, wall_time=0.0, started_at=started_at,
                 finished_at=started_at, aborted=True))
             raise
-        missing = [t.name for t in stage.tasks if t.name not in placement]
-        if missing:
-            raise ValueError(f"scheduler left tasks unplaced: {missing}")
+        placement = stage_placement(stage, nodes, self.pins)
 
         monitor = self._monitor
         if monitor is not None:

@@ -1,44 +1,30 @@
-"""Task placement policies.
+"""Stage placement: round-robin over the given nodes, with pins on top.
 
-The baseline is round-robin spreading; DaYu's analysis enables smarter
-moves — the paper co-schedules PyFLEXTRKR's stages 3-5 onto the node that
-produced their shared data, turning shared-filesystem traffic into
-node-local access.
-
-Liveness contract
------------------
-Every policy places onto *alive* nodes only.  A cluster with zero
-survivors (total node death under an aggressive fault plan) raises the
-typed :class:`NoAliveNodesError`, which the runner converts into a clean
-abort that preserves the partial :class:`~repro.workflow.runner
-.WorkflowResult`.  Pins and co-locate targets that name a node the fault
-plane has since killed fall back to a surviving node instead of pinning
-work onto a corpse — an unknown node name is still a configuration error
-and raises ``KeyError``.
+The baseline spreads a stage's tasks across nodes in order; the paper's
+co-scheduling of PyFLEXTRKR stages 3-5 onto the node that produced their
+data is a pin per task, and a ``dayu-plan`` is pins solved from the cost
+model.  :func:`stage_placement` places for the stage runner, its retry
+re-placement and :func:`repro.lint.cost.build_cost_report`.  The runner
+passes the *alive* nodes, so a pin to a dead node falls back to its
+round-robin slot on a survivor; with no survivors it raises
+:class:`NoAliveNodesError` and aborts cleanly, partial results kept.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Sequence
+from typing import Dict, Mapping, Sequence
 
-from repro.cluster.cluster import Cluster
 from repro.workflow.model import Stage
 
-__all__ = [
-    "Scheduler",
-    "NoAliveNodesError",
-    "RoundRobinScheduler",
-    "PinnedScheduler",
-    "CoLocateScheduler",
-]
+__all__ = ["NoAliveNodesError", "stage_placement"]
 
 
 class NoAliveNodesError(RuntimeError):
     """Every node of the cluster is dead: nothing can be placed.
 
-    Raised by placement policies (and the event scheduler) instead of
-    crashing with ``ZeroDivisionError``/``IndexError``; the runner turns
-    it into a clean abort with partial results preserved.
+    Raised by the runners (and the event scheduler) instead of crashing
+    with ``ZeroDivisionError``/``IndexError``; the runner turns it into a
+    clean abort with partial results preserved.
     """
 
     def __init__(self, dead_nodes: Sequence[str], what: str = "tasks") -> None:
@@ -48,92 +34,15 @@ class NoAliveNodesError(RuntimeError):
             f"node(s) are dead ({', '.join(self.dead_nodes)})")
 
 
-def _alive_or_raise(cluster: Cluster, what: str = "tasks") -> List[str]:
-    nodes = cluster.alive_node_names()
-    if not nodes:
-        raise NoAliveNodesError(cluster.dead_nodes, what)
-    return nodes
+def stage_placement(stage: Stage, nodes: Sequence[str],
+                    pins: Mapping[str, str]) -> Dict[str, str]:
+    """Task name → node for every task of ``stage``.
 
-
-class Scheduler(Protocol):
-    """Maps each task of a stage to a node name."""
-
-    def place(self, stage: Stage, cluster: Cluster) -> Dict[str, str]:
-        """Return task name → node name for every task in ``stage``."""
-        ...
-
-
-class RoundRobinScheduler:
-    """Spread tasks across live nodes in order — the workload-agnostic
-    baseline.  Dead nodes (fault injection) are skipped, which is also what
-    makes retry-with-re-placement land failed tasks on survivors."""
-
-    def place(self, stage: Stage, cluster: Cluster) -> Dict[str, str]:
-        nodes = _alive_or_raise(cluster, f"stage {stage.name!r}")
-        return {
-            task.name: nodes[i % len(nodes)]
-            for i, task in enumerate(stage.tasks)
-        }
-
-
-class PinnedScheduler:
-    """Explicit task → node pinning; unpinned tasks fall back to round-robin.
-
-    A pin onto a node that has since died is *not honored*: the task falls
-    back to its round-robin assignment on a survivor, exactly as if the
-    runner had released the pin.  Pinning to a node that never existed is
-    still a ``KeyError`` — that is a broken plan, not a run-time state.
-
-    Args:
-        pins: Task name → node name.
+    Task *i* lands on ``nodes[i % len(nodes)]`` unless ``pins`` names a
+    node for it that is in ``nodes``.  ``nodes`` must not be empty.
     """
-
-    def __init__(self, pins: Dict[str, str]) -> None:
-        self.pins = dict(pins)
-        self._fallback = RoundRobinScheduler()
-
-    def place(self, stage: Stage, cluster: Cluster) -> Dict[str, str]:
-        placement = self._fallback.place(stage, cluster)
-        for task in stage.tasks:
-            pin = self.pins.get(task.name)
-            if pin is not None:
-                if pin not in cluster.nodes:
-                    raise KeyError(f"pinned node {pin!r} not in cluster")
-                if not cluster.is_alive(pin):
-                    continue  # dead pin: keep the survivor fallback
-                placement[task.name] = pin
-        return placement
-
-    def unpin(self, task: str) -> None:
-        """Drop a pin (a retrying runner releases pins to dead nodes)."""
-        self.pins.pop(task, None)
-
-
-class CoLocateScheduler:
-    """Place every task of the named stages on one node — DaYu's
-    co-scheduling recommendation for producer/consumer stage chains.
-
-    When the explicit target node has died, co-location degrades to the
-    first surviving node (the same default used when no node is given)
-    rather than pinning the whole stage onto a corpse.
-
-    Args:
-        stages: Stage names to co-locate.
-        node: Target node (defaults to the cluster's first alive node).
-    """
-
-    def __init__(self, stages: List[str], node: str | None = None) -> None:
-        self.stages = set(stages)
-        self.node = node
-        self._fallback = RoundRobinScheduler()
-
-    def place(self, stage: Stage, cluster: Cluster) -> Dict[str, str]:
-        if stage.name in self.stages:
-            alive = _alive_or_raise(cluster, f"stage {stage.name!r}")
-            node = self.node
-            if node is not None and node not in cluster.nodes:
-                raise KeyError(f"co-locate node {node!r} not in cluster")
-            if node is None or not cluster.is_alive(node):
-                node = alive[0]
-            return {task.name: node for task in stage.tasks}
-        return self._fallback.place(stage, cluster)
+    placement = {}
+    for i, task in enumerate(stage.tasks):
+        pin = pins.get(task.name)
+        placement[task.name] = pin if pin in nodes else nodes[i % len(nodes)]
+    return placement

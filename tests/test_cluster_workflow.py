@@ -8,13 +8,11 @@ from repro.mapper import DaYuConfig, DataSemanticMapper
 from repro.posix.simfs import FsError
 from repro.simclock import SimClock
 from repro.workflow import (
-    CoLocateScheduler,
-    PinnedScheduler,
-    RoundRobinScheduler,
     Stage,
     Task,
     Workflow,
     WorkflowRunner,
+    stage_placement,
 )
 
 
@@ -94,41 +92,51 @@ class TestWorkflowModel:
 
 class TestSchedulers:
     def test_round_robin(self):
-        clock, cluster = small_cluster(2)
         stage = Stage("s", [Task(f"t{i}", lambda rt: None) for i in range(4)])
-        placement = RoundRobinScheduler().place(stage, cluster)
+        placement = stage_placement(stage, ["n0", "n1"], {})
         assert placement == {"t0": "n0", "t1": "n1", "t2": "n0", "t3": "n1"}
 
     def test_pinned(self):
-        clock, cluster = small_cluster(2)
         stage = Stage("s", [Task("a", lambda rt: None), Task("b", lambda rt: None)])
-        placement = PinnedScheduler({"b": "n1"}).place(stage, cluster)
-        assert placement["b"] == "n1"
+        placement = stage_placement(stage, ["n0", "n1"], {"b": "n0"})
+        assert placement == {"a": "n0", "b": "n0"}
 
     def test_pinned_unknown_node(self):
-        clock, cluster = small_cluster(1)
-        stage = Stage("s", [Task("a", lambda rt: None)])
-        with pytest.raises(KeyError):
-            PinnedScheduler({"a": "n9"}).place(stage, cluster)
+        clock, cluster = small_cluster(2)
+        ran = []
+        wf = Workflow("w", [
+            Stage("first", [Task("a", lambda rt: ran.append("a"))]),
+            Stage("second", [Task("b", lambda rt: ran.append("b"))]),
+        ])
+        runner = WorkflowRunner(cluster, DataSemanticMapper(clock, DaYuConfig()),
+                                pins={"b": "n9"})
+        with pytest.raises(KeyError, match="'b'.*'n9'"):
+            runner.run(wf)
+        assert ran == []  # rejected before the first task ran
 
     def test_colocate(self):
-        clock, cluster = small_cluster(3)
+        # Co-scheduling a stage is one pin per task.
         stage = Stage("hot", [Task(f"t{i}", lambda rt: None) for i in range(3)])
-        placement = CoLocateScheduler(["hot"], node="n2").place(stage, cluster)
+        pins = {t.name: "n2" for t in stage.tasks}
+        placement = stage_placement(stage, ["n0", "n1", "n2"], pins)
         assert set(placement.values()) == {"n2"}
 
     def test_colocate_other_stages_spread(self):
-        clock, cluster = small_cluster(2)
         stage = Stage("cold", [Task(f"t{i}", lambda rt: None) for i in range(2)])
-        placement = CoLocateScheduler(["hot"]).place(stage, cluster)
+        placement = stage_placement(stage, ["n0", "n1"], {"h0": "n0", "h1": "n0"})
         assert set(placement.values()) == {"n0", "n1"}
+
+    def test_pin_outside_nodes_keeps_round_robin_slot(self):
+        stage = Stage("s", [Task(f"t{i}", lambda rt: None) for i in range(3)])
+        placement = stage_placement(stage, ["n0", "n2"], {"t1": "n1"})
+        assert placement == {"t0": "n0", "t1": "n2", "t2": "n0"}
 
 
 class TestWorkflowRunner:
-    def _run(self, workflow, scheduler=None, n_nodes=2):
+    def _run(self, workflow, pins=None, n_nodes=2):
         clock, cluster = small_cluster(n_nodes)
         mapper = DataSemanticMapper(clock, DaYuConfig())
-        runner = WorkflowRunner(cluster, mapper, scheduler)
+        runner = WorkflowRunner(cluster, mapper, pins)
         return runner.run(workflow), cluster
 
     def test_simple_pipeline_runs_and_profiles(self):
@@ -197,7 +205,7 @@ class TestWorkflowRunner:
         wf = Workflow("w", [Stage("s", [Task("intruder", bad)])])
         clock, cluster = small_cluster(2)
         mapper = DataSemanticMapper(clock, DaYuConfig())
-        runner = WorkflowRunner(cluster, mapper, PinnedScheduler({"intruder": "n0"}))
+        runner = WorkflowRunner(cluster, mapper, {"intruder": "n0"})
         with pytest.raises(FsError, match="local to node"):
             runner.run(wf)
 

@@ -29,6 +29,7 @@ from repro.cluster.configs import cluster_spec
 from repro.lint import LintConfig, lint_workflow
 from repro.lint.cost import (
     build_cost_context,
+    build_cost_report,
     build_cost_drift_context,
     critical_path,
     schedule_makespan,
@@ -325,6 +326,40 @@ def test_executed_plan_beats_naive_placement():
     planned, staged, plan = _planned_run("perf-hazards", 0.05, 2)
     assert planned + staged < naive
     assert plan.predicted["planned_makespan_seconds"] > 0
+
+
+def _executed_placement(name, pins, plan=None):
+    """``task -> node`` as the stage runner ran ``name`` on 2 nodes."""
+    from repro.experiments.common import fresh_env
+    from repro.workflow.plan import plan_path_resolver, stage_in_plan
+
+    workflow, prepare = build_workload(name, 0.05)
+    env = fresh_env(n_nodes=2, pins=pins)
+    if prepare is not None:
+        prepare(env.cluster)
+    if plan is not None:
+        env.runner.path_resolver = plan_path_resolver(plan)
+        stage_in_plan(env.cluster, plan)
+    placement = {}
+    for sr in env.runner.run(workflow).stage_results:
+        placement.update(sr.placement)
+    return placement
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_cost_model_prices_the_executed_placement(name):
+    # The solver's baseline and every trial are priced on the placement
+    # the stage runner executes, unpinned and under the solved pins.
+    from repro.lint.predict import build_static_context
+    from repro.optimizer import solve_placement
+
+    workflow, _ = build_workload(name, 0.05)
+    ctx = build_static_context(workflow)
+    assert (build_cost_report(ctx, SPEC).placement
+            == _executed_placement(name, {}))
+    plan = solve_placement(workflow, SPEC, workload=name, scale=0.05)
+    assert (build_cost_report(ctx, SPEC, placement=plan.tasks).placement
+            == _executed_placement(name, plan.tasks, plan))
 
 
 # ----------------------------------------------------------------------

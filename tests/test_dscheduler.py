@@ -3,7 +3,8 @@ placement-liveness bugfix sweep that rode along with it:
 
 - typed ``NoAliveNodesError`` instead of ``ZeroDivisionError`` when every
   node is dead, with a clean runner abort preserving partial results;
-- pins and co-locate targets naming dead nodes fall back to survivors;
+- pins (co-located stages included) naming dead nodes fall back to
+  survivors, and pins naming unknown nodes fail on both engines;
 - ``WorkflowResult.wall_time`` is the first-start/last-finish makespan
   (the old sum survives as ``serial_time``);
 - the per-task state machine: exactly one terminal state per task,
@@ -22,13 +23,10 @@ from repro.faults import FaultInjector, FaultSpec, NodeFault
 from repro.mapper import DataSemanticMapper
 from repro.simclock import SimClock
 from repro.workflow import (
-    CoLocateScheduler,
     DataflowRunner,
     DataflowScheduler,
     NoAliveNodesError,
-    PinnedScheduler,
     RetryPolicy,
-    RoundRobinScheduler,
     SpeculationPolicy,
     Stage,
     Task,
@@ -36,6 +34,7 @@ from repro.workflow import (
     Workflow,
     WorkflowResult,
     WorkflowRunner,
+    stage_placement,
     upward_ranks,
 )
 from repro.workflow.contracts import TaskContract, creates, reads
@@ -96,20 +95,23 @@ class TestAllDeadCluster:
     def test_round_robin_raises_typed_error(self):
         clock, cluster = small_cluster(2)
         kill_all(cluster)
-        stage = Stage("s", [writer_task("t", "/pfs/x.h5")])
+        wf = Workflow("wf", [Stage("s", [writer_task("t", "/pfs/x.h5")])])
+        runner = WorkflowRunner(cluster, DataSemanticMapper(clock))
         with pytest.raises(NoAliveNodesError) as exc:
-            RoundRobinScheduler().place(stage, cluster)
+            runner.run(wf)
         assert exc.value.dead_nodes == ["n0", "n1"]
         assert "all 2" in str(exc.value)
+        assert runner.last_result.stage("s").aborted
 
     def test_pinned_and_colocate_raise_too(self):
         clock, cluster = small_cluster(2)
         kill_all(cluster)
-        stage = Stage("s", [writer_task("t", "/pfs/x.h5")])
-        with pytest.raises(NoAliveNodesError):
-            PinnedScheduler({"t": "n0"}).place(stage, cluster)
-        with pytest.raises(NoAliveNodesError):
-            CoLocateScheduler(["s"]).place(stage, cluster)
+        wf = Workflow("wf", [Stage("s", [writer_task("t", "/pfs/x.h5")])])
+        for runner_cls in (WorkflowRunner, DataflowRunner):
+            runner = runner_cls(cluster, DataSemanticMapper(clock),
+                                pins={"t": "n0"})
+            with pytest.raises(NoAliveNodesError):
+                runner.run(wf)
 
     def test_engine_assign_raises_typed_error(self):
         g = TaskGraph()
@@ -167,33 +169,43 @@ class TestDeadPinFallback:
     def test_pin_to_dead_node_falls_back_to_survivor(self):
         clock, cluster = small_cluster(3)
         stage = Stage("s", [writer_task("t", "/pfs/x.h5")])
-        sched = PinnedScheduler({"t": "n1"})
-        assert sched.place(stage, cluster)["t"] == "n1"
+        pins = {"t": "n1"}
+        assert stage_placement(stage, cluster.alive_node_names(), pins) \
+            == {"t": "n1"}
         cluster.fail_node("n1")
         # Regression: the old code re-pinned the task onto the corpse.
-        placed = sched.place(stage, cluster)["t"]
+        placed = stage_placement(stage, cluster.alive_node_names(), pins)["t"]
         assert placed != "n1"
         assert cluster.is_alive(placed)
 
     def test_pin_to_unknown_node_still_raises(self):
         clock, cluster = small_cluster(2)
-        stage = Stage("s", [writer_task("t", "/pfs/x.h5")])
-        with pytest.raises(KeyError):
-            PinnedScheduler({"t": "n9"}).place(stage, cluster)
+        wf = Workflow("wf", [Stage("s", [writer_task("t", "/pfs/x.h5")])])
+        runner = WorkflowRunner(cluster, DataSemanticMapper(clock),
+                                pins={"t": "n9"})
+        with pytest.raises(KeyError, match="n9"):
+            runner.run(wf)
 
     def test_colocate_dead_target_falls_back(self):
         clock, cluster = small_cluster(3)
         stage = Stage("s", [writer_task("t", "/pfs/x.h5")])
-        sched = CoLocateScheduler(["s"], node="n2")
-        assert sched.place(stage, cluster)["t"] == "n2"
+        pins = {"t": "n2"}
+        assert stage_placement(stage, cluster.alive_node_names(), pins) \
+            == {"t": "n2"}
         cluster.fail_node("n2")
-        assert sched.place(stage, cluster)["t"] == "n0"
+        assert stage_placement(stage, cluster.alive_node_names(), pins) \
+            == {"t": "n0"}
 
     def test_colocate_unknown_target_still_raises(self):
+        # A co-located stage is a pin per task; an unknown target fails
+        # on the event engine too, before any task runs.
         clock, cluster = small_cluster(2)
-        stage = Stage("s", [writer_task("t", "/pfs/x.h5")])
-        with pytest.raises(KeyError):
-            CoLocateScheduler(["s"], node="n9").place(stage, cluster)
+        wf = Workflow("wf", [Stage("s", [writer_task("t", "/pfs/x.h5")])])
+        runner = DataflowRunner(cluster, DataSemanticMapper(clock),
+                                pins={"t": "n9"})
+        with pytest.raises(KeyError, match="n9"):
+            runner.run(wf)
+        assert not runner.mapper.profiles
 
     def test_colocate_target_dies_mid_workflow_with_retries(self):
         clock, cluster = small_cluster(3)
@@ -206,7 +218,7 @@ class TestDeadPinFallback:
                         reader_task("r1", "/pfs/a.h5")]),
         ])
         runner = WorkflowRunner(
-            cluster, mapper, scheduler=CoLocateScheduler(["a", "b"], node="n2"),
+            cluster, mapper, pins={t.name: "n2" for t in wf.all_tasks()},
             retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.01),
             faults=inj)
         result = runner.run(wf)

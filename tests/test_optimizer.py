@@ -12,7 +12,6 @@ from repro.mapper import DaYuConfig, DataSemanticMapper
 from repro.optimizer import TransparentCache, build_plan
 from repro.simclock import SimClock
 from repro.workflow import Stage, Task, Workflow, WorkflowRunner
-from repro.workflow.scheduler import PinnedScheduler
 
 
 def make_cluster(n=2):
@@ -233,9 +232,9 @@ class TestEndToEndAutoOptimization:
             Stage("consume", [Task(f"reader_{i}", reader(i)) for i in range(6)]),
         ])
 
-    def _run(self, cluster, workflow, scheduler=None):
+    def _run(self, cluster, workflow, pins=None):
         mapper = DataSemanticMapper(cluster.clock, DaYuConfig())
-        runner = WorkflowRunner(cluster, mapper, scheduler)
+        runner = WorkflowRunner(cluster, mapper, pins)
         result = runner.run(workflow)
         return result, mapper
 
@@ -259,7 +258,7 @@ class TestEndToEndAutoOptimization:
                              data=np.zeros(200_000))
         plan.stage_in_all(cluster2.fs)
         optimized, _ = self._run(cluster2, self._workflow(plan),
-                                 scheduler=plan.scheduler())
+                                 pins=plan.pins)
         assert optimized.stage("consume").wall_time < \
             baseline.stage("consume").wall_time
 
@@ -352,7 +351,7 @@ class TestTransparentCache:
         ])
         runner = WorkflowRunner(
             cluster, mapper,
-            scheduler=PinnedScheduler({"first": "n0", "second": "n0"}),
+            pins={"first": "n0", "second": "n0"},
             path_resolver=cache,
         )
         result = runner.run(wf)

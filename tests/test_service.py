@@ -12,7 +12,9 @@ after a simulated ``kill -9`` and restart.
 import asyncio
 import json
 import random
+import socket
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +433,144 @@ class TestServiceHttp:
             with pytest.raises(ServiceClientError) as exc:
                 c.run_info("r")
             assert exc.value.code == "unknown-run"
+
+
+def _raw_exchange(server, data: bytes, timeout: float = 5.0):
+    """Send ``data`` on a fresh connection, half-close it, and read until
+    the server closes.  Returns ``(status, json_body)`` of the first
+    response, or ``None`` when the server closed without answering."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=timeout) as sock:
+        received = b""
+        try:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server stopped reading early: its answer may be queued
+        try:
+            while True:
+                part = sock.recv(65536)
+                if not part:
+                    break
+                received += part
+        except ConnectionResetError:
+            pass
+    if not received:
+        return None
+    head, _, rest = received.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    status = int(lines[0].split()[1])
+    length = next(int(line.split(":", 1)[1]) for line in lines[1:]
+                  if line.lower().startswith("content-length:"))
+    return status, json.loads(rest[:length])
+
+
+def _upload_request(body: bytes, chunked: bool) -> bytes:
+    head = "POST /runs/fuzz/traces HTTP/1.1\r\nHost: dayu\r\n"
+    if not chunked:
+        return (head + f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+    frames = b"".join(b"%x\r\n%s\r\n" % (len(body[i:i + 64]), body[i:i + 64])
+                      for i in range(0, len(body), 64))
+    return (head + "Transfer-Encoding: chunked\r\n\r\n").encode() \
+        + frames + b"0\r\n\r\n"
+
+
+class TestHttpFuzz:
+    """Mutated uploads over a real connection: every one is answered
+    with a typed JSON 4xx or a closed connection, never a hang, a 2xx
+    or a crashed server."""
+
+    @staticmethod
+    def _mutations(body: bytes, seed: int):
+        rng = random.Random(seed)
+        for chunked in (False, True):
+            full = _upload_request(body, chunked)
+            # Truncation at (and one byte around) every CRLF, plus a few
+            # seeded cuts inside the body.
+            cuts = set()
+            at = full.find(b"\r\n")
+            while at != -1:
+                cuts.update((at, at + 1, at + 2))
+                at = full.find(b"\r\n", at + 2)
+            start = full.index(b"\r\n\r\n") + 4
+            cuts.update(rng.randrange(start, len(full)) for _ in range(8))
+            for cut in sorted(c for c in cuts if 0 < c < len(full)):
+                yield f"truncated-{'chunked' if chunked else 'plain'}@{cut}", \
+                    full[:cut]
+        head = b"POST /runs/fuzz/traces HTTP/1.1\r\n"
+        n_lines = rng.randrange(101, 3000)
+        yield "header-line-flood", head + b"".join(
+            b"X-Pad-%d: x\r\n" % i for i in range(n_lines)) + b"\r\n" + body
+        yield "header-byte-flood", head + b"".join(
+            b"X-Pad-%d: %s\r\n" % (i, b"y" * 2000) for i in range(9)) \
+            + b"\r\n" + body
+        for size in (b"zz", b"-5", b"", b" ", b"1" * 20,
+                     b"%x" % rng.randrange(1 << 40, 1 << 60)):
+            yield f"chunk-size-{size[:8]!r}", head \
+                + b"Transfer-Encoding: chunked\r\n\r\n" + size + b"\r\n" \
+                + body[:16] + b"\r\n0\r\n\r\n"
+        for length in (b"-1", b"abc", b"%d" % rng.randrange(1 << 40, 1 << 62),
+                       b"%d" % (len(body) + 10)):
+            yield f"content-length-{length[:8]!r}", head \
+                + b"Content-Length: " + length + b"\r\n\r\n" + body
+        chunked_req = _upload_request(body, True)
+        first_frame_end = chunked_req.index(b"\r\n", chunked_req.index(
+            b"\r\n\r\n") + 4) + 2 + 64
+        yield "chunk-crlf-replaced", chunked_req[:first_frame_end] + b"XX" \
+            + chunked_req[first_frame_end + 2:]
+        yield "chunk-crlf-missing", chunked_req[:first_frame_end] \
+            + chunked_req[first_frame_end + 2:]
+        yield "no-blank-line", head \
+            + b"Content-Length: %d\r\n" % len(body) + body
+        yield "trailer-flood", chunked_req[:-2] + b"".join(
+            b"X-Trailer-%d: z\r\n" % i for i in range(200)) + b"\r\n"
+
+    def test_mutated_uploads_get_typed_4xx_or_close(self, server,
+                                                    small_profiles):
+        body = small_profiles[0].serialize()
+        assert len(body) > 200  # several 64-byte chunks
+        seen = set()
+        for label, data in self._mutations(body, seed=17):
+            started = time.monotonic()
+            reply = _raw_exchange(server, data)
+            assert time.monotonic() - started < 5.0, label
+            if reply is None:
+                seen.add("closed")
+                continue
+            status, payload = reply
+            assert 400 <= status < 500, (label, status, payload)
+            assert isinstance(payload.get("error"), str), (label, payload)
+            seen.add(payload["error"])
+        # Each guard fired at least once, and nothing was stored.
+        assert {"closed", "bad-request", "headers-too-large",
+                "payload-too-large"} <= seen
+        with server.client() as c:
+            assert c.healthz() == {"status": "ok"}
+            assert c.runs()["runs"] == []
+
+    def test_header_caps_answer_431(self, server):
+        for data in (b"GET /healthz HTTP/1.1\r\n"
+                     + b"X-A: b\r\n" * 101 + b"\r\n",
+                     b"GET /healthz HTTP/1.1\r\n"
+                     + (b"X-A: " + b"b" * 4000 + b"\r\n") * 5 + b"\r\n",
+                     b"GET /healthz HTTP/1.1\r\n"
+                     + b"X-A: " + b"b" * 70_000 + b"\r\n\r\n"):
+            status, payload = _raw_exchange(server, data)
+            assert status == 431
+            assert payload["error"] == "headers-too-large"
+        # At the caps the request is still served.
+        status, payload = _raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 100
+            + b"\r\n")
+        assert (status, payload) == (200, {"status": "ok"})
+
+    def test_bad_chunk_terminator_rejected(self, server):
+        data = (b"POST /runs/fuzz/traces HTTP/1.1\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"4\r\nDYC1XX0\r\n\r\n")
+        status, payload = _raw_exchange(server, data)
+        assert status == 400 and payload["error"] == "bad-request"
+        assert "CRLF" in payload["message"]
 
 
 class TestTenancy:
