@@ -236,13 +236,11 @@ def lint_main(argv: List[str] | None = None) -> int:
 
     cost_ctx = None
 
-    def _cost_context(workflow, wc):
+    def _cost_context(workflow):
         from repro.cluster.configs import cluster_spec
         from repro.lint.cost import build_cost_context
 
-        return build_cost_context(workflow,
-                                  cluster_spec("gpu", args.nodes),
-                                  contracts=wc)
+        return build_cost_context(workflow, cluster_spec("gpu", args.nodes))
 
     if args.static:
         from repro.lint import lint_workflow
@@ -250,19 +248,15 @@ def lint_main(argv: List[str] | None = None) -> int:
         built = _workload(args.static)
         if built is None:
             return 2
+        report = lint_workflow(built[0], config)
         if args.cost:
-            from repro.lint import extract_workflow_contracts
             from repro.lint.engine import cost_findings
             from repro.lint.findings import Finding
 
-            wc = extract_workflow_contracts(built[0])
-            cost_ctx = _cost_context(built[0], wc)
-            report = lint_workflow(built[0], config, contracts=wc)
+            cost_ctx = _cost_context(built[0])
             report.findings = sorted(
                 report.findings + cost_findings(cost_ctx, config),
                 key=Finding.sort_key)
-        else:
-            report = lint_workflow(built[0], config)
     else:
         from repro.analyzer import ParallelAnalyzer
 
@@ -280,18 +274,18 @@ def lint_main(argv: List[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
         if args.diff:
-            from repro.lint import extract_workflow_contracts
+            from repro.lint.predict import build_static_context
 
             built = _workload(args.diff)
             if built is None:
                 return 2
-            wc = extract_workflow_contracts(built[0])
-            report = analyzer.diff(profiles, wc.effective(), config)
+            report = analyzer.diff(
+                profiles, build_static_context(built[0]).effective, config)
             if args.cost:
                 from repro.lint.engine import cost_findings
                 from repro.lint.findings import Finding
 
-                cost_ctx = _cost_context(built[0], wc)
+                cost_ctx = _cost_context(built[0])
                 report.findings = sorted(
                     report.findings
                     + cost_findings(cost_ctx, config, profiles),

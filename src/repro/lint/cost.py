@@ -15,8 +15,9 @@ into a :class:`CostReport`: per-task I/O seconds, per-edge transfer
 volumes, per-stage walls, and the predicted critical path, entirely
 pre-run.  The DY6xx rules (:mod:`repro.lint.perf`) read the report to
 convict performance hazards; the greedy locality solver
-(:mod:`repro.optimizer.placement`) re-invokes :func:`build_cost_report`
-under trial placements to search for a better one; and the DY65x drift
+(:mod:`repro.optimizer.placement`) re-prices the stages a trial
+placement touches with :func:`price_stage`, the same per-stage pricer
+:func:`build_cost_report` runs; and the DY65x drift
 rules compare the prediction against a traced run, so mispredictions
 are themselves findings (mirroring DY45x contract drift).
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -39,9 +41,9 @@ import networkx as nx
 from repro.cluster.configs import ClusterSpec
 from repro.lint.predict import StaticContext, access_bytes, build_static_context
 from repro.mapper.mapper import TaskProfile
-from repro.storage.devices import DEVICE_CATALOG, predicted_cost
+from repro.storage.devices import predicted_cost
 from repro.workflow.contracts import ContractAccess
-from repro.workflow.model import Workflow
+from repro.workflow.model import Stage, Workflow
 from repro.workflow.scheduler import stage_placement
 
 __all__ = [
@@ -54,6 +56,8 @@ __all__ = [
     "CostContext",
     "CostDriftContext",
     "build_cost_report",
+    "PriceMemo",
+    "price_stage",
     "build_cost_context",
     "build_cost_drift_context",
     "critical_path",
@@ -305,6 +309,90 @@ def _charge(spec_dev, a: ContractAccess, concurrency: int
     return ro, rb, wo, wb, io, latency
 
 
+def _concurrency(stage: Stage, dev, on_node: int) -> int:
+    """Request streams a device sees from one task of ``stage``: the
+    whole stage on a shared device, the ``on_node`` tasks placed beside
+    it on a node-local one, one in a serial stage."""
+    if not stage.parallel:
+        return 1
+    return len(stage.tasks) if dev.shared else on_node
+
+
+class PriceMemo:
+    """The pure lookups of one pricing run (a report, or a whole solve),
+    memoised: ``spec.device_for_path`` per path and :func:`_charge` per
+    ``(device, access, concurrency)``."""
+
+    def __init__(self, spec: ClusterSpec) -> None:
+        self.device_for = lru_cache(maxsize=None)(spec.device_for_path)
+        self.charge = lru_cache(maxsize=None)(_charge)
+
+
+def price_stage(
+    ctx: StaticContext,
+    si: int,
+    placement: Mapping[str, str],
+    file_placement: Mapping[str, str],
+    memo: PriceMemo,
+    traffic: Optional[Dict[Tuple[str, str], DatasetTraffic]] = None,
+) -> Tuple[List[TaskCost], StageCost]:
+    """Price every declared access of stage ``si``: ``placement`` maps
+    each task to its node, ``file_placement`` rewrites contract paths.
+    Node-local concurrency counts the stage's tasks per node, so a move
+    re-prices the whole stage.  The wall is the max (parallel) or sum
+    (serial) of the tasks' compute plus I/O.  When ``traffic`` is
+    given, reads accumulate into it per dataset.
+    """
+    stage = ctx.workflow.stages[si]
+    per_node = Counter(placement[t.name] for t in stage.tasks)
+    costs: List[TaskCost] = []
+    for t in stage.tasks:
+        node = placement[t.name]
+        tc = TaskCost(task=t.name, stage=stage.name, stage_index=si,
+                      node=node, compute_seconds=t.compute_seconds)
+        contract = ctx.effective.get(t.name)
+        per_key: Dict[Tuple[str, str], List[float]] = {}
+        for a in (contract.accesses if contract is not None else ()):
+            path = file_placement.get(a.file, a.file)
+            dev, _owner = memo.device_for(path)
+            ro, rb, wo, wb, io, lat = memo.charge(
+                dev, a, _concurrency(stage, dev, per_node[node]))
+            tc.read_ops += ro
+            tc.read_bytes += rb
+            tc.write_ops += wo
+            tc.write_bytes += wb
+            tc.io_seconds += io
+            tc.latency_seconds += lat
+            acc = per_key.setdefault(a.key, [0, 0, 0.0, 0.0])
+            acc[0] += ro + wo
+            acc[1] += rb + wb
+            acc[2] += io
+            acc[3] += lat
+            if ro and traffic is not None:
+                kt = traffic.get(a.key)
+                if kt is None:
+                    kt = DatasetTraffic(
+                        file=a.file, dataset=a.dataset, path=path,
+                        device=dev.name, shared=dev.shared)
+                    traffic[a.key] = kt
+                kt.read_ops += ro
+                kt.bytes_read += rb
+                if t.name not in kt.readers:
+                    kt.readers = kt.readers + (t.name,)
+        tc.datasets = [
+            DatasetKeyCost(file=k[0], dataset=k[1], ops=v[0],
+                           volume=v[1], io_seconds=v[2],
+                           latency_seconds=v[3])
+            for k, v in sorted(per_key.items())
+        ]
+        costs.append(tc)
+    totals = [tc.total_seconds for tc in costs]
+    wall = max(totals, default=0.0) if stage.parallel else sum(totals)
+    return costs, StageCost(name=stage.name, index=si,
+                            parallel=stage.parallel, wall_seconds=wall,
+                            tasks=tuple(t.name for t in stage.tasks))
+
+
 def build_cost_report(
     ctx: StaticContext,
     spec: ClusterSpec,
@@ -325,10 +413,11 @@ def build_cost_report(
             plan's localizations); unlisted paths stay where the
             contract puts them.
 
-    Concurrency mirrors the runner's stage declaration: in a parallel
-    stage a shared device sees the whole stage's task count, a
-    node-local device sees only the tasks placed on its node; serial
-    stages run one request stream at a time.
+    Each stage is priced by :func:`price_stage`.  Concurrency mirrors
+    the runner's stage declaration: in a parallel stage a shared device
+    sees the whole stage's task count, a node-local device sees only
+    the tasks placed on its node; serial stages run one request stream
+    at a time.
     """
     nodes = spec.node_names
     pins = placement or {}
@@ -336,73 +425,18 @@ def build_cost_report(
     for stage in ctx.workflow.stages:
         placement.update(stage_placement(stage, nodes, pins))
     file_placement = dict(file_placement or {})
-
-    def resolve(path: str) -> str:
-        return file_placement.get(path, path)
+    memo = PriceMemo(spec)
 
     tasks: Dict[str, TaskCost] = {}
     traffic: Dict[Tuple[str, str], DatasetTraffic] = {}
     stage_costs: List[StageCost] = []
+    for si in range(len(ctx.workflow.stages)):
+        costs, stage_cost = price_stage(ctx, si, placement, file_placement,
+                                        memo, traffic)
+        tasks.update((tc.task, tc) for tc in costs)
+        stage_costs.append(stage_cost)
 
-    for si, stage in enumerate(ctx.workflow.stages):
-        per_node = Counter(placement[t.name] for t in stage.tasks)
-        for t in stage.tasks:
-            node = placement[t.name]
-            tc = TaskCost(task=t.name, stage=stage.name, stage_index=si,
-                          node=node, compute_seconds=t.compute_seconds)
-            contract = ctx.effective.get(t.name)
-            per_key: Dict[Tuple[str, str], List[float]] = {}
-            for a in (contract.accesses if contract is not None else ()):
-                path = resolve(a.file)
-                dev, _owner = spec.device_for_path(path)
-                if not stage.parallel:
-                    concurrency = 1
-                elif dev.shared:
-                    concurrency = len(stage.tasks)
-                else:
-                    concurrency = per_node[node]
-                ro, rb, wo, wb, io, lat = _charge(dev, a, concurrency)
-                tc.read_ops += ro
-                tc.read_bytes += rb
-                tc.write_ops += wo
-                tc.write_bytes += wb
-                tc.io_seconds += io
-                tc.latency_seconds += lat
-                acc = per_key.setdefault(a.key, [0, 0, 0.0, 0.0])
-                acc[0] += ro + wo
-                acc[1] += rb + wb
-                acc[2] += io
-                acc[3] += lat
-                if ro:
-                    kt = traffic.get(a.key)
-                    if kt is None:
-                        kt = DatasetTraffic(
-                            file=a.file, dataset=a.dataset, path=path,
-                            device=_device_name(spec, path),
-                            shared=dev.shared)
-                        traffic[a.key] = kt
-                    kt.read_ops += ro
-                    kt.bytes_read += rb
-                    if t.name not in kt.readers:
-                        kt.readers = kt.readers + (t.name,)
-            tc.datasets = [
-                DatasetKeyCost(file=k[0], dataset=k[1], ops=v[0],
-                               volume=v[1], io_seconds=v[2],
-                               latency_seconds=v[3])
-                for k, v in sorted(per_key.items())
-            ]
-            tasks[t.name] = tc
-        if stage.parallel:
-            wall = max((tasks[t.name].total_seconds for t in stage.tasks),
-                       default=0.0)
-        else:
-            wall = sum(tasks[t.name].total_seconds for t in stage.tasks)
-        stage_costs.append(StageCost(
-            name=stage.name, index=si, parallel=stage.parallel,
-            wall_seconds=wall,
-            tasks=tuple(t.name for t in stage.tasks)))
-
-    edges = _edge_costs(ctx, spec, dict(placement), resolve, tasks)
+    edges = _edge_costs(ctx, placement, file_placement, memo, tasks)
     dag = ctx.ordering.dag if ctx.ordering is not None else nx.DiGraph()
     weights = {name: tc.total_seconds for name, tc in tasks.items()}
     cp_tasks, cp_seconds = critical_path(dag, weights)
@@ -417,24 +451,16 @@ def build_cost_report(
         critical_path=cp_tasks,
         critical_path_seconds=cp_seconds,
         makespan_seconds=sum(s.wall_seconds for s in stage_costs),
-        placement=dict(placement),
+        placement=placement,
         file_placement=file_placement,
     )
 
 
-def _device_name(spec: ClusterSpec, path: str) -> str:
-    dev, _ = spec.device_for_path(path)
-    for name, cat in DEVICE_CATALOG.items():
-        if cat is dev:
-            return name
-    return dev.name
-
-
 def _edge_costs(
     ctx: StaticContext,
-    spec: ClusterSpec,
     placement: Dict[str, str],
-    resolve,
+    file_placement: Mapping[str, str],
+    memo: PriceMemo,
     tasks: Dict[str, TaskCost],
 ) -> List[EdgeCost]:
     """One :class:`EdgeCost` per realized producer → consumer hand-off,
@@ -446,28 +472,19 @@ def _edge_costs(
         if key is None:
             continue
         file, dataset = key
-        path = resolve(file)
-        dev, owner = spec.device_for_path(path)
+        dev, owner = memo.device_for(file_placement.get(file, file))
+        node = tasks[consumer].node
+        stage = ctx.workflow.stages[tasks[consumer].stage_index]
+        on_node = sum(1 for t in stage.tasks if placement.get(t.name) == node)
         volume = 0
         seconds = 0.0
         for a in ctx.accesses_for(key, consumer):
             if a.op != "read":
                 continue
-            ops = max(a.count, 1)
-            volume += access_bytes(a) * ops
-            si = tasks[consumer].stage_index
-            stage = ctx.workflow.stages[si]
-            if not stage.parallel:
-                concurrency = 1
-            elif dev.shared:
-                concurrency = len(stage.tasks)
-            else:
-                concurrency = sum(
-                    1 for t in stage.tasks
-                    if placement.get(t.name) == tasks[consumer].node)
-            seconds += predicted_cost(dev, read_ops=ops,
-                                      read_bytes=access_bytes(a) * ops,
-                                      concurrency=concurrency)
+            _ro, rb, _wo, _wb, io, _lat = memo.charge(
+                dev, a, _concurrency(stage, dev, on_node))
+            volume += rb
+            seconds += io
         if dev.shared:
             cross = placement.get(producer) != placement.get(consumer)
         else:
@@ -553,12 +570,11 @@ def schedule_makespan(
 def build_cost_context(
     workflow: Workflow,
     spec: ClusterSpec,
-    contracts=None,
     placement: Optional[Mapping[str, str]] = None,
     file_placement: Optional[Mapping[str, str]] = None,
 ) -> CostContext:
     """Static context + cost report in one call (what ``--cost`` runs)."""
-    static = build_static_context(workflow, contracts)
+    static = build_static_context(workflow)
     report = build_cost_report(static, spec, placement=placement,
                                file_placement=file_placement)
     return CostContext(static=static, spec=spec, report=report)

@@ -248,10 +248,11 @@ def cost_findings(cctx, config: LintConfig,
 
 
 def lint_workflow(workflow, config: Optional[LintConfig] = None,
-                  contracts=None, spec=None) -> LintReport:
+                  spec=None) -> LintReport:
     """Lint a workflow *definition* — no traces required.
 
-    Extracts (or accepts) access contracts for every task, joins them
+    Extracts access contracts for every task (once per workflow object,
+    see :func:`~repro.lint.predict.build_static_context`), joins them
     into the static context, and runs the DY40x pre-run rules.  When a
     :class:`~repro.cluster.configs.ClusterSpec` is supplied (``spec``)
     and any ``perf``-scoped rule is enabled, the static cost report is
@@ -260,7 +261,7 @@ def lint_workflow(workflow, config: Optional[LintConfig] = None,
     from repro.lint.predict import build_static_context
 
     config = config or LintConfig()
-    ctx = build_static_context(workflow, contracts)
+    ctx = build_static_context(workflow)
     findings = run_contract_rules(ctx, config)
     if config.enabled_rules(scope="race"):
         from repro.lint.race import build_static_race_context

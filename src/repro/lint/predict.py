@@ -175,10 +175,20 @@ def build_static_context(
     """Join a workflow's contracts into the pre-run rule context.
 
     ``contracts`` defaults to running the AST extractor over every task
-    (merging in declared contracts where tasks carry them).
+    (merging in declared contracts where tasks carry them).  The
+    extraction is memoised on the workflow object
+    (``Workflow.contracts_memo``) under the key of every task's
+    ``(name, fn, contract)`` in order, so linting, costing and solving
+    one workflow extract once, while adding, replacing or re-declaring
+    a task extracts again.
     """
     if contracts is None:
-        contracts = extract_workflow_contracts(workflow)
+        key = tuple((t.name, t.fn, t.contract) for t in workflow.all_tasks())
+        memo = workflow.contracts_memo
+        if memo is None or memo[0] != key:
+            memo = workflow.contracts_memo = (
+                key, extract_workflow_contracts(workflow))
+        contracts = memo[1]
     schedule: Dict[str, Tuple[int, int]] = {}
     parallel_stage: Dict[str, bool] = {}
     for si, stage in enumerate(workflow.stages):
@@ -267,17 +277,14 @@ def synthetic_profiles(ctx: StaticContext) -> List[TaskProfile]:
     return profiles
 
 
-def build_predicted_sdg(
-    workflow: Workflow,
-    contracts: Optional[WorkflowContracts] = None,
-) -> "nx.DiGraph":
+def build_predicted_sdg(workflow: Workflow) -> "nx.DiGraph":
     """Build the SDG a run of this workflow is predicted to produce.
 
     Same node/edge schema as :func:`repro.analyzer.graphs.build_sdg`
     (task/file/dataset nodes, read/write edges with count and volume),
     with ``predicted=True`` set on the graph for consumers that care.
     """
-    ctx = build_static_context(workflow, contracts)
+    ctx = build_static_context(workflow)
     builder = GraphBuilder("sdg")
     for profile in synthetic_profiles(ctx):
         builder.add_profile(profile)

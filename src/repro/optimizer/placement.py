@@ -12,23 +12,24 @@ and the static cost model, before anything runs:
    mentions it (localized files are node-local, so *all* touchers must
    co-locate, not just the heavy ones).
 3. Trial-place the touchers on each candidate node with the file on the
-   fastest local tier, re-price the whole workflow with
-   :func:`~repro.lint.cost.build_cost_report` (plus the stage-in price
-   for pre-existing external inputs), and commit the move only when the
-   predicted makespan strictly improves.
+   fastest local tier, re-price only the stages that hold a toucher
+   with :func:`~repro.lint.cost.price_stage` (a move changes node-local
+   concurrency for the whole stage, and no other stage), add the
+   stage-in price for pre-existing external inputs, and commit the move
+   only when the predicted makespan strictly improves.
 
-The output is a versioned, executable
-:class:`~repro.workflow.plan.PlacementPlan`; greedy with full re-pricing
-per trial keeps the solver honest — every committed move is backed by
-an end-to-end prediction, not a local heuristic.
+A trial's makespan, the sum of its stage walls in stage order, equals
+a full :func:`~repro.lint.cost.build_cost_report`'s bit for bit; full
+reports are built for the baseline and the final plan only.  The output
+is a versioned, executable :class:`~repro.workflow.plan.PlacementPlan`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.configs import ClusterSpec
-from repro.lint.cost import build_cost_report
+from repro.lint.cost import PriceMemo, build_cost_report, price_stage
 from repro.lint.predict import (
     StaticContext,
     access_bytes,
@@ -106,6 +107,18 @@ def _stage_in_seconds(ctx: StaticContext, spec: ClusterSpec,
     return total
 
 
+def _trial_walls(ctx: StaticContext, walls: Sequence[float],
+                 stages: Sequence[int], placement: Dict[str, str],
+                 file_map: Dict[str, str], memo: PriceMemo) -> List[float]:
+    """The committed stage walls with ``stages`` re-priced under a
+    trial placement and file map."""
+    out = list(walls)
+    for si in stages:
+        out[si] = price_stage(ctx, si, placement, file_map,
+                              memo)[1].wall_seconds
+    return out
+
+
 def solve_placement(
     workflow: Workflow,
     spec: ClusterSpec,
@@ -133,6 +146,8 @@ def solve_placement(
         return plan
 
     placement = dict(baseline.placement)
+    walls = [s.wall_seconds for s in baseline.stages]
+    memo = PriceMemo(spec)
     file_map: Dict[str, str] = {}
     pinned: Set[str] = set()
     best_cost = baseline.makespan_seconds
@@ -145,23 +160,23 @@ def solve_placement(
         if len(agreed) > 1:
             continue  # earlier commits split this file's touchers
         candidates = sorted(agreed) if agreed else list(spec.node_names)
-        best_trial: Optional[Tuple[float, str]] = None
+        stages = sorted({ctx.schedule[t][0] for t in touchers})
+        best_trial: Optional[Tuple[float, str, List[float]]] = None
         for node in candidates:
             trial_placement = dict(placement)
             for t in touchers:
                 trial_placement[t] = node
             trial_map = dict(file_map)
             trial_map[file] = local_path(file, node, tier[0])
-            report = build_cost_report(ctx, spec,
-                                       placement=trial_placement,
-                                       file_placement=trial_map)
-            cost = (report.makespan_seconds
+            trial_walls = _trial_walls(ctx, walls, stages, trial_placement,
+                                       trial_map, memo)
+            cost = (sum(trial_walls)
                     + _stage_in_seconds(ctx, spec, trial_map))
             if best_trial is None or cost < best_trial[0]:
-                best_trial = (cost, node)
+                best_trial = (cost, node, trial_walls)
         if best_trial is None or best_trial[0] >= best_cost - 1e-9:
             continue
-        cost, node = best_trial
+        cost, node, walls = best_trial
         for t in touchers:
             placement[t] = node
             pinned.add(t)

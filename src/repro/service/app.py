@@ -72,6 +72,7 @@ from repro.service.errors import (
     MalformedTrace,
     NotFound,
     PayloadTooLarge,
+    RequestTimeout,
     RetiredTrace,
     ServiceError,
     TruncatedTrace,
@@ -88,6 +89,7 @@ _STATUS_TEXT = {
     401: "Unauthorized",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -98,6 +100,11 @@ _STATUS_TEXT = {
 #: connection.
 MAX_HEADER_LINES = 100
 MAX_HEADER_BYTES = 16 * 1024
+
+#: Seconds a request's headers and body may take once its request line
+#: has arrived; a slower request gets 408 ``request-timeout`` and loses
+#: its connection.  Idle keep-alive time between requests is unbounded.
+REQUEST_DEADLINE_S = 10.0
 
 #: Request-latency buckets: 100µs .. ~1.6s, powers of four.
 _LATENCY_BUCKETS = (1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2, 1.024e-1, 4.096e-1,
@@ -284,13 +291,19 @@ class DayuService:
             method, target, _version = line.decode("latin-1").split()
         except ValueError:
             raise ValueError(f"bad request line {line!r}")
-        headers = await _read_fields(reader)
-        body = await self._read_body(reader, headers)
+        try:
+            headers, body = await asyncio.wait_for(
+                self._read_head_and_body(reader), REQUEST_DEADLINE_S)
+        except asyncio.TimeoutError:
+            raise RequestTimeout(
+                f"request not received within {REQUEST_DEADLINE_S} s",
+                deadline_s=REQUEST_DEADLINE_S) from None
         close = headers.get("connection", "").lower() == "close"
         return _Request(method.upper(), target, headers, body, close)
 
-    async def _read_body(self, reader: asyncio.StreamReader,
-                         headers: Dict[str, str]) -> bytes:
+    async def _read_head_and_body(self, reader: asyncio.StreamReader
+                                  ) -> Tuple[Dict[str, str], bytes]:
+        headers = await _read_fields(reader)
         cap = self.config.max_body_bytes
         if headers.get("transfer-encoding", "").lower() == "chunked":
             chunks: List[bytes] = []
@@ -313,7 +326,7 @@ class DayuService:
                 chunks.append(await reader.readexactly(size))
                 if await reader.readexactly(2) != b"\r\n":
                     raise BadRequest("chunk data not followed by CRLF")
-            return b"".join(chunks)
+            return headers, b"".join(chunks)
         length = int(headers.get("content-length", "0") or "0")
         if length < 0:
             raise BadRequest(f"negative Content-Length {length}")
@@ -321,9 +334,7 @@ class DayuService:
             raise PayloadTooLarge(
                 f"body of {length} bytes exceeds {cap}",
                 max_bytes=cap, content_length=length)
-        if length:
-            return await reader.readexactly(length)
-        return b""
+        return headers, (await reader.readexactly(length) if length else b"")
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        body: str, content_type: str = "application/json",

@@ -32,6 +32,7 @@ __all__ = [
     "QuotaExceeded",
     "PayloadTooLarge",
     "HeadersTooLarge",
+    "RequestTimeout",
 ]
 
 
@@ -123,3 +124,10 @@ class HeadersTooLarge(ServiceError):
 
     status = 431
     code = "headers-too-large"
+
+
+class RequestTimeout(ServiceError):
+    """Request headers and body not received within the deadline."""
+
+    status = 408
+    code = "request-timeout"

@@ -173,6 +173,8 @@ def _access(op: str, file: str, dataset: str, **kwargs) -> ContractAccess:
     extent = kwargs.pop("shape", None)
     if extent is not None:
         extent = tuple(int(d) for d in extent)
+    if kwargs.get("select") is not None:
+        kwargs["select"] = tuple(tuple(s) for s in kwargs["select"])
     return ContractAccess(op=op, file=file,
                           dataset=normalize_dataset(dataset),
                           extent=extent, **kwargs)

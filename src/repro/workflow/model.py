@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.workflow.contracts import TaskContract, validate_contract
 
@@ -78,10 +78,13 @@ class Stage:
 
 @dataclass
 class Workflow:
-    """An ordered pipeline of stages."""
+    """An ordered pipeline of stages.  ``contracts_memo`` caches the
+    contracts :func:`repro.lint.predict.build_static_context` extracts."""
 
     name: str
     stages: List[Stage] = field(default_factory=list)
+    contracts_memo: Optional[Tuple[tuple, Any]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add_stage(self, stage: Stage) -> "Workflow":
         self.stages.append(stage)

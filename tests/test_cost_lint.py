@@ -248,7 +248,7 @@ def test_stale_prediction_convicted_by_drift(perf_profiles):
     assert {"DY651", "DY652", "DY653"} <= codes
 
 
-def _diff_cost_cli(traces, out, scale="0.05"):
+def _diff_cost_cli(traces, out, scale="0.05", jobs="1"):
     """``dayu-lint TRACES --diff perf-hazards --cost`` as JSON; returns
     the exit code, the findings text and the cost-report text."""
     from repro.lint.cli import lint_main
@@ -256,7 +256,7 @@ def _diff_cost_cli(traces, out, scale="0.05"):
     cost = out.with_suffix(".cost")
     rc = lint_main([str(traces), "--diff", "perf-hazards", "--scale", scale,
                     "--cost", "--format", "json", "--out", str(out),
-                    "--cost-out", str(cost)])
+                    "--cost-out", str(cost), "--jobs", jobs])
     return rc, out.read_text(), cost.read_text()
 
 
@@ -292,6 +292,52 @@ def test_diff_run_keeps_drift_when_prediction_stale(tmp_path,
     assert {"DY651", "DY652", "DY653"} <= codes
 
 
+@pytest.fixture(scope="module")
+def perf_rows(tmp_path_factory, perf_profiles):
+    """The perf-hazards run as a directory of per-task JSON traces."""
+    rows = tmp_path_factory.mktemp("perf") / "rows"
+    rows.mkdir()
+    for p in perf_profiles:
+        (rows / f"{p.task}.json").write_bytes(p.serialize())
+    return rows
+
+
+def test_diff_cli_drift_quiet_when_fresh_fires_when_stale(tmp_path,
+                                                         perf_rows, capsys):
+    rc, findings, _cost = _diff_cost_cli(perf_rows, tmp_path / "fresh.json")
+    assert rc == 0
+    assert not [f["code"] for f in json.loads(findings)["findings"]
+                if f["code"].startswith("DY65")]
+    rc, findings, _cost = _diff_cost_cli(perf_rows, tmp_path / "stale.json",
+                                         scale="1.0")
+    capsys.readouterr()
+    assert rc == 1
+    codes = {f["code"] for f in json.loads(findings)["findings"]}
+    assert {"DY651", "DY652", "DY653"} <= codes
+
+
+def test_diff_cli_parallel_byte_identical_to_serial(tmp_path, perf_rows,
+                                                    capsys):
+    serial = _diff_cost_cli(perf_rows, tmp_path / "serial.json")
+    parallel = _diff_cost_cli(perf_rows, tmp_path / "parallel.json",
+                              jobs="4")
+    capsys.readouterr()
+    assert parallel == serial
+
+
+def test_diff_cli_compacted_run_byte_identical_to_rows(tmp_path, perf_rows,
+                                                       capsys):
+    from repro.mapper.compact import compact_main
+
+    run = tmp_path / "columnar" / "run.dayuc"
+    run.parent.mkdir()
+    assert compact_main([str(perf_rows), "--out", str(run)]) == 0
+    rows = _diff_cost_cli(perf_rows, tmp_path / "rows.json")
+    col = _diff_cost_cli(run, tmp_path / "col.json")
+    capsys.readouterr()
+    assert col == rows
+
+
 # ----------------------------------------------------------------------
 # Plans: round-trip, improvement, executed beats naive
 # ----------------------------------------------------------------------
@@ -310,6 +356,147 @@ def test_solver_improves_and_plan_round_trips(tmp_path):
     plan.save(str(path))
     loaded = PlacementPlan.load(str(path))
     assert loaded.to_json_dict() == plan.to_json_dict()
+
+
+def _oracle_plan(workflow, spec, workload, scale):
+    """The greedy loop priced by a full :func:`build_cost_report` per
+    trial — what :func:`solve_placement` must reproduce exactly."""
+    from repro.lint.predict import build_static_context
+    from repro.optimizer import placement as P
+    from repro.workflow.plan import FilePlacement, PlacementPlan, local_path
+
+    ctx = build_static_context(workflow)
+    baseline = build_cost_report(ctx, spec)
+    plan = PlacementPlan(workload=workload, scale=scale, cluster=spec.name,
+                         n_nodes=spec.n_nodes)
+    tier = spec.fastest_local_tier()
+    placement, file_map, pinned = dict(baseline.placement), {}, set()
+    best_cost = baseline.makespan_seconds
+    for file, _bytes in P._file_traffic(ctx, spec):
+        touchers = P._touchers(ctx, file)
+        agreed = {placement[t] for t in touchers if t in pinned}
+        if not touchers or len(agreed) > 1:
+            continue
+        trials = []
+        for node in sorted(agreed) if agreed else spec.node_names:
+            trial = dict(placement, **{t: node for t in touchers})
+            trial_map = dict(file_map,
+                             **{file: local_path(file, node, tier[0])})
+            report = build_cost_report(ctx, spec, placement=trial,
+                                       file_placement=trial_map)
+            trials.append((report.makespan_seconds
+                           + P._stage_in_seconds(ctx, spec, trial_map), node))
+        cost, node = min(trials, key=lambda cn: cn[0])
+        if cost >= best_cost - 1e-9:
+            continue
+        placement.update({t: node for t in touchers})
+        pinned.update(touchers)
+        file_map[file] = local_path(file, node, tier[0])
+        best_cost = cost
+        plan.files.append(FilePlacement(
+            path=file, node=node, tier=tier[0],
+            volume=P._copy_volume(ctx, file),
+            datasets=tuple(sorted({a.dataset for c in ctx.effective.values()
+                                   for a in c.accesses if a.file == file}))))
+    plan.tasks = {t: placement[t] for t in sorted(pinned)}
+    plan.predicted = {
+        "baseline_makespan_seconds": baseline.makespan_seconds,
+        "planned_makespan_seconds": build_cost_report(
+            ctx, spec, placement=placement,
+            file_placement=file_map).makespan_seconds,
+        "stage_in_seconds": P._stage_in_seconds(ctx, spec, file_map),
+    }
+    return plan
+
+
+_SPECS = [(kind, n) for kind in ("gpu", "cpu") for n in (2, 4, 8)]
+
+
+@pytest.mark.parametrize("name,scale,specs", [
+    *(pytest.param(n, 0.05, _SPECS, id=n) for n in WORKLOADS),
+    pytest.param("pyflextrkr", 1.0, [("gpu", 2)], id="pyflextrkr-full"),
+])
+def test_incremental_solver_equals_full_repricing(name, scale, specs,
+                                                  monkeypatch):
+    from repro.optimizer import placement as P
+
+    real = P._trial_walls
+    spec = None
+    trials = []
+
+    def checked(ctx, walls, stages, placement, file_map, memo):
+        out = real(ctx, walls, stages, placement, file_map, memo)
+        full = build_cost_report(ctx, spec, placement=placement,
+                                 file_placement=file_map)
+        assert [s.wall_seconds for s in full.stages] == out
+        assert sum(out) == full.makespan_seconds
+        trials.append(file_map)
+        return out
+
+    monkeypatch.setattr(P, "_trial_walls", checked)
+    workflow, _ = build_workload(name, scale)
+    for kind, n in specs:
+        spec = cluster_spec(kind, n)
+        plan = P.solve_placement(workflow, spec, workload=name, scale=scale)
+        oracle = _oracle_plan(workflow, spec, name, scale)
+        assert plan.to_json() == oracle.to_json(), (kind, n)
+    assert trials
+
+
+def test_contracts_extracted_once_per_workflow(monkeypatch):
+    from repro.lint import static
+    from repro.lint.predict import build_static_context
+    from repro.optimizer import solve_placement
+    from repro.workflow.contracts import ContractAccess, TaskContract
+    from repro.workflow.model import Stage, Task
+
+    calls = []
+    real = static.infer_contract
+
+    def counted(task, **kwargs):
+        calls.append(task.name)
+        return real(task, **kwargs)
+
+    monkeypatch.setattr(static, "infer_contract", counted)
+    workflow, _ = build_workload("pyflextrkr", 0.05)
+    lint_workflow(workflow)
+    build_cost_context(workflow, SPEC)
+    solve_placement(workflow, SPEC)
+    assert len(calls) == len(workflow.all_tasks())
+
+    first, second = workflow.stages[0].tasks[0], workflow.stages[1].tasks[0]
+    mutations = [
+        lambda: workflow.add_stage(Stage("extra", [Task("extra", first.fn)])),
+        lambda: setattr(second, "fn", first.fn),
+        lambda: setattr(first, "contract", TaskContract.declare(
+            ContractAccess(op="read", file="/nfs/in.h5", dataset="/x"),
+            task=first.name)),
+    ]
+    for mutate in mutations:
+        mutate()
+        calls.clear()
+        ctx = build_static_context(workflow)
+        assert len(calls) == len(workflow.all_tasks())
+        fresh = static.extract_workflow_contracts(workflow)
+        assert ctx.contracts.inferred == fresh.inferred
+        assert ctx.contracts.declared == fresh.declared
+        calls.clear()
+        assert build_static_context(workflow).contracts is ctx.contracts
+        assert calls == []
+
+
+def test_declared_list_selection_is_priced():
+    # Pricing memoises per access, so declared accesses must hash.
+    from repro.workflow.contracts import TaskContract, reads
+    from repro.workflow.model import Stage, Task, Workflow
+
+    access = reads("/nfs/in.h5", "/x", elements=4, select=[[0, 4]])
+    assert access.select == ((0, 4),)
+    task = Task("t", lambda rt: None,
+                contract=TaskContract.declare(access))
+    report = build_cost_context(Workflow("w", [Stage("s", [task])]),
+                                SPEC).report
+    assert report.tasks["t"].read_bytes == 16
 
 
 def test_plan_rejects_wrong_schema(tmp_path):

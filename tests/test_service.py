@@ -573,6 +573,41 @@ class TestHttpFuzz:
         assert "CRLF" in payload["message"]
 
 
+def test_stalled_requests_answer_408_within_deadline(server, monkeypatch):
+    """Clients that send upload headers plus 3 of 100 promised body
+    bytes, then stall, get a JSON 408 (or a closed connection) once the
+    request deadline passes; the server keeps serving and stores
+    nothing."""
+    from repro.service import app
+
+    deadline = 0.5
+    monkeypatch.setattr(app, "REQUEST_DEADLINE_S", deadline)
+    stalled = []
+    for _ in range(20):
+        sock = socket.create_connection((server.host, server.port),
+                                        timeout=deadline + 4.0)
+        sock.sendall(b"POST /runs/stall/traces HTTP/1.1\r\n"
+                     b"Content-Length: 100\r\n\r\nDYC")
+        stalled.append(sock)
+    started = time.monotonic()
+    for sock in stalled:
+        with sock:
+            received = b""
+            while True:
+                part = sock.recv(65536)
+                if not part:
+                    break
+                received += part
+        if received:
+            head, _, body = received.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 408 "), head
+            assert json.loads(body)["error"] == "request-timeout"
+    assert time.monotonic() - started < deadline + 2.0
+    with server.client() as c:
+        assert c.healthz() == {"status": "ok"}
+        assert c.runs()["runs"] == []
+
+
 class TestTenancy:
     @pytest.fixture()
     def multi(self, tmp_path):
