@@ -293,7 +293,7 @@ class ParallelAnalyzer:
         """
         from repro.lint.engine import (
             LintReport,
-            run_race_rules,
+            run_rules,
             run_workflow_rules,
         )
         from repro.lint.findings import Finding
@@ -317,7 +317,7 @@ class ParallelAnalyzer:
             ctx = build_trace_race_context(profiles, config,
                                            summaries=summaries,
                                            attempts=attempts)
-            findings.extend(run_race_rules(ctx, config))
+            findings.extend(run_rules("race", ctx, config))
         findings.sort(key=Finding.sort_key)
         return LintReport(findings=findings,
                           tasks=sorted(p.task for p in profiles))

@@ -71,10 +71,9 @@ from repro.lint.engine import (
     lint_workflow,
     load_baseline,
     parse_baseline,
-    run_contract_rules,
     run_drift_rules,
     run_profile_rules,
-    run_race_rules,
+    run_rules,
     run_workflow_rules,
     save_baseline,
 )
@@ -122,9 +121,8 @@ __all__ = [
     "diff_profiles",
     "run_profile_rules",
     "run_workflow_rules",
-    "run_contract_rules",
+    "run_rules",
     "run_drift_rules",
-    "run_race_rules",
     "HbOrder",
     "IntervalSet",
     "reorder_witness",

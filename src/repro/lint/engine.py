@@ -53,11 +53,8 @@ __all__ = [
     "diff_profiles",
     "run_profile_rules",
     "run_workflow_rules",
-    "run_contract_rules",
+    "run_rules",
     "run_drift_rules",
-    "run_race_rules",
-    "run_perf_rules",
-    "run_costdrift_rules",
     "cost_findings",
     "load_baseline",
     "save_baseline",
@@ -162,11 +159,15 @@ def run_workflow_rules(profiles: Sequence[TaskProfile],
     return findings
 
 
-def run_race_rules(ctx, config: LintConfig) -> List[Finding]:
-    """Evaluate every enabled ``race``-scoped (DY5xx) rule over a
-    :class:`~repro.lint.race.RaceContext` — post-hoc or static."""
+def run_rules(scope: str, ctx, config: LintConfig) -> List[Finding]:
+    """Evaluate every enabled rule of ``scope`` over its context: a
+    :class:`~repro.lint.race.RaceContext` for ``race`` (DY5xx), a
+    :class:`~repro.lint.predict.StaticContext` for ``contract`` (DY40x),
+    a :class:`~repro.lint.cost.CostContext` for ``perf`` (DY60x) and a
+    :class:`~repro.lint.cost.CostDriftContext` for ``costdrift``
+    (DY65x)."""
     findings: List[Finding] = []
-    for r in config.enabled_rules(scope="race"):
+    for r in config.enabled_rules(scope=scope):
         findings.extend(r.check(ctx, config))
     return findings
 
@@ -192,7 +193,7 @@ def lint_profiles(profiles: Sequence[TaskProfile],
         from repro.lint.race import build_trace_race_context
 
         ctx = build_trace_race_context(profiles, config, attempts=attempts)
-        findings.extend(run_race_rules(ctx, config))
+        findings.extend(run_rules("race", ctx, config))
     findings.sort(key=Finding.sort_key)
     return LintReport(findings=findings,
                       tasks=sorted(p.task for p in profiles))
@@ -201,33 +202,6 @@ def lint_profiles(profiles: Sequence[TaskProfile],
 # ----------------------------------------------------------------------
 # Pre-run (contract) and drift linting
 # ----------------------------------------------------------------------
-def run_contract_rules(ctx, config: LintConfig) -> List[Finding]:
-    """Evaluate every enabled ``contract``-scoped (DY40x) rule over a
-    pre-run :class:`~repro.lint.predict.StaticContext`."""
-    findings: List[Finding] = []
-    for r in config.enabled_rules(scope="contract"):
-        findings.extend(r.check(ctx, config))
-    return findings
-
-
-def run_perf_rules(ctx, config: LintConfig) -> List[Finding]:
-    """Evaluate every enabled ``perf``-scoped (DY60x) rule over a
-    pre-run :class:`~repro.lint.cost.CostContext`."""
-    findings: List[Finding] = []
-    for r in config.enabled_rules(scope="perf"):
-        findings.extend(r.check(ctx, config))
-    return findings
-
-
-def run_costdrift_rules(ctx, config: LintConfig) -> List[Finding]:
-    """Evaluate every enabled ``costdrift``-scoped (DY65x) rule over a
-    :class:`~repro.lint.cost.CostDriftContext`."""
-    findings: List[Finding] = []
-    for r in config.enabled_rules(scope="costdrift"):
-        findings.extend(r.check(ctx, config))
-    return findings
-
-
 def cost_findings(cctx, config: LintConfig,
                   profiles: Optional[Sequence[TaskProfile]] = None
                   ) -> List[Finding]:
@@ -238,12 +212,12 @@ def cost_findings(cctx, config: LintConfig,
     call site for CLI, analyzer, and experiments, so every delivery mode
     produces identical findings for identical inputs.
     """
-    findings = run_perf_rules(cctx, config)
+    findings = run_rules("perf", cctx, config)
     if profiles is not None:
         from repro.lint.cost import build_cost_drift_context
 
         dctx = build_cost_drift_context(cctx.report, profiles)
-        findings.extend(run_costdrift_rules(dctx, config))
+        findings.extend(run_rules("costdrift", dctx, config))
     return findings
 
 
@@ -262,18 +236,18 @@ def lint_workflow(workflow, config: Optional[LintConfig] = None,
 
     config = config or LintConfig()
     ctx = build_static_context(workflow)
-    findings = run_contract_rules(ctx, config)
+    findings = run_rules("contract", ctx, config)
     if config.enabled_rules(scope="race"):
         from repro.lint.race import build_static_race_context
 
         race_ctx = build_static_race_context(ctx, config)
-        findings.extend(run_race_rules(race_ctx, config))
+        findings.extend(run_rules("race", race_ctx, config))
     if spec is not None and config.enabled_rules(scope="perf"):
         from repro.lint.cost import CostContext, build_cost_report
 
         report = build_cost_report(ctx, spec)
-        findings.extend(run_perf_rules(
-            CostContext(static=ctx, spec=spec, report=report), config))
+        findings.extend(run_rules(
+            "perf", CostContext(static=ctx, spec=spec, report=report), config))
     findings.sort(key=Finding.sort_key)
     return LintReport(findings=findings,
                       tasks=sorted(t.name for t in workflow.all_tasks()))

@@ -168,27 +168,23 @@ def _static_dag(ctx: StaticContext) -> "nx.DiGraph":
     return dag
 
 
-def build_static_context(
-    workflow: Workflow,
-    contracts: Optional[WorkflowContracts] = None,
-) -> StaticContext:
+def build_static_context(workflow: Workflow) -> StaticContext:
     """Join a workflow's contracts into the pre-run rule context.
 
-    ``contracts`` defaults to running the AST extractor over every task
+    The contracts come from the AST extractor run over every task
     (merging in declared contracts where tasks carry them).  The
     extraction is memoised on the workflow object
     (``Workflow.contracts_memo``) under the key of every task's
-    ``(name, fn, contract)`` in order, so linting, costing and solving
-    one workflow extract once, while adding, replacing or re-declaring
-    a task extracts again.
+    ``(name, fn, contract)`` in order, so linting, costing, solving and
+    scheduling one workflow extract once, while adding, replacing or
+    re-declaring a task extracts again.
     """
-    if contracts is None:
-        key = tuple((t.name, t.fn, t.contract) for t in workflow.all_tasks())
-        memo = workflow.contracts_memo
-        if memo is None or memo[0] != key:
-            memo = workflow.contracts_memo = (
-                key, extract_workflow_contracts(workflow))
-        contracts = memo[1]
+    key = tuple((t.name, t.fn, t.contract) for t in workflow.all_tasks())
+    memo = workflow.contracts_memo
+    if memo is None or memo[0] != key:
+        memo = workflow.contracts_memo = (
+            key, extract_workflow_contracts(workflow))
+    contracts = memo[1]
     schedule: Dict[str, Tuple[int, int]] = {}
     parallel_stage: Dict[str, bool] = {}
     for si, stage in enumerate(workflow.stages):

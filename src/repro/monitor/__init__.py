@@ -46,7 +46,6 @@ from repro.monitor.events import (
     StageStarted,
     TaskFinished,
     TaskReady,
-    TaskSpeculated,
     TaskStarted,
     TaskStolen,
     VfdOp,
@@ -66,7 +65,6 @@ __all__ = [
     "TaskFinished",
     "TaskReady",
     "TaskStolen",
-    "TaskSpeculated",
     "StageStarted",
     "StageFinished",
     "FileOpened",

@@ -43,7 +43,6 @@ __all__ = [
     "TaskRetried",
     "TaskReady",
     "TaskStolen",
-    "TaskSpeculated",
     "NodeFailed",
     "StageStarted",
     "StageFinished",
@@ -151,24 +150,6 @@ class TaskStolen(MonitorEvent):
 
 
 @dataclass(slots=True)
-class TaskSpeculated(MonitorEvent):
-    """A straggling task was speculatively re-executed on another node.
-
-    ``node`` ran the original copy in ``original_seconds``; ``speculative_node``
-    ran the backup copy in ``speculative_seconds``; ``won`` is True when
-    the backup finished first (its virtual completion is the one the
-    schedule keeps)."""
-
-    node: str = ""
-    speculative_node: str = ""
-    original_seconds: float = 0.0
-    speculative_seconds: float = 0.0
-    won: bool = False
-
-    kind = "task_speculated"
-
-
-@dataclass(slots=True)
 class NodeFailed(MonitorEvent):
     """A cluster node died; its node-local tiers died with it."""
 
@@ -270,6 +251,6 @@ class VfdOp(MonitorEvent):
 #: going lossy exactly when the run degrades would blind the observer.
 CRITICAL_KINDS = frozenset(
     {"task_started", "task_finished", "task_failed", "task_retried",
-     "task_ready", "task_stolen", "task_speculated",
+     "task_ready", "task_stolen",
      "node_failed", "stage_started", "stage_finished"}
 )

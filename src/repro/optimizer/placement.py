@@ -122,7 +122,6 @@ def _trial_walls(ctx: StaticContext, walls: Sequence[float],
 def solve_placement(
     workflow: Workflow,
     spec: ClusterSpec,
-    contracts=None,
     workload: str = "",
     scale: float = 1.0,
 ) -> PlacementPlan:
@@ -132,7 +131,7 @@ def solve_placement(
     ``predicted`` block records the baseline makespan, the planned
     makespan, and the stage-in price the plan will pay.
     """
-    ctx = build_static_context(workflow, contracts)
+    ctx = build_static_context(workflow)
     baseline = build_cost_report(ctx, spec)
     plan = PlacementPlan(workload=workload, scale=scale, cluster=spec.name,
                          n_nodes=spec.n_nodes)

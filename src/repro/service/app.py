@@ -55,7 +55,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.mapper import columnar
 from repro.mapper.persist import (
@@ -158,6 +158,8 @@ class DayuService:
         #: restarted server recovers every durably accepted run.
         self._states: Dict[Tuple[str, str], RunState] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Live connection handlers; :meth:`stop` closes them.
+        self._handlers: Set[asyncio.Task] = set()
         self._build_metrics()
         self._routes = [
             (re.compile(r"^/healthz$"), {"GET": self._h_healthz}, False),
@@ -229,9 +231,17 @@ class DayuService:
 
     async def stop(self, compact: bool = True) -> None:
         """Stop serving; with ``compact`` (default), fold every run's
-        incoming files into its run file first (smallest durable form)."""
+        incoming files into its run file first (smallest durable form).
+
+        Open keep-alive and stalled connections are closed before the
+        compaction, so no request is served after :meth:`stop`."""
         if self._server is not None:
             self._server.close()
+            while self._handlers:
+                handlers = list(self._handlers)
+                for handler in handlers:
+                    handler.cancel()
+                await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if compact:
@@ -251,6 +261,8 @@ class DayuService:
     # ------------------------------------------------------------------
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
             while True:
                 try:
@@ -276,6 +288,7 @@ class DayuService:
         except ConnectionError:
             pass
         finally:
+            self._handlers.discard(handler)
             writer.close()
             try:
                 await writer.wait_closed()

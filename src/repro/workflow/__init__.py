@@ -13,10 +13,10 @@ carried through shared files.  This package provides:
   wall-clock as the max of task durations with device contention applied;
   both runners take the same ``pins``;
 - :mod:`~repro.workflow.dscheduler` — the event-driven per-task
-  scheduler: ready-heap dispatch by cost-model rank, data-locality
-  placement from SDG edge volumes, work stealing and speculative
-  re-execution, with retry/re-placement folded into a per-task state
-  machine;
+  scheduler: ready-heap dispatch by upward rank, data-locality
+  placement from SDG edge volumes and work stealing, with retries
+  re-entering the ready heap of a per-task state machine; each task
+  attempt runs through the stage runner's methods;
 - :mod:`~repro.workflow.contracts` — ahead-of-time access contracts:
   the datasets a task commits to reading/writing, declared at
   construction or inferred from source by :mod:`repro.lint.static`.
@@ -36,7 +36,6 @@ from repro.workflow.contracts import (
 from repro.workflow.dscheduler import (
     DataflowRunner,
     DataflowScheduler,
-    SpeculationPolicy,
     TaskGraph,
     TaskState,
     upward_ranks,
@@ -66,7 +65,6 @@ __all__ = [
     "NoAliveNodesError",
     "DataflowRunner",
     "DataflowScheduler",
-    "SpeculationPolicy",
     "TaskGraph",
     "TaskState",
     "upward_ranks",

@@ -8,16 +8,15 @@ with a Dask-class event-driven core:
 - **Per-task state machine** — every task moves ``waiting → ready →
   running → memory``/``failed`` (plus ``cancelled`` for tasks released
   by an abort).  A failed *attempt* transitions ``running → ready`` with
-  its retry backoff folded into the ready time, so the PR 5
-  retry/backoff/re-placement logic lives in the state machine instead of
-  a runner-local loop.
-- **Ready heap keyed by the cost model** — ready tasks are popped
-  highest *upward rank* first (HEFT-style: a task's weight plus the
-  heaviest downstream chain hanging off it), with weights taken from a
-  PR 8 :class:`~repro.lint.cost.CostReport` when one is supplied and
-  from modeled compute seconds otherwise.  Every pop is O(log n), which
-  is what keeps per-decision overhead sub-millisecond at 100k tasks
-  (``BENCH_scheduler.json``).
+  its retry backoff folded into the ready time; the attempt itself (the
+  dead-node check, the task body, ``TaskFailed``), the retry prelude and
+  the recorded loss are the stage runner's, so both engines differ only
+  in their loop.
+- **Ready heap keyed by upward rank** — ready tasks are popped highest
+  *upward rank* first (HEFT-style: a task's ``compute_seconds`` plus the
+  heaviest downstream chain hanging off it).  Every pop is O(log n),
+  which is what keeps per-decision overhead sub-millisecond at 100k
+  tasks (``BENCH_scheduler.json``).
 - **Data-locality placement** — a task is placed on the node holding
   the most of its input bytes, computed from predicted/observed SDG edge
   volumes (the paper's fig11 co-scheduling, generalized), falling back
@@ -26,12 +25,8 @@ with a Dask-class event-driven core:
   :class:`~repro.workflow.scheduler.NoAliveNodesError`.
 - **Work stealing** — when the locality-preferred node's slots are all
   busy and another alive node would start the task earlier by more than
-  ``steal_margin`` virtual seconds, the idle node steals it
+  :data:`STEAL_MARGIN` virtual seconds, the idle node steals it
   (:class:`~repro.monitor.events.TaskStolen`).
-- **Speculative re-execution** — a completed task whose duration
-  dwarfs the running median is re-executed on another node and the
-  earlier virtual finish wins (:class:`~repro.monitor.events
-  .TaskSpeculated`), bounding straggler damage.
 
 Virtual time
 ------------
@@ -56,14 +51,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.workflow.model import Stage, Task, Workflow
 from repro.workflow.runner import (
-    RETRY_BACKOFF_ACCOUNT,
     RetryPolicy,
     StageResult,
-    TaskFailure,
-    TaskRuntime,
     WorkflowResult,
     WorkflowRunner,
-    _describe,
 )
 from repro.workflow.scheduler import NoAliveNodesError
 
@@ -74,13 +65,15 @@ __all__ = [
     "TaskGraph",
     "upward_ranks",
     "Assignment",
-    "SpeculationPolicy",
     "DataflowScheduler",
     "SimulatedSchedule",
     "DataflowRunner",
 ]
 
 PLACEMENT_POLICIES = ("locality", "least_loaded", "round_robin", "co_locate")
+#: Minimum virtual seconds an idle node must save before it may steal a
+#: task from its preferred node.
+STEAL_MARGIN = 1e-9
 
 
 class TaskState(enum.Enum):
@@ -177,8 +170,8 @@ class TaskGraph:
 
     # -- workflow construction -----------------------------------------
     @classmethod
-    def from_workflow(cls, workflow: Workflow, mode: str = "stage",
-                      contracts=None) -> "TaskGraph":
+    def from_workflow(cls, workflow: Workflow,
+                      mode: str = "stage") -> "TaskGraph":
         if mode not in ("stage", "dataflow"):
             raise ValueError(f"unknown dependency mode {mode!r}")
         graph = cls()
@@ -201,14 +194,14 @@ class TaskGraph:
                     for p in prev.tasks:
                         graph.add_edge(p.name, t.name)
             return graph
-        graph._add_dataflow_edges(workflow, stages, contracts)
+        graph._add_dataflow_edges(workflow, stages)
         return graph
 
-    def _add_dataflow_edges(self, workflow: Workflow, stages: List[Stage],
-                            contracts) -> None:
+    def _add_dataflow_edges(self, workflow: Workflow,
+                            stages: List[Stage]) -> None:
         from repro.lint.predict import access_bytes, build_static_context
 
-        ctx = build_static_context(workflow, contracts)
+        ctx = build_static_context(workflow)
         touchers: Dict[Tuple[str, str], Dict[str, Tuple[bool, bool]]] = {}
         for task, contract in ctx.effective.items():
             for a in contract.accesses:
@@ -317,26 +310,6 @@ class Assignment:
     saved: float = 0.0
 
 
-@dataclass(frozen=True)
-class SpeculationPolicy:
-    """When to launch a backup copy of a straggler.
-
-    A completed task is a straggler when its duration exceeds
-    ``factor`` × the running median over at least ``min_samples``
-    completed tasks and is at least ``min_seconds`` long.
-    """
-
-    factor: float = 2.0
-    min_samples: int = 3
-    min_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise ValueError("speculation factor must be > 1")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-
-
 @dataclass
 class SimulatedSchedule:
     """Outcome of a pure (no-execution) scheduling simulation."""
@@ -368,9 +341,8 @@ class DataflowScheduler:
         pins: Task → node pins (a ``dayu-plan`` overlay).  A pin onto a
             dead node, or a node not in ``slots``, is not honoured: the
             task is placed by ``policy`` instead.
-        steal: Enable work stealing.
-        steal_margin: Minimum virtual seconds an idle node must save
-            before it may steal a task from its preferred node.
+        steal: Enable work stealing (an idle node takes a task when it
+            would start it more than :data:`STEAL_MARGIN` earlier).
     """
 
     def __init__(
@@ -382,7 +354,6 @@ class DataflowScheduler:
         alive: Optional[Callable[[str], bool]] = None,
         pins: Optional[Mapping[str, str]] = None,
         steal: bool = True,
-        steal_margin: float = 1e-9,
     ) -> None:
         if policy not in PLACEMENT_POLICIES:
             raise ValueError(f"unknown placement policy {policy!r}; "
@@ -392,7 +363,6 @@ class DataflowScheduler:
         self.graph = graph
         self.policy = policy
         self.steal = steal
-        self.steal_margin = steal_margin
         self.pins = dict(pins or {})
         self._alive = alive or (lambda node: True)
         self._node_order = list(slots)
@@ -526,7 +496,7 @@ class DataflowScheduler:
             thief = self._least_loaded(alive, exclude=node)
             if thief is not None:
                 t_thief = max(ready, self._slot_head(thief))
-                if t_thief + self.steal_margin < t_pref:
+                if t_thief + STEAL_MARGIN < t_pref:
                     stolen_from, node = node, thief
                     saved = t_pref - t_thief
                     self.steals += 1
@@ -554,35 +524,11 @@ class DataflowScheduler:
         return Assignment(task=name, node=node, vstart=vstart,
                           stolen_from=stolen_from, saved=saved)
 
-    def peek_extra_slot(self, exclude: str) -> Optional[Tuple[str, float]]:
-        """Earliest free slot on an alive node other than ``exclude`` —
-        where a speculative backup copy would run."""
-        alive = [n for n in self._node_order
-                 if self._alive(n) and n != exclude]
-        node = self._least_loaded(alive) if alive else None
-        if node is None or not self._slots[node]:
-            return None
-        return node, self._slot_head(node)
-
-    def occupy_slot(self, node: str) -> float:
-        """Claim ``node``'s earliest slot (speculative copies)."""
-        return heapq.heappop(self._slots[node])
-
-    def release_slot(self, node: str, until: float) -> None:
-        heapq.heappush(self._slots[node], until)
-
     # -- transitions ----------------------------------------------------
-    def complete(self, name: str, duration: float,
-                 extra_finish: Optional[float] = None) -> float:
-        """``running → memory``; returns the virtual finish time.
-
-        ``extra_finish`` is a speculative backup copy's virtual finish;
-        the earlier of the two wins.
-        """
+    def complete(self, name: str, duration: float) -> float:
+        """``running → memory``; returns the virtual finish time."""
         vstart = self._require_running(name)
         vfinish = vstart + max(duration, 0.0)
-        if extra_finish is not None:
-            vfinish = min(vfinish, extra_finish)
         node = self.placement[name]
         heapq.heappush(self._slots[node], vfinish)
         self.state[name] = TaskState.MEMORY
@@ -695,6 +641,10 @@ class DataflowRunner(WorkflowRunner):
     (same mapper/monitor/faults/retry plumbing, same
     :class:`~repro.workflow.runner.WorkflowResult` shape — stage results
     carry virtual spans, so ``wall_time`` is the overlapped makespan).
+    Each task attempt, retry prelude and recorded loss goes through the
+    stage runner's methods; only the loop differs: a failed attempt
+    re-enters the ready heap instead of retrying inline.  Ready-heap
+    priorities are upward ranks over the tasks' ``compute_seconds``.
 
     Args:
         cluster, mapper, path_resolver, retry_policy, faults: As the
@@ -712,16 +662,10 @@ class DataflowRunner(WorkflowRunner):
             2 nodes pyflextrkr's makespan is 1.8128 against 1.8173
             simulated seconds, and placements differ on 9 of the 11
             bundled workloads.
-        contracts: Optional pre-extracted workflow contracts for
-            ``dataflow`` mode (defaults to running the AST extractor).
-        cost_report: Optional PR 8 cost report; its per-task predicted
-            seconds weight the ready-heap priorities.
         pins: Task → node pins layered over the policy (``dayu-plan``);
             checked against the cluster when the run starts, as in the
             stage runner.
         steal: Enable work stealing.
-        speculation: Optional :class:`SpeculationPolicy` enabling
-            speculative re-execution of stragglers.
     """
 
     def __init__(
@@ -730,11 +674,8 @@ class DataflowRunner(WorkflowRunner):
         mapper,
         placement: str = "locality",
         dependency_mode: str = "stage",
-        contracts=None,
-        cost_report=None,
         pins: Optional[Mapping[str, str]] = None,
         steal: bool = True,
-        speculation: Optional[SpeculationPolicy] = None,
         path_resolver=None,
         retry_policy: Optional[RetryPolicy] = None,
         faults=None,
@@ -746,33 +687,21 @@ class DataflowRunner(WorkflowRunner):
             raise ValueError(f"unknown placement policy {placement!r}")
         self.placement = placement
         self.dependency_mode = dependency_mode
-        self.contracts = contracts
-        self.cost_report = cost_report
         self.steal = steal
-        self.speculation = speculation
         #: The decision engine of the most recent :meth:`run`.
         self.last_engine: Optional[DataflowScheduler] = None
 
     # -- construction helpers ------------------------------------------
-    def _task_weights(self, graph: TaskGraph) -> Dict[str, float]:
-        if self.cost_report is not None:
-            return {name: t.total_seconds
-                    for name, t in self.cost_report.tasks.items()}
-        return {
-            name: entry.task.compute_seconds
-            for name, entry in graph.entries.items()
-            if entry.task is not None and entry.task.compute_seconds > 0
-        }
-
     def _build_engine(self, workflow: Workflow) -> DataflowScheduler:
-        graph = TaskGraph.from_workflow(
-            workflow, mode=self.dependency_mode, contracts=self.contracts)
-        ranks = upward_ranks(graph, self._task_weights(graph))
+        graph = TaskGraph.from_workflow(workflow, mode=self.dependency_mode)
+        weights = {name: entry.task.compute_seconds
+                   for name, entry in graph.entries.items()
+                   if entry.task.compute_seconds > 0}
         return DataflowScheduler(
             graph,
             slots={n.name: n.cpus for n in self.cluster.nodes.values()},
             policy=self.placement,
-            priorities=ranks,
+            priorities=upward_ranks(graph, weights),
             alive=self.cluster.is_alive,
             pins=self.pins,
             steal=self.steal,
@@ -821,43 +750,22 @@ class DataflowRunner(WorkflowRunner):
             stage_remaining[stage.name] = len(stage.tasks)
             stage_started[stage.name] = False
 
-        def publish(event) -> None:
-            if monitor is not None:
-                monitor.publish(event)
-
-        def stage_begin(stage_name: str) -> None:
-            if not stage_started[stage_name]:
-                stage_started[stage_name] = True
-                from repro.monitor.events import StageStarted
-
-                publish(StageStarted(time=clock.now, task=None,
-                                     stage=stage_name))
-
         def note_span(stage_name: str, vstart: float, vfinish: float) -> None:
             lo, hi = stage_span.get(stage_name, (vstart, vfinish))
             stage_span[stage_name] = (min(lo, vstart), max(hi, vfinish))
-
-        def stage_end(stage_name: str, failed: bool) -> None:
-            sr = stage_results[stage_name]
-            from repro.monitor.events import StageFinished
-
-            publish(StageFinished(time=clock.now, task=None, stage=stage_name,
-                                  wall_time=sr.wall_time, failed=failed))
 
         if monitor is not None:
             from repro.monitor.events import TaskReady
 
             def on_ready(name: str, at: float, priority: float) -> None:
                 entry = engine.graph.entries[name]
-                publish(TaskReady(time=clock.now, task=name,
-                                  stage=entry.stage, at=at,
-                                  priority=priority))
+                monitor.publish(TaskReady(time=clock.now, task=name,
+                                          stage=entry.stage, at=at,
+                                          priority=priority))
 
             engine.on_ready = on_ready
 
         attempts: Dict[str, int] = {}
-        last_node: Dict[str, str] = {}
-        completed_durations: List[float] = []
         abort: Optional[BaseException] = None
         try:
             engine.start()
@@ -868,85 +776,53 @@ class DataflowRunner(WorkflowRunner):
                     break
                 entry = engine.graph.entries[name]
                 sr = stage_results[entry.stage]
-                attempt = attempts.get(name, 0) + 1
-                attempts[name] = attempt
+                attempt = attempts[name] = attempts.get(name, 0) + 1
                 if attempt > 1:
-                    delay = policy.backoff(attempt)
-                    if delay > 0:
-                        clock.advance(delay, account=RETRY_BACKOFF_ACCOUNT)
-                    self._poll_faults()
+                    delay = self._backoff(policy, attempt)
+                    previous = engine.placement[name]
                 assignment = engine.assign(name)
                 node = assignment.node
-                stage_begin(entry.stage)
+                if not stage_started[entry.stage]:
+                    stage_started[entry.stage] = True
+                    self._stage_started(entry.stage)
                 if attempt > 1:
-                    sr.retries += 1
-                    from repro.monitor.events import TaskRetried
-
-                    publish(TaskRetried(
-                        time=clock.now, task=name, attempt=attempt,
-                        backoff=policy.backoff(attempt), node=node,
-                        previous_node=last_node.get(name, "")))
-                if assignment.stolen_from is not None:
+                    self._retried(sr, name, attempt, delay, node, previous)
+                if assignment.stolen_from is not None and monitor is not None:
                     from repro.monitor.events import TaskStolen
 
-                    publish(TaskStolen(
+                    monitor.publish(TaskStolen(
                         time=clock.now, task=name, node=node,
                         victim=assignment.stolen_from,
                         saved=assignment.saved))
-                last_node[name] = node
                 final = attempt >= policy.max_attempts
-
-                if not self.cluster.is_alive(node):
-                    exc: BaseException = _dead_node_error(name, node)
-                    self._publish_failed(name, node, attempt, exc, final,
-                                         started=False)
-                    self._settle_failure(engine, entry, sr, name, node,
-                                         attempts, exc, final, policy,
-                                         elapsed=0.0)
-                    if final and not entry.best_effort:
-                        abort = exc
-                        break
-                    continue
 
                 counts = engine.busy_counts(assignment.vstart)
                 counts[node] = counts.get(node, 0) + 1
                 self.cluster.set_stage_concurrency(counts)
-                start = clock.now
-                try:
-                    with self.mapper.task(name) as ctx:
-                        runtime = TaskRuntime(
-                            self.cluster, ctx, entry.task, node,
-                            path_resolver=self.path_resolver)
-                        if entry.task.compute_seconds:
-                            runtime.compute(entry.task.compute_seconds)
-                        entry.task.fn(runtime)
-                except Exception as exc:
-                    self.cluster.reset_concurrency()
-                    self._publish_failed(name, node, attempt, exc, final)
-                    self._settle_failure(engine, entry, sr, name, node,
-                                         attempts, exc, final, policy,
-                                         elapsed=clock.now - start)
-                    if final and not entry.best_effort:
+                elapsed, exc = self._attempt(entry.task, node, attempt, final)
+                self.cluster.reset_concurrency()
+                if exc is not None:
+                    if not final:
+                        engine.fail(name, elapsed=elapsed,
+                                    backoff=policy.backoff(attempt + 1))
+                        continue
+                    engine.fail(name, elapsed=elapsed, terminal=True,
+                                release=entry.best_effort)
+                    self._record_failure(sr, name, node, attempt, exc)
+                    if not entry.best_effort:
                         abort = exc
                         break
                     continue
-                self.cluster.reset_concurrency()
-                duration = clock.now - start
-                extra_finish = self._maybe_speculate(
-                    engine, entry, name, node, duration, completed_durations)
-                vfinish = engine.complete(name, duration,
-                                          extra_finish=extra_finish)
+                vfinish = engine.complete(name, elapsed)
                 self._refine_edge_volumes(engine, name)
-                effective = vfinish - assignment.vstart
-                completed_durations.append(duration)
-                sr.task_durations[name] = effective
+                sr.task_durations[name] = vfinish - assignment.vstart
                 sr.attempts[name] = attempt
-                sr.placement[name] = engine.placement[name]
+                sr.placement[name] = node
                 note_span(entry.stage, assignment.vstart, vfinish)
                 stage_remaining[entry.stage] -= 1
                 if stage_remaining[entry.stage] == 0:
                     self._close_stage(sr, stage_span)
-                    stage_end(entry.stage, failed=False)
+                    self._stage_finished(sr)
             if abort is not None:
                 engine.cancel_pending()
         except NoAliveNodesError as exc:
@@ -962,7 +838,7 @@ class DataflowRunner(WorkflowRunner):
                     self._close_stage(sr, stage_span)
                     sr.aborted = abort is not None
                     if stage_started[stage.name]:
-                        stage_end(stage.name, failed=sr.aborted)
+                        self._stage_finished(sr)
             # Stages that never ran a task chain after their predecessor
             # so the makespan envelope stays well-defined.
             prev_finish = 0.0
@@ -985,78 +861,3 @@ class DataflowRunner(WorkflowRunner):
             return
         sr.started_at, sr.finished_at = span
         sr.wall_time = span[1] - span[0]
-
-    def _settle_failure(self, engine: DataflowScheduler, entry: TaskEntry,
-                        sr: StageResult, name: str, node: str,
-                        attempts: Dict[str, int], exc: BaseException,
-                        final: bool, policy: RetryPolicy,
-                        elapsed: float) -> None:
-        if final:
-            engine.fail(name, elapsed=elapsed, terminal=True,
-                        release=entry.best_effort)
-            sr.attempts[name] = attempts[name]
-            sr.placement[name] = node
-            sr.failures[name] = TaskFailure(
-                task=name, node=node, attempts=attempts[name],
-                error=_describe(exc), time=self.cluster.clock.now)
-        else:
-            engine.fail(name, elapsed=elapsed,
-                        backoff=policy.backoff(attempts[name] + 1),
-                        terminal=False)
-
-    def _maybe_speculate(self, engine: DataflowScheduler, entry: TaskEntry,
-                         name: str, node: str, duration: float,
-                         completed: List[float]) -> Optional[float]:
-        """Re-execute a straggler on another node; returns the backup
-        copy's virtual finish (or None when no backup ran)."""
-        spec = self.speculation
-        if spec is None or len(completed) < spec.min_samples:
-            return None
-        if duration < spec.min_seconds:
-            return None
-        median = sorted(completed)[len(completed) // 2]
-        if median <= 0 or duration <= spec.factor * median:
-            return None
-        peek = engine.peek_extra_slot(exclude=node)
-        if peek is None:
-            return None
-        alt, slot_head = peek
-        slot_free = engine.occupy_slot(alt)
-        clock = self.cluster.clock
-        start = clock.now
-        # The probe runs under a throwaway mapper: its I/O pays real
-        # device costs on the shared clock (speculation is not free),
-        # but it must not pollute profiles, graphs, or live events.
-        from repro.mapper.mapper import DataSemanticMapper
-
-        probe = DataSemanticMapper(clock, self.mapper.config)
-        try:
-            with probe.task(name) as ctx:
-                runtime = TaskRuntime(self.cluster, ctx, entry.task, alt,
-                                      path_resolver=self.path_resolver)
-                if entry.task.compute_seconds:
-                    runtime.compute(entry.task.compute_seconds)
-                entry.task.fn(runtime)
-        except Exception:
-            engine.release_slot(alt, slot_free)
-            return None
-        backup_duration = clock.now - start
-        spec_start = max(engine.vstart[name], slot_free)
-        spec_finish = spec_start + backup_duration
-        engine.release_slot(alt, spec_finish)
-        original_finish = engine.vstart[name] + duration
-        if self._monitor is not None:
-            from repro.monitor.events import TaskSpeculated
-
-            self._monitor.publish(TaskSpeculated(
-                time=clock.now, task=name, node=node,
-                speculative_node=alt, original_seconds=duration,
-                speculative_seconds=backup_duration,
-                won=spec_finish < original_finish))
-        return spec_finish
-
-
-def _dead_node_error(task: str, node: str):
-    from repro.posix.simfs import FsError
-
-    return FsError(f"task {task!r} placed on dead node {node!r}")

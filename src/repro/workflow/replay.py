@@ -18,11 +18,11 @@ both attempts' profiles apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence
 
-from repro.workflow.model import Workflow
-from repro.workflow.runner import TaskRuntime
+from repro.workflow.model import Stage, Task, Workflow
+from repro.workflow.runner import WorkflowRunner
 
 __all__ = ["ReplayOutcome", "replay_in_order", "read_dataset"]
 
@@ -59,8 +59,10 @@ def replay_in_order(workflow: Workflow, order: Sequence[str],
     Stage boundaries are deliberately ignored — the order IS the
     schedule, which is exactly what a witness asserts is legal under
     dependency-only happens-before.  Every name must belong to the
-    workflow; a name may repeat (retry replay).  Returns the outcome
-    holding the cluster for content read-back.
+    workflow; a name may repeat (retry replay).  The order runs as one
+    serial stage of the stage runner, every entry pinned to the first
+    alive node.  Returns the outcome holding the cluster for content
+    read-back.
     """
     from repro.cluster.configs import gpu_cluster
     from repro.mapper.config import DaYuConfig
@@ -72,21 +74,22 @@ def replay_in_order(workflow: Workflow, order: Sequence[str],
     if unknown:
         raise ValueError(
             f"replay order names tasks not in {workflow.name!r}: {unknown}")
+    counts: Dict[str, int] = {}
+    aliases: List[Task] = []
+    for name in order:
+        counts[name] = counts.get(name, 0) + 1
+        label = (name if counts[name] == 1
+                 else f"{name}@replay{counts[name] - 1}")
+        # The order is the whole schedule: an alias carries only the body.
+        aliases.append(replace(tasks[name], name=label, contract=None,
+                               depends_on=()))
     clock = SimClock()
     cluster = gpu_cluster(clock, n_nodes=n_nodes)
     mapper = DataSemanticMapper(clock, DaYuConfig())
     node = cluster.alive_node_names()[0]
-    counts: Dict[str, int] = {}
-    executed = []
-    for name in order:
-        task = tasks[name]
-        counts[name] = counts.get(name, 0) + 1
-        label = (name if counts[name] == 1
-                 else f"{name}@replay{counts[name] - 1}")
-        executed.append(label)
-        with mapper.task(label) as ctx:
-            runtime = TaskRuntime(cluster, ctx, task, node)
-            if task.compute_seconds:
-                runtime.compute(task.compute_seconds)
-            task.fn(runtime)
-    return ReplayOutcome(cluster=cluster, mapper=mapper, executed=executed)
+    runner = WorkflowRunner(cluster, mapper,
+                            pins={t.name: node for t in aliases})
+    runner.run(Workflow(workflow.name,
+                        [Stage("replay", aliases, parallel=False)]))
+    return ReplayOutcome(cluster=cluster, mapper=mapper,
+                         executed=[t.name for t in aliases])

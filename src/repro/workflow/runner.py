@@ -41,7 +41,7 @@ first-class state rather than an abort:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.mapper.mapper import DataSemanticMapper, TaskContext, TaskProfile
@@ -396,13 +396,7 @@ class WorkflowRunner:
                 finished_at=started_at, aborted=True))
             raise
         placement = stage_placement(stage, nodes, self.pins)
-
-        monitor = self._monitor
-        if monitor is not None:
-            from repro.monitor.events import StageStarted
-
-            monitor.publish(StageStarted(
-                time=self.cluster.clock.now, task=None, stage=stage.name))
+        self._stage_started(stage.name)
 
         if stage.parallel:
             per_node: Dict[str, int] = {}
@@ -420,20 +414,17 @@ class WorkflowRunner:
         try:
             for task in stage.tasks:
                 try:
-                    duration, failure, cause = self._run_task(
-                        stage, task, placement, stage_result)
-                except NoAliveNodesError as exc:
+                    duration, exc = self._run_task(stage, task, stage_result)
+                except NoAliveNodesError as err:
                     # Re-placement found zero survivors: clean abort —
                     # the partial stage timings below stay on the result.
+                    abort = err
+                    break
+                if exc is None:
+                    stage_result.task_durations[task.name] = duration
+                elif not stage.best_effort:
                     abort = exc
                     break
-                if failure is None:
-                    stage_result.task_durations[task.name] = duration
-                else:
-                    stage_result.failures[task.name] = failure
-                    if not stage.best_effort:
-                        abort = cause
-                        break
         finally:
             self.cluster.reset_concurrency()
             durations = stage_result.task_durations
@@ -443,86 +434,100 @@ class WorkflowRunner:
                 stage_result.wall_time = sum(durations.values())
             stage_result.finished_at = started_at + stage_result.wall_time
             stage_result.aborted = abort is not None
-            if monitor is not None:
-                from repro.monitor.events import StageFinished
-
-                monitor.publish(StageFinished(
-                    time=self.cluster.clock.now, task=None, stage=stage.name,
-                    wall_time=stage_result.wall_time,
-                    failed=stage_result.aborted))
+            self._stage_finished(stage_result)
         if abort is not None:
             raise abort
         return stage_result
 
-    def _run_task(
-        self,
-        stage: Stage,
-        task: Task,
-        placement: Dict[str, str],
-        stage_result: StageResult,
-    ):
-        """Run one task under the retry policy.
+    def _run_task(self, stage: Stage, task: Task, stage_result: StageResult):
+        """Run one task under the retry policy, retrying inline.
 
-        Returns ``(duration, None, None)`` on success or
-        ``(None, TaskFailure, original_exception)`` once the attempt
-        budget is spent.
+        Returns ``(duration, None)`` on success or ``(None, last
+        exception)`` once the attempt budget is spent; the loss is then
+        recorded on ``stage_result``.
         """
         policy = self.retry_policy or RetryPolicy(max_attempts=1)
-        monitor = self._monitor
-        clock = self.cluster.clock
+        placement = stage_result.placement
         node = placement[task.name]
-        last_exc: Optional[BaseException] = None
-        attempts = 0
         for attempt in range(1, policy.max_attempts + 1):
-            attempts = attempt
             if attempt > 1:
-                delay = policy.backoff(attempt)
-                if delay > 0:
-                    clock.advance(delay, account=RETRY_BACKOFF_ACCOUNT)
-                self._poll_faults()
+                delay = self._backoff(policy, attempt)
                 previous = node
                 if policy.replace and not self.cluster.is_alive(node):
-                    node = self._replacement_node(stage, task)
-                    placement[task.name] = node
-                stage_result.retries += 1
-                if monitor is not None:
-                    from repro.monitor.events import TaskRetried
-
-                    monitor.publish(TaskRetried(
-                        time=clock.now, task=task.name, attempt=attempt,
-                        backoff=delay, node=node, previous_node=previous))
+                    node = placement[task.name] = self._replacement_node(
+                        stage, task)
+                self._retried(stage_result, task.name, attempt, delay, node,
+                              previous)
             else:
                 self._poll_faults()
-            final = attempt == policy.max_attempts
-            if not self.cluster.is_alive(node):
-                last_exc = FsError(
-                    f"task {task.name!r} placed on dead node {node!r}")
-                self._publish_failed(task.name, node, attempt, last_exc, final,
-                                     started=False)
-                continue
-            start = clock.now
-            try:
-                with self.mapper.task(task.name) as ctx:
-                    runtime = TaskRuntime(self.cluster, ctx, task, node,
-                                          path_resolver=self.path_resolver)
-                    if task.compute_seconds:
-                        runtime.compute(task.compute_seconds)
-                    task.fn(runtime)
-            except Exception as exc:
-                last_exc = exc
-                self._publish_failed(task.name, node, attempt, exc, final)
-                continue
-            stage_result.attempts[task.name] = attempts
-            return clock.now - start, None, None
-        stage_result.attempts[task.name] = attempts
-        failure = TaskFailure(
-            task=task.name,
-            node=node,
-            attempts=attempts,
-            error=_describe(last_exc),
-            time=clock.now,
-        )
-        return None, failure, last_exc
+            duration, exc = self._attempt(task, node, attempt,
+                                          attempt == policy.max_attempts)
+            if exc is None:
+                stage_result.attempts[task.name] = attempt
+                return duration, None
+        self._record_failure(stage_result, task.name, node, attempt, exc)
+        return None, exc
+
+    # ------------------------------------------------------------------
+    # One attempt of a task, shared by both engines
+    # ------------------------------------------------------------------
+    def _attempt(self, task: Task, node: str, attempt: int, final: bool
+                 ) -> Tuple[float, Optional[BaseException]]:
+        """Run one attempt of ``task`` on ``node``.
+
+        Returns ``(simulated seconds, None)`` on success or ``(seconds
+        elapsed, exception)`` after publishing ``TaskFailed``.  An
+        attempt placed on a dead node fails unstarted, without a profile.
+        """
+        if not self.cluster.is_alive(node):
+            exc = FsError(f"task {task.name!r} placed on dead node {node!r}")
+            self._publish_failed(task.name, node, attempt, exc, final,
+                                 started=False)
+            return 0.0, exc
+        clock = self.cluster.clock
+        start = clock.now
+        try:
+            with self.mapper.task(task.name) as ctx:
+                runtime = TaskRuntime(self.cluster, ctx, task, node,
+                                      path_resolver=self.path_resolver)
+                if task.compute_seconds:
+                    runtime.compute(task.compute_seconds)
+                task.fn(runtime)
+        except Exception as exc:
+            self._publish_failed(task.name, node, attempt, exc, final)
+            return clock.now - start, exc
+        return clock.now - start, None
+
+    def _backoff(self, policy: RetryPolicy, attempt: int) -> float:
+        """Wait out the backoff before retry ``attempt``, then poll
+        faults (a node may die during the wait); returns the wait."""
+        delay = policy.backoff(attempt)
+        if delay > 0:
+            self.cluster.clock.advance(delay, account=RETRY_BACKOFF_ACCOUNT)
+        self._poll_faults()
+        return delay
+
+    def _retried(self, stage_result: StageResult, task: str, attempt: int,
+                 delay: float, node: str, previous: str) -> None:
+        """Count retry ``attempt`` of ``task``, now placed on ``node``."""
+        stage_result.retries += 1
+        monitor = self._monitor
+        if monitor is not None:
+            from repro.monitor.events import TaskRetried
+
+            monitor.publish(TaskRetried(
+                time=self.cluster.clock.now, task=task, attempt=attempt,
+                backoff=delay, node=node, previous_node=previous))
+
+    def _record_failure(self, stage_result: StageResult, task: str,
+                        node: str, attempts: int,
+                        exc: BaseException) -> None:
+        """Record ``task`` as lost after ``attempts`` tries on ``node``."""
+        stage_result.attempts[task] = attempts
+        stage_result.placement[task] = node
+        stage_result.failures[task] = TaskFailure(
+            task=task, node=node, attempts=attempts, error=_describe(exc),
+            time=self.cluster.clock.now)
 
     def _publish_failed(self, task: str, node: str, attempt: int,
                         exc: BaseException, fatal: bool,
@@ -535,6 +540,24 @@ class WorkflowRunner:
         monitor.publish(TaskFailed(
             time=self.cluster.clock.now, task=task, error=_describe(exc),
             node=node, attempt=attempt, fatal=fatal, started=started))
+
+    def _stage_started(self, stage: str) -> None:
+        monitor = self._monitor
+        if monitor is not None:
+            from repro.monitor.events import StageStarted
+
+            monitor.publish(StageStarted(
+                time=self.cluster.clock.now, task=None, stage=stage))
+
+    def _stage_finished(self, stage_result: StageResult) -> None:
+        monitor = self._monitor
+        if monitor is not None:
+            from repro.monitor.events import StageFinished
+
+            monitor.publish(StageFinished(
+                time=self.cluster.clock.now, task=None,
+                stage=stage_result.name, wall_time=stage_result.wall_time,
+                failed=stage_result.aborted))
 
 
 def _describe(exc: Optional[BaseException]) -> str:

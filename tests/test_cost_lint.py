@@ -34,7 +34,7 @@ from repro.lint.cost import (
     critical_path,
     schedule_makespan,
 )
-from repro.lint.engine import cost_findings, run_costdrift_rules
+from repro.lint.engine import cost_findings, run_rules
 from repro.storage.devices import DEVICE_CATALOG, predicted_cost
 from repro.workloads.registry import WORKLOADS, build_workload
 
@@ -237,7 +237,7 @@ def test_matching_prediction_has_no_drift(perf_profiles):
     workflow, _ = build_workload("perf-hazards", 0.05)
     cctx = build_cost_context(workflow, SPEC)
     dctx = build_cost_drift_context(cctx.report, perf_profiles)
-    assert run_costdrift_rules(dctx, COST) == []
+    assert run_rules("costdrift", dctx, COST) == []
 
 
 def test_stale_prediction_convicted_by_drift(perf_profiles):

@@ -8,7 +8,7 @@ placement-liveness bugfix sweep that rode along with it:
 - ``WorkflowResult.wall_time`` is the first-start/last-finish makespan
   (the old sum survives as ``serial_time``);
 - the per-task state machine: exactly one terminal state per task,
-  fixed-seed replay bit-identical, work stealing, speculation, and the
+  fixed-seed replay bit-identical, work stealing, and the
   locality-beats-round-robin placement property.
 """
 
@@ -27,7 +27,6 @@ from repro.workflow import (
     DataflowScheduler,
     NoAliveNodesError,
     RetryPolicy,
-    SpeculationPolicy,
     Stage,
     Task,
     TaskGraph,
@@ -468,7 +467,7 @@ class TestStateMachine:
 
 
 # ----------------------------------------------------------------------
-# Work stealing and speculation
+# Work stealing
 # ----------------------------------------------------------------------
 class TestStealingAndSpeculation:
     def test_idle_node_steals_from_busy_preferred_node(self):
@@ -520,33 +519,6 @@ class TestStealingAndSpeculation:
                                  policy="locality", steal=True)
         assert (fast.simulate(default_duration=1.0).makespan
                 < slow.simulate(default_duration=1.0).makespan)
-
-    def test_straggler_is_speculated(self):
-        clock, cluster = small_cluster(2, cpus=4)
-        collector = Collector()
-        mapper = DataSemanticMapper(clock)
-        mapper.monitor = collector
-        fast = [writer_task(f"w{i}", f"/pfs/f{i}.h5", elems=64)
-                for i in range(4)]
-        # The straggler is a tail task (dependent on the fast wave), so
-        # a duration median exists by the time it completes — the shape
-        # speculation is built for.
-        slow = writer_task("slug", "/pfs/slug.h5", elems=64)
-        slow.compute_seconds = 5.0
-        slow.depends_on = tuple(t.name for t in fast)
-        wf = Workflow("wf", [Stage("s", fast + [slow])])
-        runner = DataflowRunner(
-            cluster, mapper, placement="round_robin",
-            speculation=SpeculationPolicy(factor=2.0, min_samples=3))
-        result = runner.run(wf)
-        spec_events = [e for e in collector.events
-                       if e.kind == "task_speculated"]
-        assert [e.task for e in spec_events] == ["slug"]
-        assert spec_events[0].speculative_node != spec_events[0].node
-        assert not result.failures
-        # The speculative probe must not pollute the real profiles.
-        assert sorted(result.profiles) == sorted(
-            t.name for t in wf.all_tasks())
 
     def test_stolen_and_ready_events_published(self):
         clock, cluster = small_cluster(2, cpus=1)

@@ -373,6 +373,54 @@ class TestRetries:
         assert cluster.dead_nodes == ["n1"]
 
 
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_task_placed_on_dead_node_fails_unstarted(self, retries):
+        """A node dying mid-stage fails the next task placed on it before
+        it starts: one ``TaskFailed(started=False)`` naming the dead
+        node and no profile.  A retry is re-placed onto the survivor."""
+        clock, cluster = small_cluster(2)
+        spec = FaultSpec(node_faults=(NodeFault("n1", at=0.005),))
+        inj = FaultInjector(spec, cluster)
+        events = []
+
+        class Collector:
+            publish = staticmethod(events.append)
+
+        runner, mapper = make_runner(
+            cluster, clock, faults=inj,
+            retry_policy=RetryPolicy(max_attempts=1 + retries,
+                                     replace=True))
+        mapper.monitor = Collector()
+        inj.arm()
+
+        def slow(rt):
+            rt.compute(0.01)  # the clock passes the node-death time
+
+        wf = Workflow("w", [Stage("s", [Task("t0", slow), Task("t1", slow)],
+                                  best_effort=True)])
+        result = runner.run(wf)
+        failed = [e for e in events if e.kind == "task_failed"]
+        assert len(failed) == 1
+        assert (failed[0].task, failed[0].node) == ("t1", "n1")
+        assert failed[0].started is False
+        assert failed[0].fatal is (retries == 0)
+        assert failed[0].error == (
+            "FsError: task 't1' placed on dead node 'n1'")
+        started = [e.task for e in events if e.kind == "task_started"]
+        if retries == 0:
+            assert started == ["t0"]
+            assert set(mapper.profiles) == {"t0"}
+            assert result.failures["t1"].error == failed[0].error
+        else:
+            assert started == ["t0", "t1"]
+            assert not result.failures
+            retried = [e for e in events if e.kind == "task_retried"]
+            assert [(e.task, e.node, e.previous_node) for e in retried] == [
+                ("t1", "n0", "n1")]
+            assert result.stage("s").placement == {"t0": "n0", "t1": "n0"}
+            assert result.stage("s").attempts == {"t0": 1, "t1": 2}
+
+
 # ----------------------------------------------------------------------
 # Determinism
 # ----------------------------------------------------------------------
@@ -416,6 +464,64 @@ class TestDeterminism:
         assert retry.lost_tasks < no_retry.lost_tasks
         assert no_retry.makespan > retry.makespan
         assert clean.makespan <= retry.makespan
+
+
+class TestChaosUnderBothEngines:
+    """The fixed-seed chaos run (rate 0.10, seed 7, two retries) on the
+    stage runner and on the event scheduler."""
+
+    @pytest.mark.parametrize("engine", ["stage", "event"])
+    def test_chaos_replays_and_monitor_reconciles(self, engine, tmp_path):
+        from repro.cli import run_main
+        from repro.experiments.common import fresh_env
+        from repro.workflow.dscheduler import TERMINAL_STATES, DataflowRunner
+        from repro.workloads.chaos import (
+            ChaosParams,
+            build_chaos,
+            chaos_fault_spec,
+        )
+
+        spec = chaos_fault_spec(ChaosParams(), rate=0.10, seed=7)
+        spec_path = tmp_path / "chaos-spec.json"
+        spec_path.write_text(spec.dumps())
+        # Same spec + same seed twice through dayu-run: the
+        # WorkflowResult JSON must be byte-identical.
+        results = []
+        for i in (1, 2):
+            out = tmp_path / f"result-{i}.json"
+            argv = ["chaos", "--faults", str(spec_path), "--retry", "2",
+                    "--result-json", str(out),
+                    "--out", str(tmp_path / f"traces-{i}")]
+            assert run_main(argv + (["--event"] if engine == "event"
+                                    else [])) == 0
+            results.append(out.read_bytes())
+        assert results[0] == results[1]
+
+        # In process with a monitor: failed attempts publish critical
+        # events and the bus accounting identity still holds.
+        env = fresh_env(n_nodes=2, monitor=True)
+        inj = FaultInjector(spec, env.cluster,
+                            emit=env.monitor.publish).arm()
+        if engine == "stage":
+            runner = env.runner
+            runner.faults = inj
+        else:
+            runner = DataflowRunner(env.cluster, env.mapper,
+                                    placement="locality",
+                                    retry_policy=RetryPolicy(max_attempts=3),
+                                    faults=inj)
+        result = runner.run(build_chaos(ChaosParams()))
+        env.monitor.finish()
+        inj.disarm()
+        assert sum(inj.stats().values()) > 0
+        assert env.monitor.reconciles(), env.monitor.stats()
+        if engine == "stage":
+            assert result.failures, "expected degraded partitions"
+        else:
+            terminal = {s.value for s in TERMINAL_STATES}
+            states = runner.last_engine.terminal_states()
+            assert len(states) == len(build_chaos(ChaosParams()).all_tasks())
+            assert set(states.values()) <= terminal
 
 
 # ----------------------------------------------------------------------

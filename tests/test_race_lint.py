@@ -219,6 +219,33 @@ class TestWitnessValidation:
         with pytest.raises(ValueError, match="not in"):
             replay_in_order(racy_run.workflow, ["nope"])
 
+    def test_replay_repeats_run_under_aliases(self):
+        """A repeated name re-runs the task body under a
+        ``<name>@replay<i>`` alias with its own profile; the surviving
+        content is the last writer's."""
+        from repro.workflow import Stage, Task, Workflow
+
+        def writer(value):
+            def fn(rt):
+                f = rt.open("/beegfs/shared.h5", "w")
+                f.create_dataset("d", shape=(8,), dtype="f4",
+                                 data=np.full(8, value, dtype=np.float32))
+                f.close()
+            return fn
+
+        wf = Workflow("wf", [Stage("s", [Task("a", writer(1.0)),
+                                         Task("b", writer(2.0))])])
+        out = replay_in_order(wf, ["a", "b", "a"])
+        assert list(out.executed) == ["a", "b", "a@replay1"]
+        assert list(out.mapper.profiles) == ["a", "b", "a@replay1"]
+        starts = [out.mapper.profiles[n].span.start for n in out.executed]
+        assert starts == sorted(starts) and len(set(starts)) == 3
+        assert np.array_equal(out.read("/beegfs/shared.h5", "/d"),
+                              np.full(8, 1.0, dtype=np.float32))
+        assert np.array_equal(
+            replay_in_order(wf, ["a", "b"]).read("/beegfs/shared.h5", "/d"),
+            np.full(8, 2.0, dtype=np.float32))
+
 
 # ----------------------------------------------------------------------
 # Clean workloads stay clean

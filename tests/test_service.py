@@ -608,6 +608,60 @@ def test_stalled_requests_answer_408_within_deadline(server, monkeypatch):
         assert c.runs()["runs"] == []
 
 
+def test_stop_closes_live_connections(tmp_path):
+    """``stop()`` closes an idle keep-alive connection and a stalled
+    upload before it compacts: it returns within 1 s, both clients read
+    EOF, and no connection handler is left on the loop."""
+    st = ServiceThread(ServiceConfig(root=str(tmp_path / "store"),
+                                     compact_after=0)).start()
+    loop = st._loop
+
+    async def other_tasks():
+        return [t for t in asyncio.all_tasks()
+                if t is not asyncio.current_task()]
+
+    def live_tasks():
+        return asyncio.run_coroutine_threadsafe(other_tasks(), loop).result(5)
+
+    def handlers():
+        return [t for t in live_tasks()
+                if t.get_coro().__name__ == "_handle_conn"]
+
+    idle = socket.create_connection((st.host, st.port), timeout=2.0)
+    stalled = socket.create_connection((st.host, st.port), timeout=2.0)
+    try:
+        idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: dayu\r\n\r\n")
+        received = b""
+        while b"\r\n\r\n" not in received:
+            received += idle.recv(65536)
+        assert received.startswith(b"HTTP/1.1 200 "), received
+        head, _, body = received.partition(b"\r\n\r\n")
+        length = next(int(line.split(b":", 1)[1])
+                      for line in head.split(b"\r\n")[1:]
+                      if line.lower().startswith(b"content-length:"))
+        while len(body) < length:
+            body += idle.recv(65536)
+        stalled.sendall(b"POST /runs/stall/traces HTTP/1.1\r\n"
+                        b"Content-Length: 100\r\n\r\nDYC")
+        deadline = time.monotonic() + 5.0
+        while len(handlers()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(handlers()) == 2
+
+        started = time.monotonic()
+        asyncio.run_coroutine_threadsafe(
+            st.service.stop(compact=True), loop).result(5)
+        assert time.monotonic() - started < 1.0
+        for sock in (idle, stalled):
+            assert sock.recv(65536) == b""
+        assert live_tasks() == []
+    finally:
+        idle.close()
+        stalled.close()
+        loop.call_soon_threadsafe(loop.stop)
+        st._thread.join(10)
+
+
 class TestTenancy:
     @pytest.fixture()
     def multi(self, tmp_path):
