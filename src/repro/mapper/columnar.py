@@ -205,6 +205,7 @@ _COLUMN_INDEX = {
     family: {name: i for i, (name, _) in enumerate(cols)}
     for family, cols in _COLUMNS.items()
 }
+_COLUMN_KIND = {family: dict(cols) for family, cols in _COLUMNS.items()}
 
 
 def is_columnar_trace(data: bytes) -> bool:
@@ -759,7 +760,7 @@ class GroupReader:
         meta = self.column_meta(family, name)
         if meta is None:
             raise KeyError(f"no column {family}.{name}")
-        kind = dict(_COLUMNS[family])[name]
+        kind = _COLUMN_KIND[family][name]
         buf = self._reader.slice(meta.offset, meta.length)
         if kind == "f64":
             values = _decode_f64(buf, meta.count)
@@ -871,28 +872,27 @@ class GroupReader:
 
     def dataset_stats(self) -> List[DatasetIoStats]:
         col, scol = self.column, self.strid_column
-        runs = self.region_runs_rows()
         out = []
-        for i, (task, file, obj) in enumerate(zip(
+        # strict: a column shorter or longer than its family is corrupt.
+        for (task, file, obj, rd, wr, br, bw, dops, dbytes, mops, mbytes,
+                io_time, first, last, raw_op, runs) in zip(
                 scol("stats", "task"), scol("stats", "file"),
-                scol("stats", "data_object"))):
+                scol("stats", "data_object"), col("stats", "reads"),
+                col("stats", "writes"), col("stats", "bytes_read"),
+                col("stats", "bytes_written"), col("stats", "data_ops"),
+                col("stats", "data_bytes"), col("stats", "metadata_ops"),
+                col("stats", "metadata_bytes"), col("stats", "io_time"),
+                col("stats", "first_start"), col("stats", "last_end"),
+                col("stats", "first_raw_op"), self.region_runs_rows(),
+                strict=True):
             s = DatasetIoStats(
-                task=task, file=file, data_object=obj,
-                reads=col("stats", "reads")[i],
-                writes=col("stats", "writes")[i],
-                bytes_read=col("stats", "bytes_read")[i],
-                bytes_written=col("stats", "bytes_written")[i],
-                data_ops=col("stats", "data_ops")[i],
-                data_bytes=col("stats", "data_bytes")[i],
-                metadata_ops=col("stats", "metadata_ops")[i],
-                metadata_bytes=col("stats", "metadata_bytes")[i],
-                io_time=col("stats", "io_time")[i],
-                first_start=col("stats", "first_start")[i],
-                last_end=col("stats", "last_end")[i],
-                first_raw_op=_RAW_OP_NAMES[
-                    col("stats", "first_raw_op")[i]],
+                task=task, file=file, data_object=obj, reads=rd, writes=wr,
+                bytes_read=br, bytes_written=bw, data_ops=dops,
+                data_bytes=dbytes, metadata_ops=mops,
+                metadata_bytes=mbytes, io_time=io_time, first_start=first,
+                last_end=last, first_raw_op=_RAW_OP_NAMES[raw_op],
             )
-            s.set_region_runs(runs[i])
+            s.set_region_runs(runs)
             out.append(s)
         return out
 

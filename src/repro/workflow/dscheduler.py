@@ -14,9 +14,11 @@ with a Dask-class event-driven core:
   in their loop.
 - **Ready heap keyed by upward rank** — ready tasks are popped highest
   *upward rank* first (HEFT-style: a task's ``compute_seconds`` plus the
-  heaviest downstream chain hanging off it).  Every pop is O(log n),
-  which is what keeps per-decision overhead sub-millisecond at 100k
-  tasks (``BENCH_scheduler.json``).
+  heaviest downstream chain hanging off it).  A decision is one O(log n)
+  heap pop, a walk over the task's dependencies (the locality tally
+  holds at most one entry per producer) and one pass over the nodes'
+  slot-heap heads: about 19 µs per decision at 100k tasks on a shared
+  2-vCPU host, against a 1000 µs gate (``BENCH_scheduler.json``).
 - **Data-locality placement** — a task is placed on the node holding
   the most of its input bytes, computed from predicted/observed SDG edge
   volumes (the paper's fig11 co-scheduling, generalized), falling back
@@ -27,6 +29,12 @@ with a Dask-class event-driven core:
   busy and another alive node would start the task earlier by more than
   :data:`STEAL_MARGIN` virtual seconds, the idle node steals it
   (:class:`~repro.monitor.events.TaskStolen`).
+
+The task graph memoises its Kahn order, so the ranks and the
+scheduler's acyclicity check share one pass.  :meth:`TaskGraph.add_task`
+and :meth:`TaskGraph.add_edge` are the only topology mutators and drop
+the memo; nothing may append to a ``TaskEntry``'s ``deps`` or
+``dependents`` directly.
 
 Virtual time
 ------------
@@ -125,6 +133,12 @@ class TaskGraph:
       edges and serial-stage chains are added in both modes.
     - :meth:`add_task` / :meth:`add_edge` build synthetic graphs
       directly (the 100k-task scheduler benchmark).
+
+    :meth:`add_task` and :meth:`add_edge` are the only topology
+    mutators: :meth:`topological_order` memoises its Kahn order and
+    relies on them to drop it, so never append to ``deps`` or
+    ``dependents`` directly.  Edge *volumes* may be rewritten in place
+    (observed bytes refine predictions); they are not topology.
     """
 
     def __init__(self) -> None:
@@ -134,6 +148,8 @@ class TaskGraph:
         #: (file, dataset) keys behind each dataflow edge — what lets the
         #: runner refine predicted volumes with observed written bytes.
         self.edge_keys: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
+        #: Memoised Kahn order; set only when Kahn succeeds.
+        self._topo: Optional[List[str]] = None
 
     # -- direct construction -------------------------------------------
     def add_task(self, name: str, stage: str = "", stage_index: int = 0,
@@ -144,6 +160,7 @@ class TaskGraph:
         entry = TaskEntry(name=name, stage=stage, stage_index=stage_index,
                           best_effort=best_effort, task=task)
         self.entries[name] = entry
+        self._topo = None
         return entry
 
     def add_edge(self, producer: str, consumer: str, volume: int = 0,
@@ -156,6 +173,7 @@ class TaskGraph:
             self.entries[producer].dependents.append(consumer)
             self.entries[consumer].deps.append(producer)
             self.volume[pair] = 0
+            self._topo = None
         self.volume[pair] += volume
         if key is not None:
             self.edge_keys.setdefault(pair, []).append(key)
@@ -260,24 +278,29 @@ class TaskGraph:
 
     # -- analysis -------------------------------------------------------
     def topological_order(self) -> List[str]:
-        """Kahn order (insertion-order deterministic); raises on cycles."""
-        indeg = {n: len(e.deps) for n, e in self.entries.items()}
+        """Kahn order (insertion-order deterministic); raises on cycles.
+
+        The order is computed once per topology and a copy returned, so
+        callers may mutate what they get."""
+        if self._topo is None:
+            self._topo = self._kahn()
+        return list(self._topo)
+
+    def _kahn(self) -> List[str]:
+        entries = self.entries
+        indeg = {n: len(e.deps) for n, e in entries.items()}
         frontier = [n for n, d in indeg.items() if d == 0]
-        out: List[str] = []
-        head = 0
-        while head < len(frontier):
-            name = frontier[head]
-            head += 1
-            out.append(name)
-            for d in self.entries[name].dependents:
-                indeg[d] -= 1
-                if indeg[d] == 0:
+        for name in frontier:  # the list grows while it is walked
+            for d in entries[name].dependents:
+                left = indeg[d] - 1
+                indeg[d] = left
+                if left == 0:
                     frontier.append(d)
-        if len(out) != len(self.entries):
+        if len(frontier) != len(entries):
             stuck = sorted(n for n, d in indeg.items() if d > 0)
             raise ValueError(
                 f"task graph has a dependency cycle through {stuck[:6]}")
-        return out
+        return frontier
 
 
 def upward_ranks(graph: TaskGraph,
@@ -285,12 +308,14 @@ def upward_ranks(graph: TaskGraph,
                  default_weight: float = 1.0) -> Dict[str, float]:
     """HEFT-style priority: a task's weight plus its heaviest downstream
     chain.  Scheduling high ranks first keeps the critical path moving."""
-    weights = weights or {}
+    weight = (weights or {}).get
+    entries = graph.entries
     ranks: Dict[str, float] = {}
+    rank_of = ranks.__getitem__
     for name in reversed(graph.topological_order()):
-        entry = graph.entries[name]
-        downstream = max((ranks[d] for d in entry.dependents), default=0.0)
-        ranks[name] = weights.get(name, default_weight) + downstream
+        dependents = entries[name].dependents
+        downstream = max(map(rank_of, dependents)) if dependents else 0.0
+        ranks[name] = weight(name, default_weight) + downstream
     return ranks
 
 
@@ -364,14 +389,20 @@ class DataflowScheduler:
         self.policy = policy
         self.steal = steal
         self.pins = dict(pins or {})
-        self._alive = alive or (lambda node: True)
+        #: ``None`` means every node is alive: the node order itself is
+        #: then the alive list, with no per-decision oracle calls.
+        self._alive = alive
         self._node_order = list(slots)
+        #: Node → definition index (locality's arg-max tie-break).
+        self._node_index = {node: i for i, node in enumerate(slots)}
         self._slots: Dict[str, List[float]] = {
             node: [0.0] * max(int(n), 1) for node, n in slots.items()}
         if priorities is None:
             priorities = upward_ranks(graph)
         else:
-            graph.topological_order()  # still validates acyclicity
+            # Raises on a cycle; free when ranks were just computed,
+            # since the graph memoises its order.
+            graph.topological_order()
         self.priority = dict(priorities)
         #: Called with ``(task, virtual_ready_time, priority)`` whenever a
         #: task enters the ready heap (the TaskReady hook).
@@ -406,19 +437,24 @@ class DataflowScheduler:
 
     def _make_ready(self, name: str, at: float) -> None:
         self.state[name] = TaskState.READY
-        self.ready_at[name] = max(self.ready_at[name], at)
+        ready_at = self.ready_at
+        prev = ready_at[name]
+        ready = at if at > prev else prev  # max(prev, at)
+        ready_at[name] = ready
+        priority = self.priority.get(name, 0.0)
         self._seq += 1
-        heapq.heappush(self._heap, (-self.priority.get(name, 0.0),
-                                    self._seq, name))
+        heapq.heappush(self._heap, (-priority, self._seq, name))
         if self.on_ready is not None:
-            self.on_ready(name, self.ready_at[name],
-                          self.priority.get(name, 0.0))
+            self.on_ready(name, ready, priority)
 
     def pop_ready(self) -> Optional[str]:
         """Highest-priority ready task, or None when the heap drains."""
-        while self._heap:
-            _, _, name = heapq.heappop(self._heap)
-            if self.state[name] is TaskState.READY:
+        heap = self._heap
+        state = self.state
+        ready = TaskState.READY
+        while heap:
+            name = heapq.heappop(heap)[2]
+            if state[name] is ready:
                 return name
         return None
 
@@ -430,30 +466,27 @@ class DataflowScheduler:
             raise NoAliveNodesError(dead, what)
         return alive
 
-    def _slot_head(self, node: str) -> float:
-        """Earliest slot free time; +inf when every slot of the node is
-        occupied by an in-flight (not yet completed) task."""
-        slot_heap = self._slots[node]
-        return slot_heap[0] if slot_heap else math.inf
-
     def _least_loaded(self, alive: List[str],
                       exclude: Optional[str] = None) -> Optional[str]:
         """Alive node with the earliest free slot, or None when every
-        candidate is fully in flight."""
+        candidate is fully in flight (an empty slot heap)."""
+        slots = self._slots
         best = None
         best_t = math.inf
         for node in alive:
             if node == exclude:
                 continue
-            t = self._slot_head(node)
-            if t < best_t:
-                best, best_t = node, t
+            slot_heap = slots[node]
+            if slot_heap and slot_heap[0] < best_t:
+                best, best_t = node, slot_heap[0]
         return best
 
     def _preferred_node(self, name: str, alive: List[str]) -> Tuple[str, bool]:
         """(node, hard) — hard placements (live pins) are never stolen."""
+        is_alive = self._alive
         pin = self.pins.get(name)
-        if pin is not None and pin in self._slots and self._alive(pin):
+        if pin is not None and pin in self._slots and (
+                is_alive is None or is_alive(pin)):
             return pin, True
         if self.policy == "co_locate":
             return alive[0], False
@@ -462,22 +495,27 @@ class DataflowScheduler:
             self._rr += 1
             return node, False
         if self.policy == "locality":
-            # Input bytes per producing node; arg-max is deterministic
-            # because ties resolve in node definition order.
+            # Input bytes per live producing node (at most fan-in
+            # entries); the arg-max breaks ties by node definition order.
+            placement = self.placement
+            volume = self.graph.volume
             tally: Dict[str, int] = {}
             for dep in self.graph.entries[name].deps:
-                node = self.placement.get(dep)
-                if node is None or not self._alive(node):
+                node = placement.get(dep)
+                if node is None or (is_alive is not None
+                                    and not is_alive(node)):
                     continue
-                nbytes = self.graph.volume.get((dep, name), 0)
+                nbytes = volume.get((dep, name), 0)
                 if nbytes > 0:
                     tally[node] = tally.get(node, 0) + nbytes
-            best, best_bytes = None, 0
-            for node in alive:
-                nbytes = tally.get(node, 0)
-                if nbytes > best_bytes:
-                    best, best_bytes = node, nbytes
-            if best is not None:
+            if tally:
+                index = self._node_index
+                best, best_bytes = None, 0
+                for node, nbytes in tally.items():
+                    if nbytes > best_bytes or (
+                            nbytes == best_bytes
+                            and index[node] < index[best]):
+                        best, best_bytes = node, nbytes
                 return best, False
         return self._least_loaded(alive) or alive[0], False
 
@@ -486,26 +524,31 @@ class DataflowScheduler:
         if self.state[name] is not TaskState.READY:
             raise RuntimeError(f"cannot assign {name!r} in state "
                                f"{self.state[name].value}")
-        alive = self._alive_nodes(f"task {name!r}")
+        alive = (self._node_order if self._alive is None
+                 else self._alive_nodes(f"task {name!r}"))
         ready = self.ready_at[name]
         node, hard = self._preferred_node(name, alive)
         stolen_from: Optional[str] = None
         saved = 0.0
+        slots = self._slots
         if self.steal and not hard and len(alive) > 1:
-            t_pref = max(ready, self._slot_head(node))
+            slot_heap = slots[node]
+            head = slot_heap[0] if slot_heap else math.inf
+            t_pref = head if head > ready else ready  # max(ready, head)
             thief = self._least_loaded(alive, exclude=node)
             if thief is not None:
-                t_thief = max(ready, self._slot_head(thief))
+                head = slots[thief][0]  # non-empty: thief has a free slot
+                t_thief = head if head > ready else ready
                 if t_thief + STEAL_MARGIN < t_pref:
                     stolen_from, node = node, thief
                     saved = t_pref - t_thief
                     self.steals += 1
-        if not self._slots[node]:
+        if not slots[node]:
             # Every slot of the chosen node holds an in-flight task
             # whose finish is still unknown — reroute to a node with a
             # free slot rather than inventing a start time.
             alt = self._least_loaded(alive, exclude=node)
-            if alt is None or not self._slots[alt]:
+            if alt is None or not slots[alt]:
                 raise RuntimeError(
                     f"cannot assign {name!r}: every slot of every alive "
                     f"node holds an in-flight task (complete or fail one "
@@ -514,7 +557,7 @@ class DataflowScheduler:
                 stolen_from, saved = node, 0.0
                 self.steals += 1
             node = alt
-        slot_free = heapq.heappop(self._slots[node])
+        slot_free = heapq.heappop(slots[node])
         vstart = max(ready, slot_free)
         self._pending_slot[name] = vstart
         self.state[name] = TaskState.RUNNING
@@ -528,12 +571,13 @@ class DataflowScheduler:
     def complete(self, name: str, duration: float) -> float:
         """``running → memory``; returns the virtual finish time."""
         vstart = self._require_running(name)
-        vfinish = vstart + max(duration, 0.0)
-        node = self.placement[name]
-        heapq.heappush(self._slots[node], vfinish)
+        # vstart + max(duration, 0.0)
+        vfinish = vstart + (0.0 if 0.0 > duration else duration)
+        heapq.heappush(self._slots[self.placement[name]], vfinish)
         self.state[name] = TaskState.MEMORY
         self.vfinish[name] = vfinish
-        self.makespan = max(self.makespan, vfinish)
+        if vfinish > self.makespan:  # max(makespan, vfinish)
+            self.makespan = vfinish
         self._release_dependents(name, vfinish)
         return vfinish
 
@@ -578,10 +622,16 @@ class DataflowScheduler:
         return self._pending_slot.pop(name)
 
     def _release_dependents(self, name: str, at: float) -> None:
+        indeg = self._indeg
+        ready_at = self.ready_at
+        state = self.state
+        waiting = TaskState.WAITING
         for dep in self.graph.entries[name].dependents:
-            self._indeg[dep] -= 1
-            self.ready_at[dep] = max(self.ready_at[dep], at)
-            if self._indeg[dep] == 0 and self.state[dep] is TaskState.WAITING:
+            left = indeg[dep] - 1
+            indeg[dep] = left
+            if at > ready_at[dep]:  # max(ready_at[dep], at)
+                ready_at[dep] = at
+            if left == 0 and state[dep] is waiting:
                 self._make_ready(dep, at)
 
     # -- introspection --------------------------------------------------

@@ -298,6 +298,18 @@ class TestCorruptBytes:
                 outcomes["rejected"] += 1
         assert outcomes["rejected"] > 0 and outcomes["decoded"] > 0
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_stats_column_count_mismatch_raises(self, delta):
+        """A stats column shorter or longer than the family's other
+        columns is rejected rather than silently zipped short."""
+        blob = encode_run([make_profile("t0")])
+        group = RunReader.from_bytes(blob, source="odd.dayuc").groups[0]
+        meta = group.column_meta("stats", "reads")
+        assert meta.count == group.n_rows("stats") == 2
+        meta.count += delta
+        with pytest.raises(CorruptTrace, match="odd.dayuc"):
+            group.to_profile()
+
     def test_cli_exits_2_naming_the_file(self, tmp_path, capsys):
         from repro.cli import analyze_main
         from repro.lint.cli import lint_main
@@ -583,3 +595,40 @@ class TestCliParity:
         assert rc_file == rc_row
         assert out_file.read_bytes() == out_row.read_bytes()
         assert json.loads(out_file.read_text())["findings"]
+
+
+class TestWorkloadRowColumnarParity:
+    def test_corner_hazards_rows_and_run_file_agree(self, tmp_path, capsys):
+        """A real workload's row traces and their compacted run file give
+        byte-identical graphs, lint.json and dayu-lint reports, and the
+        seeded hazards are found."""
+        from repro.cli import analyze_main, run_main
+        from repro.lint.cli import lint_main
+        from repro.mapper.compact import compact_main
+
+        rows, col = tmp_path / "rows", tmp_path / "columnar"
+        assert run_main(["corner-hazards", "--out", str(rows),
+                         "--scale", "0.1"]) == 0
+        col.mkdir()
+        run = col / "run.dayuc"
+        assert compact_main([str(rows), "--out", str(run)]) == 0
+
+        g_row, g_col = tmp_path / "g_row", tmp_path / "g_col"
+        assert analyze_main([str(rows), "--out", str(g_row),
+                             "--graph-json", "--lint"]) == 0
+        assert analyze_main([str(col), "--out", str(g_col),
+                             "--graph-json", "--lint"]) == 0
+        for name in ("ftg.json", "sdg.json", "lint.json"):
+            assert (g_row / name).read_bytes() == (g_col / name).read_bytes()
+
+        # Seeded findings make dayu-lint exit 1 on both forms by design.
+        out_row = tmp_path / "lint-rows.json"
+        out_col = tmp_path / "lint-columnar.json"
+        rc_row = lint_main([str(rows), "--format", "json",
+                            "--out", str(out_row)])
+        rc_col = lint_main([str(run), "--format", "json",
+                            "--out", str(out_col)])
+        capsys.readouterr()
+        assert rc_col == rc_row
+        assert out_col.read_bytes() == out_row.read_bytes()
+        assert json.loads(out_row.read_text())["findings"]

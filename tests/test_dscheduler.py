@@ -12,6 +12,7 @@ placement-liveness bugfix sweep that rode along with it:
   locality-beats-round-robin placement property.
 """
 
+import hashlib
 import json
 import random
 
@@ -343,6 +344,30 @@ class TestTaskGraph:
         with pytest.raises(ValueError, match="cycle"):
             g.topological_order()
 
+    def test_kahn_memo_follows_topology_mutations(self):
+        g = TaskGraph()
+        for n in ("a", "b", "c"):
+            g.add_task(n)
+        g.add_edge("a", "b")
+        g.add_edge("b", "c")
+        ranks = upward_ranks(g)
+        order = g.topological_order()
+        assert order == ["a", "b", "c"]
+        # The caller owns its copy: mutating it leaves the next call be.
+        order.reverse()
+        order.append("zzz")
+        assert g.topological_order() == ["a", "b", "c"]
+        # A task added after the memo is set appears in the next order.
+        g.add_task("d")
+        assert g.topological_order() == ["a", "d", "b", "c"]
+        # An edge closing a cycle drops the memo: both the order and a
+        # scheduler given precomputed priorities raise on the cycle.
+        g.add_edge("c", "a")
+        with pytest.raises(ValueError, match="cycle"):
+            g.topological_order()
+        with pytest.raises(ValueError, match="cycle"):
+            DataflowScheduler(g, slots={"n0": 1}, priorities=ranks)
+
     def test_dataflow_mode_derives_flow_edges(self):
         producer = writer_task("w", "/pfs/a.h5", elems=1024)
         producer.contract = TaskContract.declare(
@@ -602,3 +627,133 @@ class TestLocalityPlacement:
         # replication miss per node.
         assert loc.cache_misses < rr.cache_misses
         assert loc.wall_time < rr.wall_time
+
+
+# ----------------------------------------------------------------------
+# Decision identity: the engine's outputs, pinned by digest
+# ----------------------------------------------------------------------
+def _identity_graph():
+    from repro.experiments.dataflow_scheduler import build_synthetic_dag
+
+    g = build_synthetic_dag(2000, width=64, fan_in=3)
+    durations = {name: (i % 11 + 1) * 0.25
+                 for i, name in enumerate(g.entries)}
+    return g, durations
+
+
+#: Uneven slot counts so least-loaded and stealing ties are exercised.
+_IDENTITY_SLOTS = {f"n{i}": 2 + i % 3 for i in range(8)}
+
+
+def _digest(payload):
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _simulated(policy, steal, pins=None, alive=None):
+    g, durations = _identity_graph()
+    ranks = upward_ranks(g, durations)
+    eng = DataflowScheduler(g, slots=_IDENTITY_SLOTS, policy=policy,
+                            priorities=ranks, alive=alive, pins=pins,
+                            steal=steal)
+    s = eng.simulate(durations)
+    return {"placement": s.placement, "vstart": s.vstart,
+            "vfinish": s.vfinish, "decisions": s.decisions,
+            "steals": s.steals, "makespan": s.makespan, "ranks": ranks}
+
+
+def _hand_driven(steal):
+    """Up to 12 attempts stay in flight (so whole nodes fill up and
+    placement reroutes), attempts fail and retry with backoff, a few
+    fail terminally (one without releasing its dependents), the rest
+    complete."""
+    g, durations = _identity_graph()
+    ranks = upward_ranks(g, durations)
+    eng = DataflowScheduler(g, slots=_IDENTITY_SLOTS, policy="locality",
+                            priorities=ranks, steal=steal)
+    ready_events = []
+    eng.on_ready = lambda name, at, prio: ready_events.append(
+        [name, at, prio])
+    assignments = []
+    attempts = {}
+    in_flight = []
+
+    def settle(name):
+        i = int(name[1:])
+        attempt = attempts[name] = attempts.get(name, 0) + 1
+        if i % 13 == 0 and attempt < 3:
+            eng.fail(name, elapsed=durations[name] / 2, backoff=0.5 * attempt)
+        elif i % 97 == 5:
+            eng.fail(name, elapsed=0.1, terminal=True, release=i < 1900)
+        else:
+            eng.complete(name, durations[name])
+
+    eng.start()
+    while True:
+        name = eng.pop_ready()
+        if name is None:
+            if not in_flight:
+                break
+            settle(in_flight.pop(0))
+            continue
+        a = eng.assign(name)
+        assignments.append([a.task, a.node, a.vstart, a.stolen_from, a.saved])
+        in_flight.append(name)
+        if len(in_flight) >= 12:
+            settle(in_flight.pop(0))
+    cancelled = eng.cancel_pending()
+    return {"placement": eng.placement, "vstart": eng.vstart,
+            "vfinish": eng.vfinish, "decisions": eng.decisions,
+            "steals": eng.steals, "makespan": eng.makespan, "ranks": ranks,
+            "assignments": assignments, "ready_events": ready_events,
+            "states": eng.terminal_states(), "cancelled": cancelled}
+
+
+_IDENTITY_CASES = {
+    **{f"{policy}-steal{int(steal)}":
+       (lambda policy=policy, steal=steal: _simulated(policy, steal))
+       for policy in ("locality", "least_loaded", "round_robin",
+                      "co_locate")
+       for steal in (True, False)},
+    "locality-pins": lambda: _simulated(
+        "locality", True,
+        pins={**{f"t{i}": f"n{i * 5 % 8}" for i in range(0, 2000, 9)},
+              "t4": "ghost"}),
+    "locality-n3-dead": lambda: _simulated(
+        "locality", True, alive=lambda node: node != "n3"),
+    "hand-driven-fail-retry": lambda: {
+        f"steal{int(steal)}": _hand_driven(steal) for steal in (True, False)},
+}
+
+#: SHA-256 of each case's canonical JSON, recorded before the engine's
+#: per-decision cost was cut; a faster engine must reproduce every one.
+_IDENTITY_DIGESTS = {
+    "co_locate-steal0":
+        "074e4cc3d4a9ad77c06d42790ec08cff8df1ec5e756b695d12f4068b73714a58",
+    "co_locate-steal1":
+        "002a514f583eaf71e831505985d5c4d4f809bf0a25363f2b866bfa379b108bcc",
+    "hand-driven-fail-retry":
+        "63ff9f1d344164d3408d5dcf4e3ec138249cae6f8d4e5c39ecbe4228c33da691",
+    "least_loaded-steal0":
+        "bca1e6d9355bf7c4ae413d0684745fc3fc62539e75086e8ad6927726bf1ad2d7",
+    "least_loaded-steal1":
+        "bca1e6d9355bf7c4ae413d0684745fc3fc62539e75086e8ad6927726bf1ad2d7",
+    "locality-n3-dead":
+        "7d4399c2e53d3af48a5bb2c72aeefdaf2d7714aa43a5da1fbbd6a9c4b8b027c2",
+    "locality-pins":
+        "aa31240066c3f5e224844a2d8e66ddd488ff0c2a741003b71a774c760f87a7a2",
+    "locality-steal0":
+        "717a439f4f94b87720e570292d2632d7848341d6f61c57dccfec1202f728ce2e",
+    "locality-steal1":
+        "0c6db707ddc11c3fc4b5f3c833291ea8044171780306b5fa09b214df8dc8ad50",
+    "round_robin-steal0":
+        "5fb06875bbf408a907a4b935b0f1c774720df478e694203d2d29aa68666fd015",
+    "round_robin-steal1":
+        "bf3d809163d90b30dde80245eab6d9f72622b2ca359ce560e500158b0d119637",
+}
+
+
+class TestDecisionIdentity:
+    @pytest.mark.parametrize("case", sorted(_IDENTITY_CASES))
+    def test_outputs_match_recorded_digest(self, case):
+        assert _digest(_IDENTITY_CASES[case]()) == _IDENTITY_DIGESTS[case]
