@@ -90,29 +90,18 @@ def run_main(argv: List[str] | None = None) -> int:
     parser.add_argument("--result-json", metavar="FILE",
                         help="write the WorkflowResult (stage timings, "
                              "failures, retries) as JSON")
-    parser.add_argument("--event", action="store_true",
-                        help="use the event-driven per-task scheduler "
-                             "(repro.workflow.dscheduler) instead of "
-                             "stage-at-a-time dispatch")
     parser.add_argument("--placement",
                         choices=("locality", "least_loaded", "round_robin",
                                  "co_locate"),
-                        default=None,
-                        help="event-scheduler placement policy "
-                             "(default locality; needs --event)")
+                        default="round_robin",
+                        help="task placement policy; plan pins go on top "
+                             "(default round_robin)")
     parser.add_argument("--deps", choices=("stage", "dataflow"),
-                        default=None,
-                        help="event-scheduler dependency edges: stage "
-                             "barriers or contract-derived dataflow "
-                             "(default stage; needs --event)")
+                        default="stage",
+                        help="dependency edges: stage barriers or "
+                             "contract-derived dataflow, which lets "
+                             "independent stages overlap (default stage)")
     args = parser.parse_args(argv)
-    if not args.event and (args.placement is not None
-                           or args.deps is not None):
-        parser.error("--placement/--deps require --event")
-    if args.placement is None:
-        args.placement = "locality"
-    if args.deps is None:
-        args.deps = "stage"
 
     plan = None
     if args.plan:
@@ -148,6 +137,8 @@ def run_main(argv: List[str] | None = None) -> int:
                         on_alert=_print_alert)
     else:
         env = fresh_env(n_nodes=args.nodes)
+    env.runner.placement = args.placement
+    env.runner.dependency_mode = args.deps
     if plan is not None:
         env.runner.pins = plan.tasks
         env.runner.path_resolver = plan_path_resolver(plan)
@@ -176,17 +167,6 @@ def run_main(argv: List[str] | None = None) -> int:
 
         env.runner.retry_policy = RetryPolicy(
             max_attempts=args.retry + 1, backoff_base=args.backoff)
-    if args.event:
-        from repro.workflow.dscheduler import DataflowRunner
-
-        env.runner = DataflowRunner(
-            env.cluster, env.mapper,
-            placement=args.placement,
-            dependency_mode=args.deps,
-            pins=env.runner.pins,
-            path_resolver=env.runner.path_resolver,
-            retry_policy=env.runner.retry_policy,
-            faults=env.runner.faults)
 
     print(f"Running {args.workload} "
           f"({len(workflow.all_tasks())} tasks on {args.nodes} node(s))...")

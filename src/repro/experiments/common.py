@@ -10,7 +10,7 @@ from repro.cluster.configs import gpu_cluster
 from repro.mapper.config import DaYuConfig
 from repro.mapper.mapper import DataSemanticMapper
 from repro.simclock import SimClock
-from repro.workflow.runner import WorkflowRunner
+from repro.workflow.dscheduler import DataflowRunner
 
 __all__ = ["Env", "fresh_env", "ResultTable"]
 
@@ -22,7 +22,7 @@ class Env:
     clock: SimClock
     cluster: Cluster
     mapper: DataSemanticMapper
-    runner: WorkflowRunner
+    runner: DataflowRunner
     #: The attached :class:`repro.monitor.monitor.WorkflowMonitor`, if any.
     monitor: Optional[object] = None
 
@@ -37,8 +37,9 @@ def fresh_env(
 ) -> Env:
     """A fresh GPU-cluster environment (BeeGFS shared + node-local SSD).
 
-    ``pins`` (task → node) go to the runner.  Pass ``monitor=True`` (or a
-    ``monitor_config``) to attach a live
+    The runner runs stage barriers with round-robin placement, the
+    paper's baseline; ``pins`` (task → node) go on top.  Pass
+    ``monitor=True`` (or a ``monitor_config``) to attach a live
     :class:`~repro.monitor.monitor.WorkflowMonitor` to the mapper.
     """
     clock = SimClock()
@@ -49,7 +50,8 @@ def fresh_env(
 
         mon = WorkflowMonitor(clock, config=monitor_config, on_alert=on_alert)
     mapper = DataSemanticMapper(clock, config or DaYuConfig(), monitor=mon)
-    runner = WorkflowRunner(cluster, mapper, pins)
+    runner = DataflowRunner(cluster, mapper, placement="round_robin",
+                            dependency_mode="stage", pins=pins)
     return Env(clock=clock, cluster=cluster, mapper=mapper, runner=runner,
                monitor=mon)
 

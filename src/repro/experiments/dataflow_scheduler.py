@@ -12,9 +12,9 @@ Two parts:
   concrete mechanism by which the paper's fig11 co-scheduling wins, and
   the property ``BENCH_scheduler.json`` gates on.
 - :func:`run_scheduler_comparison` — the bundled workloads executed
-  under the event scheduler with each placement policy (plus the
-  stage-at-a-time baseline), reporting makespans and steal counts for
-  the ``EXPERIMENTS.md`` table.
+  under stage barriers with each placement policy (round-robin is the
+  paper's stage-at-a-time baseline), reporting makespans and steal
+  counts for the ``EXPERIMENTS.md`` table.
 
 Synthetic DAGs for the decision-overhead benchmark are built by
 :func:`build_synthetic_dag` — deterministic layered graphs with fan-in
@@ -154,25 +154,18 @@ _POLICIES = ("round_robin", "locality", "co_locate")
 
 
 def _run_workload(name: str, scale: float, n_nodes: int,
-                  placement: Optional[str]) -> Dict[str, float]:
-    """One workload run; ``placement=None`` is the stage-at-a-time
-    baseline runner."""
+                  placement: str) -> Dict[str, float]:
+    """One workload run under stage barriers with ``placement``."""
     from repro.workloads.registry import build_workload
 
     workflow, prepare = build_workload(name, scale)
     env = fresh_env(n_nodes=n_nodes)
     if prepare is not None:
         prepare(env.cluster)
-    if placement is None:
-        result = env.runner.run(workflow)
-        steals = 0
-    else:
-        runner = DataflowRunner(env.cluster, env.mapper,
-                                placement=placement,
-                                dependency_mode="stage")
-        result = runner.run(workflow)
-        steals = runner.last_engine.steals
-    return {"wall_time": result.wall_time, "steals": steals}
+    env.runner.placement = placement
+    result = env.runner.run(workflow)
+    return {"wall_time": result.wall_time,
+            "steals": env.runner.last_engine.steals}
 
 
 def run_scheduler_comparison(
@@ -182,22 +175,20 @@ def run_scheduler_comparison(
 ) -> ResultTable:
     """Makespan per bundled workload under each placement policy.
 
-    The bundled workloads keep their data on the shared mount, so the
-    policies differ mainly in how well they pack the virtual timeline
-    (and how often work stealing rescues a busy node); the locality
-    fixture row at the bottom adds the cache-replication effect the
-    locality gate is built on.
+    The workloads run under stage barriers, where each stage is placed
+    when it opens and nothing is stolen; ``round_robin`` is the paper's
+    stage-at-a-time baseline.  The locality fixture row at the bottom
+    runs dataflow dependencies and adds the cache-replication effect
+    the locality gate is built on.
     """
     names = workloads if workloads is not None else [
         "pyflextrkr", "ddmd", "arldm", "chaos"]
     table = ResultTable(
         title="Event-scheduler placement policies (makespan, simulated s)",
-        columns=["workload", "stage_runner", *_POLICIES, "steals"],
+        columns=["workload", *_POLICIES, "steals"],
     )
     for name in names:
         row: Dict[str, object] = {"workload": name}
-        base = _run_workload(name, scale, n_nodes, None)
-        row["stage_runner"] = base["wall_time"]
         steals = 0
         for policy in _POLICIES:
             out = _run_workload(name, scale, n_nodes, policy)
@@ -206,7 +197,7 @@ def run_scheduler_comparison(
         row["steals"] = steals
         table.add(**row)
     fixture: Dict[str, object] = {"workload": "locality-fixture",
-                                  "stage_runner": float("nan"), "steals": 0}
+                                  "steals": 0}
     for policy in _POLICIES:
         run = run_locality_fixture(placement=policy, n_nodes=n_nodes)
         fixture[policy] = run.wall_time

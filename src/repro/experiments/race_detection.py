@@ -62,13 +62,12 @@ def run_workload_races(
     retried = None
     if name == "racy-pipeline":
         from repro.faults import FaultInjector
-        from repro.workflow.runner import RetryPolicy, WorkflowRunner
+        from repro.workflow.runner import RetryPolicy
         from repro.workloads.racy_pipeline import RacyParams, racy_fault_spec
 
         params = RacyParams(elems=max(int(1024 * scale), 8))
-        runner = WorkflowRunner(
-            env.cluster, env.mapper,
-            retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.25))
+        runner = env.runner
+        runner.retry_policy = RetryPolicy(max_attempts=3, backoff_base=0.25)
         runner.faults = FaultInjector(
             racy_fault_spec(params), env.cluster).arm()
         result = runner.run(workflow)

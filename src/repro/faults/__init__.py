@@ -15,7 +15,7 @@ Typical use::
         DeviceFault("/pfs", "transient", rate=0.05),
     ))
     injector = FaultInjector(spec, cluster, emit=monitor.publish).arm()
-    runner = WorkflowRunner(cluster, mapper, retry_policy=RetryPolicy(),
+    runner = DataflowRunner(cluster, mapper, retry_policy=RetryPolicy(),
                             faults=injector)
     result = runner.run(workflow)
 """

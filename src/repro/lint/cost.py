@@ -405,10 +405,11 @@ def build_cost_report(
         ctx: Static contract join (:func:`build_static_context`).
         spec: Cluster topology to price against.
         placement: ``task -> node`` pins; unlisted tasks take the
-            stage runner's placement
+            round-robin placement
             (:func:`~repro.workflow.scheduler.stage_placement` over
             ``spec.node_names``), so with no pins the report prices what
-            :class:`~repro.workflow.runner.WorkflowRunner` runs.
+            the stage-barrier round-robin runner
+            (:func:`~repro.experiments.common.fresh_env`) runs.
         file_placement: ``original path -> placed path`` rewrites (a
             plan's localizations); unlisted paths stay where the
             contract puts them.

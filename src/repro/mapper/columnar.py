@@ -206,6 +206,14 @@ _COLUMN_INDEX = {
     for family, cols in _COLUMNS.items()
 }
 _COLUMN_KIND = {family: dict(cols) for family, cols in _COLUMNS.items()}
+#: Per family, the flattened columns: their length is the sum of a
+#: ``*_len`` column, not the family's row count.
+_FLAT_COLUMNS = {
+    "objprofs": frozenset({"shape"}),
+    "sessions": frozenset({"data_objects"}),
+    "stats": frozenset({"run_first", "run_span", "run_count"}),
+    "records": frozenset(),
+}
 
 
 def is_columnar_trace(data: bytes) -> bool:
@@ -770,6 +778,10 @@ class GroupReader:
             values = list(buf[:meta.count])
         else:
             values = _decode_ints(meta.enc, buf, meta.count)
+        if (name not in _FLAT_COLUMNS[family]
+                and len(values) != self.n_rows(family)):
+            raise ValueError(f"column {family}.{name} holds {len(values)} "
+                             f"values for {self.n_rows(family)} rows")
         self._cache[key] = values
         return values
 
@@ -778,6 +790,9 @@ class GroupReader:
         return [strings[i] for i in self.column(family, name)]
 
     def _split(self, lens: List[int], flat: list) -> List[list]:
+        if sum(lens) != len(flat):
+            raise ValueError(f"flattened column holds {len(flat)} values, "
+                             f"its lengths sum to {sum(lens)}")
         out, pos = [], 0
         for n in lens:
             out.append(flat[pos:pos + n])
@@ -791,7 +806,8 @@ class GroupReader:
         firsts = self.column("stats", "run_first")
         spans = self.column("stats", "run_span")
         counts = self.column("stats", "run_count")
-        flat = [(f, f + s, c) for f, s, c in zip(firsts, spans, counts)]
+        flat = [(f, f + s, c)
+                for f, s, c in zip(firsts, spans, counts, strict=True)]
         return self._split(lens, flat)
 
     def stats_columns(self, with_region_runs: bool = False) -> StatsColumns:
@@ -873,7 +889,6 @@ class GroupReader:
     def dataset_stats(self) -> List[DatasetIoStats]:
         col, scol = self.column, self.strid_column
         out = []
-        # strict: a column shorter or longer than its family is corrupt.
         for (task, file, obj, rd, wr, br, bw, dops, dbytes, mops, mbytes,
                 io_time, first, last, raw_op, runs) in zip(
                 scol("stats", "task"), scol("stats", "file"),
@@ -883,8 +898,7 @@ class GroupReader:
                 col("stats", "data_bytes"), col("stats", "metadata_ops"),
                 col("stats", "metadata_bytes"), col("stats", "io_time"),
                 col("stats", "first_start"), col("stats", "last_end"),
-                col("stats", "first_raw_op"), self.region_runs_rows(),
-                strict=True):
+                col("stats", "first_raw_op"), self.region_runs_rows()):
             s = DatasetIoStats(
                 task=task, file=file, data_object=obj, reads=rd, writes=wr,
                 bytes_read=br, bytes_written=bw, data_ops=dops,
@@ -1057,6 +1071,12 @@ class RunReader:
                         metas.append(_ColumnMeta(
                             enc=enc, offset=offset, length=length,
                             count=count, stats=stats))
+                    for (name, _), m in zip(_COLUMNS[family], metas):
+                        if (m.count != n_rows
+                                and name not in _FLAT_COLUMNS[family]):
+                            raise ValueError(
+                                f"column {family}.{name} counts {m.count} "
+                                f"values for {n_rows} rows")
                     families[family] = (n_rows, metas)
                 self.groups.append(GroupReader(self, _GroupMeta(
                     task_id=task_id, start=start, end=end,

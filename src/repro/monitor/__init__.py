@@ -7,7 +7,7 @@ Everything else in this repository is post-hoc: tracers write
 
 - :mod:`~repro.monitor.events` — the typed event vocabulary the VOL/VFD
   tracers, the :class:`~repro.mapper.mapper.DataSemanticMapper`, and the
-  :class:`~repro.workflow.runner.WorkflowRunner` publish.
+  :class:`~repro.workflow.dscheduler.DataflowRunner` publish.
 - :mod:`~repro.monitor.bus` — a bounded in-process pub/sub bus with
   pluggable backpressure (block / drop-with-accounting / 1-in-N
   sampling) and per-subscriber drop counters that always reconcile.

@@ -119,6 +119,8 @@ class TaskRetried(MonitorEvent):
 class TaskReady(MonitorEvent):
     """Every dependency of a task reached memory: it entered the ready
     heap of the event-driven scheduler (:mod:`repro.workflow.dscheduler`).
+    Published under dataflow dependencies only: a barrier stage's tasks
+    all become ready when ``StageStarted`` reports the stage.
 
     ``at`` is the *virtual* time the task became runnable (max over its
     dependencies' virtual finishes, plus any retry backoff); ``time``

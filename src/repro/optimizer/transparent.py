@@ -19,7 +19,7 @@ __all__ = ["TransparentCache"]
 
 
 class TransparentCache:
-    """A per-node read cache usable as a ``WorkflowRunner`` path resolver.
+    """A per-node read cache usable as a ``DataflowRunner`` path resolver.
 
     Args:
         cluster: The cluster whose node-local tiers back the cache.
@@ -54,7 +54,7 @@ class TransparentCache:
         self.misses = 0
 
     # ------------------------------------------------------------------
-    # The WorkflowRunner path-resolver protocol
+    # The DataflowRunner path-resolver protocol
     # ------------------------------------------------------------------
     def __call__(self, path: str, mode: str, node: str) -> str:
         """Resolve an open: reads may be served from the node's replica."""

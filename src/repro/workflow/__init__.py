@@ -8,15 +8,16 @@ carried through shared files.  This package provides:
 - :func:`~repro.workflow.scheduler.stage_placement` — round-robin
   placement with task → node pins on top; the co-scheduling moves DaYu's
   analysis recommends and ``dayu-plan`` plans are pins;
-- :class:`~repro.workflow.runner.WorkflowRunner` — executes the workflow
-  on a simulated cluster under DaYu profiling, modelling parallel-stage
-  wall-clock as the max of task durations with device contention applied;
-  both runners take the same ``pins``;
-- :mod:`~repro.workflow.dscheduler` — the event-driven per-task
-  scheduler: ready-heap dispatch by upward rank, data-locality
-  placement from SDG edge volumes and work stealing, with retries
-  re-entering the ready heap of a per-task state machine; each task
-  attempt runs through the stage runner's methods;
+- :mod:`~repro.workflow.dscheduler` — the execution engine: an
+  event-driven per-task scheduler (ready heap, data-locality placement
+  from SDG edge volumes, work stealing, retries re-entering the ready
+  heap of a per-task state machine) and
+  :class:`~repro.workflow.dscheduler.DataflowRunner`, which executes a
+  workflow on a simulated cluster under DaYu profiling with stage
+  barriers (parallel-stage wall-clock is the max of task durations with
+  device contention applied) or dataflow dependencies;
+- :mod:`~repro.workflow.runner` — the task runtime, retry policy and
+  result types;
 - :mod:`~repro.workflow.contracts` — ahead-of-time access contracts:
   the datasets a task commits to reading/writing, declared at
   construction or inferred from source by :mod:`repro.lint.static`.
@@ -47,7 +48,6 @@ from repro.workflow.runner import (
     TaskFailure,
     TaskRuntime,
     WorkflowResult,
-    WorkflowRunner,
 )
 from repro.workflow.scheduler import NoAliveNodesError, stage_placement
 
@@ -55,7 +55,6 @@ __all__ = [
     "Task",
     "Stage",
     "Workflow",
-    "WorkflowRunner",
     "WorkflowResult",
     "StageResult",
     "TaskRuntime",

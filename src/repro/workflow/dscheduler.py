@@ -1,24 +1,26 @@
-"""Event-driven per-task dataflow scheduler (ROADMAP item 1).
+"""The execution engine: a Dask-class event-driven scheduler and the
+one workflow runner built on it.
 
-The stage-at-a-time runner dispatches one stage, waits for every task in
-it, then places the next stage — placement is decided once per stage and
-a single straggler holds the whole barrier.  This module replaces that
-with a Dask-class event-driven core:
+Every workflow runs through :class:`DataflowRunner`, in one of two
+dependency modes.  Stage barriers (``dependency_mode="stage"``, the
+default) reproduce stage-at-a-time execution — each stage placed once
+when it opens, its tasks starting together, the next stage waiting for
+the last of them — which is what the paper's placement figures measure.
+Dataflow edges (``"dataflow"``) let independent stages overlap.  The
+core:
 
 - **Per-task state machine** — every task moves ``waiting → ready →
   running → memory``/``failed`` (plus ``cancelled`` for tasks released
   by an abort).  A failed *attempt* transitions ``running → ready`` with
-  its retry backoff folded into the ready time; the attempt itself (the
-  dead-node check, the task body, ``TaskFailed``), the retry prelude and
-  the recorded loss are the stage runner's, so both engines differ only
-  in their loop.
-- **Ready heap keyed by upward rank** — ready tasks are popped highest
-  *upward rank* first (HEFT-style: a task's ``compute_seconds`` plus the
-  heaviest downstream chain hanging off it).  A decision is one O(log n)
-  heap pop, a walk over the task's dependencies (the locality tally
-  holds at most one entry per producer) and one pass over the nodes'
-  slot-heap heads: about 19 µs per decision at 100k tasks on a shared
-  2-vCPU host, against a 1000 µs gate (``BENCH_scheduler.json``).
+  its retry backoff folded into the ready time.
+- **Ready heap** — ready tasks are popped highest priority first: in
+  workflow order for a barrier graph, otherwise by *upward rank*
+  (HEFT-style: a task's ``compute_seconds`` plus the heaviest downstream
+  chain hanging off it).  A decision is one O(log n) heap pop, a walk
+  over the task's dependencies (the locality tally holds at most one
+  entry per producer) and one pass over the nodes' slot-heap heads:
+  about 19 µs per decision at 100k tasks on a shared 2-vCPU host,
+  against a 1000 µs gate (``BENCH_scheduler.json``).
 - **Data-locality placement** — a task is placed on the node holding
   the most of its input bytes, computed from predicted/observed SDG edge
   volumes (the paper's fig11 co-scheduling, generalized), falling back
@@ -28,7 +30,8 @@ with a Dask-class event-driven core:
 - **Work stealing** — when the locality-preferred node's slots are all
   busy and another alive node would start the task earlier by more than
   :data:`STEAL_MARGIN` virtual seconds, the idle node steals it
-  (:class:`~repro.monitor.events.TaskStolen`).
+  (:class:`~repro.monitor.events.TaskStolen`).  A barrier stage's held
+  placement is never stolen.
 
 The task graph memoises its Kahn order, so the ranks and the
 scheduler's acyclicity check share one pass.  :meth:`TaskGraph.add_task`
@@ -57,12 +60,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.cluster.cluster import Cluster
+from repro.mapper.mapper import DataSemanticMapper
+from repro.posix.simfs import FsError
 from repro.workflow.model import Stage, Task, Workflow
 from repro.workflow.runner import (
+    RETRY_BACKOFF_ACCOUNT,
     RetryPolicy,
     StageResult,
+    TaskFailure,
+    TaskRuntime,
     WorkflowResult,
-    WorkflowRunner,
 )
 from repro.workflow.scheduler import NoAliveNodesError
 
@@ -72,7 +80,6 @@ __all__ = [
     "TaskEntry",
     "TaskGraph",
     "upward_ranks",
-    "Assignment",
     "DataflowScheduler",
     "SimulatedSchedule",
     "DataflowRunner",
@@ -111,6 +118,9 @@ class TaskEntry:
     stage: str
     stage_index: int
     best_effort: bool = False
+    #: Position within its stage: round-robin places task *i* of a stage
+    #: on ``alive[i % len(alive)]``.
+    index: int = 0
     #: The workflow task object (None for synthetic benchmark graphs).
     task: Optional[Task] = None
     deps: List[str] = field(default_factory=list)
@@ -123,9 +133,9 @@ class TaskGraph:
     Two construction paths:
 
     - :meth:`from_workflow` derives edges from the stage plan
-      (``mode="stage"``: every task depends on the whole previous stage,
-      the stage runner's dependency order, though not its timings — see
-      :class:`DataflowRunner`) or from contracts
+      (``mode="stage"``: every task depends on the whole previous
+      non-empty stage, and the graph is marked :attr:`barrier`) or from
+      contracts
       (``mode="dataflow"``: producer→consumer edges of the predicted SDG
       with read-volume weights, plus write/anti-dependency ordering
       edges; tasks with no usable contract conservatively barrier
@@ -148,6 +158,11 @@ class TaskGraph:
         #: (file, dataset) keys behind each dataflow edge — what lets the
         #: runner refine predicted volumes with observed written bytes.
         self.edge_keys: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
+        #: Stage name → its task names in insertion order.
+        self.stages: Dict[str, List[str]] = {}
+        #: Set by ``from_workflow(mode="stage")``: the scheduler runs the
+        #: graph in barrier mode (see :class:`DataflowScheduler`).
+        self.barrier = False
         #: Memoised Kahn order; set only when Kahn succeeds.
         self._topo: Optional[List[str]] = None
 
@@ -157,8 +172,11 @@ class TaskGraph:
                  task: Optional[Task] = None) -> TaskEntry:
         if name in self.entries:
             raise ValueError(f"duplicate task {name!r}")
+        members = self.stages.setdefault(stage, [])
         entry = TaskEntry(name=name, stage=stage, stage_index=stage_index,
-                          best_effort=best_effort, task=task)
+                          best_effort=best_effort, index=len(members),
+                          task=task)
+        members.append(name)
         self.entries[name] = entry
         self._topo = None
         return entry
@@ -207,10 +225,13 @@ class TaskGraph:
             for dep in task.depends_on:
                 graph.add_edge(dep, task.name)
         if mode == "stage":
-            for prev, cur in zip(stages, stages[1:]):
-                for t in cur.tasks:
-                    for p in prev.tasks:
+            graph.barrier = True
+            prev: List[Task] = []
+            for stage in stages:
+                for t in stage.tasks:
+                    for p in prev:
                         graph.add_edge(p.name, t.name)
+                prev = stage.tasks or prev
             return graph
         graph._add_dataflow_edges(workflow, stages)
         return graph
@@ -322,19 +343,6 @@ def upward_ranks(graph: TaskGraph,
 # ----------------------------------------------------------------------
 # The decision engine
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Assignment:
-    """One placement decision."""
-
-    task: str
-    node: str
-    vstart: float
-    #: The locality-preferred node work stealing took the task from.
-    stolen_from: Optional[str] = None
-    #: Virtual seconds of queue wait the steal avoided.
-    saved: float = 0.0
-
-
 @dataclass
 class SimulatedSchedule:
     """Outcome of a pure (no-execution) scheduling simulation."""
@@ -355,11 +363,20 @@ class DataflowScheduler:
     and :meth:`simulate` drives it against a duration table (the 100k-task
     benchmark path).
 
+    A :attr:`TaskGraph.barrier` graph runs in *barrier mode*: when a
+    stage's first task is assigned, the whole stage is placed at once
+    (:meth:`_place_stage`) and each task keeps that node — it is never
+    stolen.  A retry whose held node died is re-placed onto the
+    survivors by the same rule.  Round-robin is then
+    :func:`~repro.workflow.scheduler.stage_placement`, the placement the
+    cost model prices.
+
     Args:
         graph: The dependency DAG.
         slots: Node name → parallel task slots (``Node.cpus``).
         policy: ``"locality"`` (SDG edge volumes, least-loaded fallback),
-            ``"least_loaded"``, ``"round_robin"`` or ``"co_locate"``.
+            ``"least_loaded"``, ``"round_robin"`` (task *i* of its stage
+            on ``alive[i % len(alive)]``) or ``"co_locate"``.
         priorities: Ready-heap key per task (higher pops first); default
             :func:`upward_ranks` over unit weights.
         alive: Node liveness oracle (``cluster.is_alive``); default all.
@@ -395,8 +412,9 @@ class DataflowScheduler:
         self._node_order = list(slots)
         #: Node → definition index (locality's arg-max tie-break).
         self._node_index = {node: i for i, node in enumerate(slots)}
+        self._capacity = {node: max(int(n), 1) for node, n in slots.items()}
         self._slots: Dict[str, List[float]] = {
-            node: [0.0] * max(int(n), 1) for node, n in slots.items()}
+            node: [0.0] * n for node, n in self._capacity.items()}
         if priorities is None:
             priorities = upward_ranks(graph)
         else:
@@ -414,12 +432,13 @@ class DataflowScheduler:
         self.vstart: Dict[str, float] = {}
         self.vfinish: Dict[str, float] = {}
         self.placement: Dict[str, str] = {}
+        #: Barrier mode: the node each task of an opened stage holds.
+        self.held: Dict[str, str] = {}
         self._indeg: Dict[str, int] = {
             name: len(e.deps) for name, e in graph.entries.items()}
         self._heap: List[Tuple[float, int, str]] = []
         self._seq = 0
         self._pending_slot: Dict[str, float] = {}
-        self._rr = 0
         self.decisions = 0
         self.steals = 0
         self.makespan = 0.0
@@ -481,8 +500,11 @@ class DataflowScheduler:
                 best, best_t = node, slot_heap[0]
         return best
 
-    def _preferred_node(self, name: str, alive: List[str]) -> Tuple[str, bool]:
-        """(node, hard) — hard placements (live pins) are never stolen."""
+    def _preferred_node(self, name: str,
+                        alive: List[str]) -> Tuple[Optional[str], bool]:
+        """(node, hard) — hard placements (live pins) are never stolen.
+        The node is None where the policy falls back to the least
+        loaded node, which the caller measures."""
         is_alive = self._alive
         pin = self.pins.get(name)
         if pin is not None and pin in self._slots and (
@@ -491,9 +513,7 @@ class DataflowScheduler:
         if self.policy == "co_locate":
             return alive[0], False
         if self.policy == "round_robin":
-            node = alive[self._rr % len(alive)]
-            self._rr += 1
-            return node, False
+            return alive[self.graph.entries[name].index % len(alive)], False
         if self.policy == "locality":
             # Input bytes per live producing node (at most fan-in
             # entries); the arg-max breaks ties by node definition order.
@@ -517,17 +537,58 @@ class DataflowScheduler:
                             and index[node] < index[best]):
                         best, best_bytes = node, nbytes
                 return best, False
-        return self._least_loaded(alive) or alive[0], False
+        return None, False
 
-    def assign(self, name: str) -> Assignment:
-        """Place one popped ready task and occupy its slot."""
+    def _place_stage(self, stage: str, alive: List[str]) -> Dict[str, str]:
+        """Barrier mode: a node for every task of ``stage``.
+
+        Pins and the policy come first; a task they leave open goes to
+        the alive node holding the fewest of the stage's tasks per slot
+        (ties to the earlier node), so least-loaded spreads a stage."""
+        capacity = self._capacity
+        load = dict.fromkeys(alive, 0)
+        placed: Dict[str, str] = {}
+        for name in self.graph.stages[stage]:
+            node = self._preferred_node(name, alive)[0]
+            if node is None:
+                node = min(alive, key=lambda n: load[n] / capacity[n])
+            load[node] += 1
+            placed[name] = node
+        return placed
+
+    def _held_node(self, name: str, alive: List[str]) -> str:
+        """Barrier mode: the node ``name`` holds, placing its stage when
+        the stage opens and re-placing a retry whose node died."""
+        held = self.held
+        node = held.get(name)
+        if node is None:
+            held.update(self._place_stage(self.graph.entries[name].stage,
+                                          alive))
+            node = held[name]
+        elif name in self.placement and node not in alive:
+            stage = self.graph.entries[name].stage
+            node = held[name] = self._place_stage(stage, alive)[name]
+        return node
+
+    def assign(self, name: str) -> Tuple[str, float, Optional[str], float]:
+        """Place one popped ready task and occupy its slot.
+
+        Returns ``(node, vstart, stolen_from, saved)``: ``stolen_from`` is
+        the preferred node work stealing took the task from (None when
+        not stolen), ``saved`` the virtual queue wait the steal avoided.
+        """
         if self.state[name] is not TaskState.READY:
             raise RuntimeError(f"cannot assign {name!r} in state "
                                f"{self.state[name].value}")
         alive = (self._node_order if self._alive is None
                  else self._alive_nodes(f"task {name!r}"))
         ready = self.ready_at[name]
-        node, hard = self._preferred_node(name, alive)
+        if self.graph.barrier:
+            node, hard = self._held_node(name, alive), True
+        else:
+            node, hard = self._preferred_node(name, alive)
+            if node is None:
+                node = self._least_loaded(alive) or alive[0]
         stolen_from: Optional[str] = None
         saved = 0.0
         slots = self._slots
@@ -564,8 +625,7 @@ class DataflowScheduler:
         self.placement[name] = node
         self.vstart[name] = vstart
         self.decisions += 1
-        return Assignment(task=name, node=node, vstart=vstart,
-                          stolen_from=stolen_from, saved=saved)
+        return node, vstart, stolen_from, saved
 
     # -- transitions ----------------------------------------------------
     def complete(self, name: str, duration: float) -> float:
@@ -682,76 +742,105 @@ class DataflowScheduler:
 
 
 # ----------------------------------------------------------------------
-# The event-driven runner
+# The runner
 # ----------------------------------------------------------------------
-class DataflowRunner(WorkflowRunner):
-    """Executes workflows through the event-driven scheduler.
+class DataflowRunner:
+    """Executes workflows on a cluster with DaYu's mapper attached.
 
-    Drop-in alternative to :class:`~repro.workflow.runner.WorkflowRunner`
-    (same mapper/monitor/faults/retry plumbing, same
-    :class:`~repro.workflow.runner.WorkflowResult` shape — stage results
-    carry virtual spans, so ``wall_time`` is the overlapped makespan).
-    Each task attempt, retry prelude and recorded loss goes through the
-    stage runner's methods; only the loop differs: a failed attempt
-    re-enters the ready heap instead of retrying inline.  Ready-heap
-    priorities are upward ranks over the tasks' ``compute_seconds``.
+    One loop drives the decision engine against the real cluster: pop a
+    ready task, place it, run one attempt, then complete it, or fail it
+    back into the ready heap with its backoff folded into the ready
+    time.  Stage results carry virtual spans, so
+    :attr:`~repro.workflow.runner.WorkflowResult.wall_time` is the
+    first-start/last-finish makespan, failed attempts and backoff
+    waits included.
+
+    ``dependency_mode="stage"`` builds a barrier graph, which runs the
+    stage-at-a-time model the paper's placement figures measure:
+
+    - each stage is placed when it opens and keeps that placement
+      (round-robin is :func:`~repro.workflow.scheduler.stage_placement`);
+    - ready tasks run in workflow order, a retry straight after its
+      failed attempt;
+    - every attempt of a parallel stage sees the whole stage's per-node
+      task counts (``Cluster.set_stage_concurrency``); a serial stage's
+      see none;
+    - no ``TaskReady`` events: a barrier stage's tasks all become ready
+      when it starts, which ``StageStarted`` reports.
+
+    ``dependency_mode="dataflow"`` uses contract-derived edges, so
+    independent stages overlap, and an attempt's contention comes from
+    the slots busy when it starts.  Ready-heap priorities are then
+    upward ranks over the tasks' ``compute_seconds``.
 
     Args:
-        cluster, mapper, path_resolver, retry_policy, faults: As the
-            stage-at-a-time runner.
+        cluster: The simulated cluster.
+        mapper: The Data Semantic Mapper collecting per-task profiles.
         placement: Placement policy (``PLACEMENT_POLICIES``).
-        dependency_mode: ``"stage"`` (barrier edges: the stage runner's
-            dependency order) or ``"dataflow"`` (contract-derived edges;
-            independent stages overlap).  Even ``"stage"`` with
-            ``placement="round_robin"`` does not reproduce
-            :class:`~repro.workflow.runner.WorkflowRunner`: contention
-            comes from the slots busy when a task starts, not from a
-            whole-stage concurrency declaration; the round-robin counter
-            carries across stages instead of restarting per stage; and
-            a monitor sees one extra ``TaskReady`` event per task.  On
-            2 nodes pyflextrkr's makespan is 1.8128 against 1.8173
-            simulated seconds, and placements differ on 9 of the 11
-            bundled workloads.
-        pins: Task → node pins layered over the policy (``dayu-plan``);
-            checked against the cluster when the run starts, as in the
-            stage runner.
-        steal: Enable work stealing.
+        dependency_mode: ``"stage"`` (barriers) or ``"dataflow"``.
+        pins: Task name → node, layered over the policy (co-scheduling
+            moves and ``dayu-plan`` pins).  A pin to a node not in the
+            cluster fails :meth:`run` before any task.
+        steal: Enable work stealing (dataflow mode; a held barrier
+            placement is never stolen).
+        path_resolver: Optional ``(path, mode, node) -> path`` hook
+            applied to every task open (transparent caching).
+        retry_policy: Re-attempt failed tasks (default: fail fast).
+        faults: Optional :class:`repro.faults.FaultInjector`, polled
+            before every dispatch and after every backoff wait so
+            scheduled node deaths land at their simulated times.
     """
 
     def __init__(
         self,
-        cluster,
-        mapper,
+        cluster: Cluster,
+        mapper: DataSemanticMapper,
         placement: str = "locality",
         dependency_mode: str = "stage",
         pins: Optional[Mapping[str, str]] = None,
         steal: bool = True,
-        path_resolver=None,
+        path_resolver: Optional[Callable[[str, str, str], str]] = None,
         retry_policy: Optional[RetryPolicy] = None,
         faults=None,
     ) -> None:
-        super().__init__(cluster, mapper, pins=pins,
-                         path_resolver=path_resolver,
-                         retry_policy=retry_policy, faults=faults)
         if placement not in PLACEMENT_POLICIES:
             raise ValueError(f"unknown placement policy {placement!r}")
+        self.cluster = cluster
+        self.mapper = mapper
         self.placement = placement
         self.dependency_mode = dependency_mode
+        self.pins = dict(pins or {})
         self.steal = steal
+        self.path_resolver = path_resolver
+        self.retry_policy = retry_policy
+        self.faults = faults
+        #: The (possibly partial) result of the most recent :meth:`run` —
+        #: still populated when the run aborted mid-workflow.
+        self.last_result: Optional[WorkflowResult] = None
         #: The decision engine of the most recent :meth:`run`.
         self.last_engine: Optional[DataflowScheduler] = None
 
     # -- construction helpers ------------------------------------------
+    @property
+    def _monitor(self):
+        return getattr(self.mapper, "monitor", None)
+
     def _build_engine(self, workflow: Workflow) -> DataflowScheduler:
         graph = TaskGraph.from_workflow(workflow, mode=self.dependency_mode)
-        weights = {name: entry.task.compute_seconds
-                   for name, entry in graph.entries.items()
-                   if entry.task.compute_seconds > 0}
+        if graph.barrier:
+            # Workflow order: a stage's tasks run in list order.
+            priorities = {name: -float(i)
+                          for i, name in enumerate(graph.entries)}
+        else:
+            priorities = upward_ranks(graph, {
+                name: entry.task.compute_seconds
+                for name, entry in graph.entries.items()
+                if entry.task.compute_seconds > 0})
         return DataflowScheduler(
             graph,
             slots={n.name: n.cpus for n in self.cluster.nodes.values()},
             policy=self.placement,
-            priorities=upward_ranks(graph, weights),
+            priorities=priorities,
             alive=self.cluster.is_alive,
             pins=self.pins,
             steal=self.steal,
@@ -761,8 +850,9 @@ class DataflowRunner(WorkflowRunner):
                              name: str) -> None:
         """Replace a finished producer's predicted out-edge volumes with
         the bytes it actually wrote (observed SDG edge volumes)."""
+        graph = engine.graph
         profile = self.mapper.profiles.get(name)
-        if profile is None:
+        if profile is None or not graph.edge_keys:
             return
         written: Dict[Tuple[str, str], int] = {}
         for s in profile.dataset_stats:
@@ -771,7 +861,6 @@ class DataflowRunner(WorkflowRunner):
                 written[key] = written.get(key, 0) + s.bytes_written
         if not written:
             return
-        graph = engine.graph
         for consumer in graph.entries[name].dependents:
             keys = graph.edge_keys.get((name, consumer))
             if not keys:
@@ -782,29 +871,33 @@ class DataflowRunner(WorkflowRunner):
 
     # -- execution ------------------------------------------------------
     def run(self, workflow: Workflow) -> WorkflowResult:
-        result = self._begin(workflow)
+        workflow.validate()
+        for task, node in self.pins.items():
+            if node not in self.cluster.nodes:
+                raise KeyError(f"task {task!r} is pinned to node {node!r}, "
+                               f"which is not in the cluster")
+        self.last_result = result = WorkflowResult(workflow=workflow.name)
         engine = self._build_engine(workflow)
         self.last_engine = engine
+        barrier = engine.graph.barrier
         monitor = self._monitor
         clock = self.cluster.clock
         policy = self.retry_policy or RetryPolicy(max_attempts=1)
 
+        stages = {stage.name: stage for stage in workflow.stages}
         stage_results: Dict[str, StageResult] = {}
         stage_remaining: Dict[str, int] = {}
-        stage_started: Dict[str, bool] = {}
+        #: Virtual span of every attempt so far, per opened stage.
         stage_span: Dict[str, Tuple[float, float]] = {}
+        #: Barrier mode: each opened parallel stage's per-node task counts.
+        stage_load: Dict[str, Dict[str, int]] = {}
         for stage in workflow.stages:
             sr = StageResult(name=stage.name, wall_time=0.0)
             stage_results[stage.name] = sr
             result.stage_results.append(sr)
             stage_remaining[stage.name] = len(stage.tasks)
-            stage_started[stage.name] = False
 
-        def note_span(stage_name: str, vstart: float, vfinish: float) -> None:
-            lo, hi = stage_span.get(stage_name, (vstart, vfinish))
-            stage_span[stage_name] = (min(lo, vstart), max(hi, vfinish))
-
-        if monitor is not None:
+        if monitor is not None and not barrier:
             from repro.monitor.events import TaskReady
 
             def on_ready(name: str, at: float, priority: float) -> None:
@@ -817,6 +910,9 @@ class DataflowRunner(WorkflowRunner):
 
         attempts: Dict[str, int] = {}
         abort: Optional[BaseException] = None
+        #: The latest stage a task was dispatched from: an aborted run
+        #: reports the stages up to it.
+        reached = -1
         try:
             engine.start()
             while True:
@@ -826,49 +922,69 @@ class DataflowRunner(WorkflowRunner):
                     break
                 entry = engine.graph.entries[name]
                 sr = stage_results[entry.stage]
+                reached = max(reached, entry.stage_index)
                 attempt = attempts[name] = attempts.get(name, 0) + 1
                 if attempt > 1:
                     delay = self._backoff(policy, attempt)
                     previous = engine.placement[name]
-                assignment = engine.assign(name)
-                node = assignment.node
-                if not stage_started[entry.stage]:
-                    stage_started[entry.stage] = True
+                node, vstart, stolen_from, saved = engine.assign(name)
+                span = stage_span.get(entry.stage)
+                if span is None:
+                    stage_span[entry.stage] = (vstart, vstart)
                     self._stage_started(entry.stage)
+                    if barrier:
+                        stage = stages[entry.stage]
+                        sr.placement.update(
+                            (t.name, engine.held[t.name])
+                            for t in stage.tasks)
+                        if stage.parallel:
+                            load: Dict[str, int] = {}
+                            for n in sr.placement.values():
+                                load[n] = load.get(n, 0) + 1
+                            stage_load[entry.stage] = load
+                elif vstart < span[0]:
+                    stage_span[entry.stage] = (vstart, span[1])
                 if attempt > 1:
                     self._retried(sr, name, attempt, delay, node, previous)
-                if assignment.stolen_from is not None and monitor is not None:
+                if stolen_from is not None and monitor is not None:
                     from repro.monitor.events import TaskStolen
 
                     monitor.publish(TaskStolen(
                         time=clock.now, task=name, node=node,
-                        victim=assignment.stolen_from,
-                        saved=assignment.saved))
+                        victim=stolen_from, saved=saved))
                 final = attempt >= policy.max_attempts
 
-                counts = engine.busy_counts(assignment.vstart)
-                counts[node] = counts.get(node, 0) + 1
-                self.cluster.set_stage_concurrency(counts)
+                if barrier:
+                    counts = stage_load.get(entry.stage)
+                else:
+                    counts = engine.busy_counts(vstart)
+                    counts[node] = counts.get(node, 0) + 1
+                if counts:
+                    self.cluster.set_stage_concurrency(counts)
                 elapsed, exc = self._attempt(entry.task, node, attempt, final)
                 self.cluster.reset_concurrency()
+                if exc is None:
+                    vend = engine.complete(name, elapsed)
+                    self._refine_edge_volumes(engine, name)
+                    sr.task_durations[name] = elapsed
+                    sr.attempts[name] = attempt
+                    sr.placement[name] = node
+                elif not final:
+                    vend = engine.fail(name, elapsed=elapsed,
+                                       backoff=policy.backoff(attempt + 1))
+                else:
+                    vend = engine.fail(name, elapsed=elapsed, terminal=True,
+                                       release=entry.best_effort)
+                    self._record_failure(sr, name, node, attempt, exc)
+                lo, hi = stage_span[entry.stage]
+                if vend > hi:
+                    stage_span[entry.stage] = (lo, vend)
                 if exc is not None:
                     if not final:
-                        engine.fail(name, elapsed=elapsed,
-                                    backoff=policy.backoff(attempt + 1))
                         continue
-                    engine.fail(name, elapsed=elapsed, terminal=True,
-                                release=entry.best_effort)
-                    self._record_failure(sr, name, node, attempt, exc)
                     if not entry.best_effort:
                         abort = exc
                         break
-                    continue
-                vfinish = engine.complete(name, elapsed)
-                self._refine_edge_volumes(engine, name)
-                sr.task_durations[name] = vfinish - assignment.vstart
-                sr.attempts[name] = attempt
-                sr.placement[name] = node
-                note_span(entry.stage, assignment.vstart, vfinish)
                 stage_remaining[entry.stage] -= 1
                 if stage_remaining[entry.stage] == 0:
                     self._close_stage(sr, stage_span)
@@ -887,7 +1003,7 @@ class DataflowRunner(WorkflowRunner):
                 if stage_remaining[stage.name] > 0:
                     self._close_stage(sr, stage_span)
                     sr.aborted = abort is not None
-                    if stage_started[stage.name]:
+                    if stage.name in stage_span:
                         self._stage_finished(sr)
             # Stages that never ran a task chain after their predecessor
             # so the makespan envelope stays well-defined.
@@ -898,16 +1014,120 @@ class DataflowRunner(WorkflowRunner):
                     prev_finish = max(prev_finish, sr.finished_at)
                 else:
                     sr.started_at = sr.finished_at = prev_finish
+            if abort is not None:
+                del result.stage_results[reached + 1:]
+            # Even an aborted run keeps the profiles of every completed
+            # task — the partial result stays analyzable.
             result.profiles = dict(self.mapper.profiles)
         if abort is not None:
             raise abort
         return result
 
+    # -- one attempt of a task -----------------------------------------
+    def _attempt(self, task: Task, node: str, attempt: int, final: bool
+                 ) -> Tuple[float, Optional[BaseException]]:
+        """Run one attempt of ``task`` on ``node``.
+
+        Returns ``(simulated seconds, None)`` on success or ``(seconds
+        elapsed, exception)`` after publishing ``TaskFailed``.  An
+        attempt placed on a dead node fails unstarted, without a profile.
+        """
+        if not self.cluster.is_alive(node):
+            exc = FsError(f"task {task.name!r} placed on dead node {node!r}")
+            self._publish_failed(task.name, node, attempt, exc, final,
+                                 started=False)
+            return 0.0, exc
+        clock = self.cluster.clock
+        start = clock.now
+        try:
+            with self.mapper.task(task.name) as ctx:
+                runtime = TaskRuntime(self.cluster, ctx, task, node,
+                                      path_resolver=self.path_resolver)
+                if task.compute_seconds:
+                    runtime.compute(task.compute_seconds)
+                task.fn(runtime)
+        except Exception as exc:
+            self._publish_failed(task.name, node, attempt, exc, final)
+            return clock.now - start, exc
+        return clock.now - start, None
+
     # -- helpers --------------------------------------------------------
-    def _close_stage(self, sr: StageResult,
+    def _poll_faults(self) -> None:
+        if self.faults is not None:
+            self.faults.poll()
+
+    def _backoff(self, policy: RetryPolicy, attempt: int) -> float:
+        """Wait out the backoff before retry ``attempt``, then poll
+        faults (a node may die during the wait); returns the wait."""
+        delay = policy.backoff(attempt)
+        if delay > 0:
+            self.cluster.clock.advance(delay, account=RETRY_BACKOFF_ACCOUNT)
+        self._poll_faults()
+        return delay
+
+    def _retried(self, stage_result: StageResult, task: str, attempt: int,
+                 delay: float, node: str, previous: str) -> None:
+        """Count retry ``attempt`` of ``task``, now placed on ``node``."""
+        stage_result.retries += 1
+        monitor = self._monitor
+        if monitor is not None:
+            from repro.monitor.events import TaskRetried
+
+            monitor.publish(TaskRetried(
+                time=self.cluster.clock.now, task=task, attempt=attempt,
+                backoff=delay, node=node, previous_node=previous))
+
+    def _record_failure(self, stage_result: StageResult, task: str,
+                        node: str, attempts: int,
+                        exc: BaseException) -> None:
+        """Record ``task`` as lost after ``attempts`` tries on ``node``."""
+        stage_result.attempts[task] = attempts
+        stage_result.placement[task] = node
+        stage_result.failures[task] = TaskFailure(
+            task=task, node=node, attempts=attempts, error=_describe(exc),
+            time=self.cluster.clock.now)
+
+    def _publish_failed(self, task: str, node: str, attempt: int,
+                        exc: BaseException, fatal: bool,
+                        started: bool = True) -> None:
+        monitor = self._monitor
+        if monitor is None:
+            return
+        from repro.monitor.events import TaskFailed
+
+        monitor.publish(TaskFailed(
+            time=self.cluster.clock.now, task=task, error=_describe(exc),
+            node=node, attempt=attempt, fatal=fatal, started=started))
+
+    def _stage_started(self, stage: str) -> None:
+        monitor = self._monitor
+        if monitor is not None:
+            from repro.monitor.events import StageStarted
+
+            monitor.publish(StageStarted(
+                time=self.cluster.clock.now, task=None, stage=stage))
+
+    def _stage_finished(self, stage_result: StageResult) -> None:
+        monitor = self._monitor
+        if monitor is not None:
+            from repro.monitor.events import StageFinished
+
+            monitor.publish(StageFinished(
+                time=self.cluster.clock.now, task=None,
+                stage=stage_result.name, wall_time=stage_result.wall_time,
+                failed=stage_result.aborted))
+
+    @staticmethod
+    def _close_stage(sr: StageResult,
                      stage_span: Dict[str, Tuple[float, float]]) -> None:
         span = stage_span.get(sr.name)
         if span is None:
             return
         sr.started_at, sr.finished_at = span
         sr.wall_time = span[1] - span[0]
+
+
+def _describe(exc: Optional[BaseException]) -> str:
+    if exc is None:
+        return ""
+    return f"{type(exc).__name__}: {exc}"

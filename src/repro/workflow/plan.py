@@ -166,7 +166,7 @@ def plan_file_map(plan: PlacementPlan) -> Dict[str, str]:
 
 def plan_path_resolver(plan: PlacementPlan
                        ) -> Callable[[str, str, str], str]:
-    """A :class:`~repro.workflow.runner.WorkflowRunner` path resolver
+    """A :class:`~repro.workflow.dscheduler.DataflowRunner` path resolver
     applying the plan's localizations to every task open."""
     fmap = plan_file_map(plan)
 

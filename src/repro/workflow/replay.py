@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence
 
 from repro.workflow.model import Stage, Task, Workflow
-from repro.workflow.runner import WorkflowRunner
+from repro.workflow.dscheduler import DataflowRunner
 
 __all__ = ["ReplayOutcome", "replay_in_order", "read_dataset"]
 
@@ -60,7 +60,7 @@ def replay_in_order(workflow: Workflow, order: Sequence[str],
     schedule, which is exactly what a witness asserts is legal under
     dependency-only happens-before.  Every name must belong to the
     workflow; a name may repeat (retry replay).  The order runs as one
-    serial stage of the stage runner, every entry pinned to the first
+    serial barrier stage, every entry pinned to the first
     alive node.  Returns the outcome holding the cluster for content
     read-back.
     """
@@ -87,7 +87,7 @@ def replay_in_order(workflow: Workflow, order: Sequence[str],
     cluster = gpu_cluster(clock, n_nodes=n_nodes)
     mapper = DataSemanticMapper(clock, DaYuConfig())
     node = cluster.alive_node_names()[0]
-    runner = WorkflowRunner(cluster, mapper,
+    runner = DataflowRunner(cluster, mapper, placement="round_robin",
                             pins={t.name: node for t in aliases})
     runner.run(Workflow(workflow.name,
                         [Stage("replay", aliases, parallel=False)]))

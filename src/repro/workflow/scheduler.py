@@ -3,10 +3,11 @@
 The baseline spreads a stage's tasks across nodes in order; the paper's
 co-scheduling of PyFLEXTRKR stages 3-5 onto the node that produced their
 data is a pin per task, and a ``dayu-plan`` is pins solved from the cost
-model.  :func:`stage_placement` places for the stage runner, its retry
-re-placement and :func:`repro.lint.cost.build_cost_report`.  The runner
-passes the *alive* nodes, so a pin to a dead node falls back to its
-round-robin slot on a survivor; with no survivors it raises
+model.  :func:`repro.lint.cost.build_cost_report` prices
+:func:`stage_placement`; the runner's ``round_robin`` policy
+(:mod:`repro.workflow.dscheduler`) places by the same rule over the
+*alive* nodes, so a pin to a dead node falls back to its round-robin
+slot on a survivor.  With no survivors the runner raises
 :class:`NoAliveNodesError` and aborts cleanly, partial results kept.
 """
 
@@ -22,8 +23,8 @@ __all__ = ["NoAliveNodesError", "stage_placement"]
 class NoAliveNodesError(RuntimeError):
     """Every node of the cluster is dead: nothing can be placed.
 
-    Raised by the runners (and the event scheduler) instead of crashing
-    with ``ZeroDivisionError``/``IndexError``; the runner turns it into a
+    Raised by the scheduler instead of crashing with
+    ``ZeroDivisionError``/``IndexError``; the runner turns it into a
     clean abort with partial results preserved.
     """
 

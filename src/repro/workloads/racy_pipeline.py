@@ -291,13 +291,13 @@ def racy_fault_spec(params: RacyParams | None = None,
     from repro.mapper.config import DaYuConfig
     from repro.mapper.mapper import DataSemanticMapper
     from repro.simclock import SimClock
-    from repro.workflow.runner import WorkflowRunner
+    from repro.workflow.dscheduler import DataflowRunner
 
     p = params or RacyParams()
     clock = SimClock()
     cluster = gpu_cluster(clock, n_nodes=n_nodes)
     mapper = DataSemanticMapper(clock, DaYuConfig())
-    runner = WorkflowRunner(cluster, mapper)
+    runner = DataflowRunner(cluster, mapper, placement="round_robin")
     result = runner.run(build_racy_pipeline(p))
     span = result.profiles["racy_bump_state"].span
     margin = 0.2 * backoff

@@ -11,7 +11,7 @@ from repro.workflow import (
     Stage,
     Task,
     Workflow,
-    WorkflowRunner,
+    DataflowRunner,
     stage_placement,
 )
 
@@ -108,8 +108,8 @@ class TestSchedulers:
             Stage("first", [Task("a", lambda rt: ran.append("a"))]),
             Stage("second", [Task("b", lambda rt: ran.append("b"))]),
         ])
-        runner = WorkflowRunner(cluster, DataSemanticMapper(clock, DaYuConfig()),
-                                pins={"b": "n9"})
+        runner = DataflowRunner(cluster, DataSemanticMapper(clock, DaYuConfig()),
+                                placement="round_robin", pins={"b": "n9"})
         with pytest.raises(KeyError, match="'b'.*'n9'"):
             runner.run(wf)
         assert ran == []  # rejected before the first task ran
@@ -136,7 +136,8 @@ class TestWorkflowRunner:
     def _run(self, workflow, pins=None, n_nodes=2):
         clock, cluster = small_cluster(n_nodes)
         mapper = DataSemanticMapper(clock, DaYuConfig())
-        runner = WorkflowRunner(cluster, mapper, pins)
+        runner = DataflowRunner(cluster, mapper, placement="round_robin",
+                                pins=pins)
         return runner.run(workflow), cluster
 
     def test_simple_pipeline_runs_and_profiles(self):
@@ -205,7 +206,8 @@ class TestWorkflowRunner:
         wf = Workflow("w", [Stage("s", [Task("intruder", bad)])])
         clock, cluster = small_cluster(2)
         mapper = DataSemanticMapper(clock, DaYuConfig())
-        runner = WorkflowRunner(cluster, mapper, {"intruder": "n0"})
+        runner = DataflowRunner(cluster, mapper, placement="round_robin",
+                                pins={"intruder": "n0"})
         with pytest.raises(FsError, match="local to node"):
             runner.run(wf)
 
@@ -262,5 +264,5 @@ class TestWorkflowRunner:
         clock, cluster = small_cluster()
         mapper = DataSemanticMapper(clock, DaYuConfig())
         with pytest.raises(RuntimeError):
-            WorkflowRunner(cluster, mapper).run(wf)
+            DataflowRunner(cluster, mapper, placement="round_robin").run(wf)
         assert cluster.shared_devices["/pfs"].concurrency == 1

@@ -3,6 +3,7 @@ bytes, bulk graph builds, lint over a compacted run, format sniffing
 (and the retired row-binary rejection), run compaction, the --jobs 1
 inline guarantee, and CLI parity between row traces and a run file."""
 
+import io
 import json
 import random
 
@@ -309,6 +310,29 @@ class TestCorruptBytes:
         meta.count += delta
         with pytest.raises(CorruptTrace, match="odd.dayuc"):
             group.to_profile()
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("family,name", [
+        ("objprofs", "acquired"), ("sessions", "read_ops"),
+        ("stats", "bytes_read"), ("records", "start"),
+        ("sessions", "data_objects")])
+    def test_footer_count_mismatch_raises(self, family, name, delta):
+        """A footer count one off its family's row count (for a
+        flattened column: off the sum of its lengths) is rejected, not
+        decoded into silently short rows.  A per-row column's count is
+        checked when the footer is parsed."""
+        writer = columnar._RunWriter()
+        writer.add_profile(make_profile("t0"))
+        idx = columnar._COLUMN_INDEX[family][name]
+        writer._groups[0].families[family][1][idx].count += delta
+        out = io.BytesIO()
+        writer.write(out)
+        data = out.getvalue()
+        with pytest.raises(CorruptTrace, match="bad.dayuc"):
+            decode_run(data, source="bad.dayuc")
+        if name not in columnar._FLAT_COLUMNS[family]:
+            with pytest.raises(CorruptTrace, match="counts"):
+                RunReader.from_bytes(data, source="bad.dayuc")
 
     def test_cli_exits_2_naming_the_file(self, tmp_path, capsys):
         from repro.cli import analyze_main

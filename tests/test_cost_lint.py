@@ -516,7 +516,7 @@ def test_executed_plan_beats_naive_placement():
 
 
 def _executed_placement(name, pins, plan=None):
-    """``task -> node`` as the stage runner ran ``name`` on 2 nodes."""
+    """``task -> node`` as the baseline runner ran ``name`` on 2 nodes."""
     from repro.experiments.common import fresh_env
     from repro.workflow.plan import plan_path_resolver, stage_in_plan
 
@@ -536,7 +536,7 @@ def _executed_placement(name, pins, plan=None):
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_cost_model_prices_the_executed_placement(name):
     # The solver's baseline and every trial are priced on the placement
-    # the stage runner executes, unpinned and under the solved pins.
+    # the baseline runner executes, unpinned and under the solved pins.
     from repro.lint.predict import build_static_context
     from repro.optimizer import solve_placement
 
@@ -621,6 +621,27 @@ def test_run_main_rejects_mismatched_plan(tmp_path, capsys):
                    "--out", str(tmp_path / "tr")])
     assert rc == 2
     assert "solved for" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deps", ["stage", "dataflow"])
+def test_run_main_plan_pins_run_on_plan_nodes(tmp_path, deps):
+    """A plan's task pins hold under either dependency mode: every
+    pinned task runs on its plan node."""
+    from repro.cli import plan_main, run_main
+
+    plan = tmp_path / "plan.json"
+    assert plan_main(["perf-hazards", "--scale", "0.05",
+                      "--out", str(plan)]) == 0
+    result = tmp_path / "planned.json"
+    assert run_main(["perf-hazards", "--scale", "0.05", "--plan", str(plan),
+                     "--deps", deps, "--out", str(tmp_path / "tr"),
+                     "--result-json", str(result)]) == 0
+    pins = json.loads(plan.read_text())["tasks"]
+    assert pins, "the plan pins no task"
+    ran = {}
+    for stage in json.loads(result.read_text())["stages"]:
+        ran.update(stage["placement"])
+    assert {t: ran.get(t) for t in pins} == pins
 
 
 def test_readme_rule_table_in_sync():

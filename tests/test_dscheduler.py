@@ -4,7 +4,8 @@ placement-liveness bugfix sweep that rode along with it:
 - typed ``NoAliveNodesError`` instead of ``ZeroDivisionError`` when every
   node is dead, with a clean runner abort preserving partial results;
 - pins (co-located stages included) naming dead nodes fall back to
-  survivors, and pins naming unknown nodes fail on both engines;
+  survivors, and pins naming unknown nodes fail in both dependency
+  modes;
 - ``WorkflowResult.wall_time`` is the first-start/last-finish makespan
   (the old sum survives as ``serial_time``);
 - the per-task state machine: exactly one terminal state per task,
@@ -33,7 +34,6 @@ from repro.workflow import (
     TaskGraph,
     Workflow,
     WorkflowResult,
-    WorkflowRunner,
     stage_placement,
     upward_ranks,
 )
@@ -96,7 +96,8 @@ class TestAllDeadCluster:
         clock, cluster = small_cluster(2)
         kill_all(cluster)
         wf = Workflow("wf", [Stage("s", [writer_task("t", "/pfs/x.h5")])])
-        runner = WorkflowRunner(cluster, DataSemanticMapper(clock))
+        runner = DataflowRunner(cluster, DataSemanticMapper(clock),
+                                placement="round_robin")
         with pytest.raises(NoAliveNodesError) as exc:
             runner.run(wf)
         assert exc.value.dead_nodes == ["n0", "n1"]
@@ -107,9 +108,9 @@ class TestAllDeadCluster:
         clock, cluster = small_cluster(2)
         kill_all(cluster)
         wf = Workflow("wf", [Stage("s", [writer_task("t", "/pfs/x.h5")])])
-        for runner_cls in (WorkflowRunner, DataflowRunner):
-            runner = runner_cls(cluster, DataSemanticMapper(clock),
-                                pins={"t": "n0"})
+        for deps in ("stage", "dataflow"):
+            runner = DataflowRunner(cluster, DataSemanticMapper(clock),
+                                    dependency_mode=deps, pins={"t": "n0"})
             with pytest.raises(NoAliveNodesError):
                 runner.run(wf)
 
@@ -132,7 +133,8 @@ class TestAllDeadCluster:
             Stage("produce", [writer_task("w", "/pfs/a.h5")]),
             Stage("consume", [reader_task("r", "/pfs/a.h5")]),
         ])
-        runner = WorkflowRunner(cluster, mapper, faults=inj)
+        runner = DataflowRunner(cluster, mapper, placement="round_robin",
+                                faults=inj)
         with pytest.raises(NoAliveNodesError):
             runner.run(wf)
         partial = runner.last_result
@@ -181,8 +183,8 @@ class TestDeadPinFallback:
     def test_pin_to_unknown_node_still_raises(self):
         clock, cluster = small_cluster(2)
         wf = Workflow("wf", [Stage("s", [writer_task("t", "/pfs/x.h5")])])
-        runner = WorkflowRunner(cluster, DataSemanticMapper(clock),
-                                pins={"t": "n9"})
+        runner = DataflowRunner(cluster, DataSemanticMapper(clock),
+                                placement="round_robin", pins={"t": "n9"})
         with pytest.raises(KeyError, match="n9"):
             runner.run(wf)
 
@@ -198,7 +200,7 @@ class TestDeadPinFallback:
 
     def test_colocate_unknown_target_still_raises(self):
         # A co-located stage is a pin per task; an unknown target fails
-        # on the event engine too, before any task runs.
+        # under the locality policy too, before any task runs.
         clock, cluster = small_cluster(2)
         wf = Workflow("wf", [Stage("s", [writer_task("t", "/pfs/x.h5")])])
         runner = DataflowRunner(cluster, DataSemanticMapper(clock),
@@ -217,8 +219,9 @@ class TestDeadPinFallback:
             Stage("b", [reader_task("r0", "/pfs/a.h5"),
                         reader_task("r1", "/pfs/a.h5")]),
         ])
-        runner = WorkflowRunner(
-            cluster, mapper, pins={t.name: "n2" for t in wf.all_tasks()},
+        runner = DataflowRunner(
+            cluster, mapper, placement="round_robin",
+            pins={t.name: "n2" for t in wf.all_tasks()},
             retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.01),
             faults=inj)
         result = runner.run(wf)
@@ -236,8 +239,8 @@ class TestDeadPinFallback:
             g, slots={"n0": 1, "n1": 1}, pins={"t": "n1"},
             alive=lambda n: n != "n1")
         eng.start()
-        a = eng.assign(eng.pop_ready())
-        assert a.node == "n0"
+        node, _, _, _ = eng.assign(eng.pop_ready())
+        assert node == "n0"
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +266,8 @@ class TestMakespan:
             Stage("a", [writer_task("w", "/pfs/a.h5")]),
             Stage("b", [reader_task("r", "/pfs/a.h5")]),
         ])
-        result = WorkflowRunner(cluster, mapper).run(wf)
+        result = DataflowRunner(cluster, mapper,
+                                placement="round_robin").run(wf)
         assert result.wall_time == pytest.approx(result.serial_time)
         a, b = result.stage_results
         assert b.started_at == pytest.approx(a.finished_at)
@@ -312,6 +316,16 @@ class TestTaskGraph:
         ])
         g = TaskGraph.from_workflow(wf, mode="stage")
         assert set(g.entries["r0"].deps) == {"w0", "w1"}
+
+    def test_stage_mode_barrier_spans_empty_stage(self):
+        wf = Workflow("wf", [
+            Stage("a", [writer_task("w0", "/pfs/a.h5")]),
+            Stage("empty", []),
+            Stage("b", [reader_task("r0", "/pfs/a.h5")]),
+        ])
+        g = TaskGraph.from_workflow(wf, mode="stage")
+        assert g.barrier
+        assert g.entries["r0"].deps == ["w0"]
 
     def test_serial_stage_chains_tasks(self):
         wf = Workflow("wf", [
@@ -487,8 +501,47 @@ class TestStateMachine:
         eng.fail("t", elapsed=1.0, backoff=0.5, terminal=False)
         name = eng.pop_ready()
         assert name == "t"
-        a = eng.assign(name)
-        assert a.vstart == pytest.approx(1.5)
+        _, vstart, _, _ = eng.assign(name)
+        assert vstart == pytest.approx(1.5)
+
+
+# ----------------------------------------------------------------------
+# Barrier mode (stage dependencies)
+# ----------------------------------------------------------------------
+class TestBarrierMode:
+    def _wf(self):
+        return Workflow("wf", [
+            Stage("a", [writer_task(f"w{i}", f"/pfs/{i}.h5")
+                        for i in range(4)]),
+            Stage("b", [reader_task(f"r{i}", f"/pfs/{i}.h5")
+                        for i in range(3)], parallel=False),
+        ])
+
+    @pytest.mark.parametrize("policy", ["round_robin", "least_loaded",
+                                        "locality"])
+    def test_stage_placed_when_it_opens_and_spread(self, policy):
+        clock, cluster = small_cluster(2)
+        runner = DataflowRunner(cluster, DataSemanticMapper(clock),
+                                placement=policy)
+        result = runner.run(self._wf())
+        assert result.stage("a").placement == {
+            "w0": "n0", "w1": "n1", "w2": "n0", "w3": "n1"}
+        assert runner.last_engine.steals == 0
+
+    def test_stages_start_together_and_chain(self):
+        clock, cluster = small_cluster(2)
+        collector = Collector()
+        mapper = DataSemanticMapper(clock)
+        mapper.monitor = collector
+        result = DataflowRunner(cluster, mapper,
+                                placement="round_robin").run(self._wf())
+        a, b = result.stage_results
+        assert a.wall_time == pytest.approx(max(a.task_durations.values()))
+        assert b.started_at == a.finished_at
+        assert b.wall_time == pytest.approx(sum(b.task_durations.values()))
+        kinds = collector.kinds()
+        assert "task_ready" not in kinds
+        assert kinds.count("stage_started") == 2
 
 
 # ----------------------------------------------------------------------
@@ -505,14 +558,15 @@ class TestStealingAndSpeculation:
         eng = DataflowScheduler(g, slots={"n0": 1, "n1": 1},
                                 policy="locality", steal=True)
         eng.start()
-        eng.complete(eng.assign(eng.pop_ready()).task, 1.0)  # p on n0
-        a1 = eng.assign(eng.pop_ready())
-        assert a1.node == "n0" and a1.stolen_from is None  # locality
-        a2 = eng.assign(eng.pop_ready())
+        eng.assign(eng.pop_ready())
+        eng.complete("p", 1.0)  # p on n0
+        node1, _, stolen1, _ = eng.assign(eng.pop_ready())
+        assert node1 == "n0" and stolen1 is None  # locality
+        node2, _, stolen2, saved2 = eng.assign(eng.pop_ready())
         # n0's only slot is busy until p+c; n1 is idle: steal.
-        assert a2.stolen_from == "n0"
-        assert a2.node == "n1"
-        assert a2.saved > 0
+        assert stolen2 == "n0"
+        assert node2 == "n1"
+        assert saved2 > 0
         assert eng.steals == 1
 
     def test_steal_disabled_keeps_locality(self):
@@ -696,8 +750,7 @@ def _hand_driven(steal):
                 break
             settle(in_flight.pop(0))
             continue
-        a = eng.assign(name)
-        assignments.append([a.task, a.node, a.vstart, a.stolen_from, a.saved])
+        assignments.append([name, *eng.assign(name)])
         in_flight.append(name)
         if len(in_flight) >= 12:
             settle(in_flight.pop(0))
@@ -727,6 +780,9 @@ _IDENTITY_CASES = {
 
 #: SHA-256 of each case's canonical JSON, recorded before the engine's
 #: per-decision cost was cut; a faster engine must reproduce every one.
+#: The round-robin digests were re-recorded when round-robin became
+#: position-in-stage placement (task *i* of a layer on node ``i % 8``)
+#: instead of a counter over the order tasks were assigned in.
 _IDENTITY_DIGESTS = {
     "co_locate-steal0":
         "074e4cc3d4a9ad77c06d42790ec08cff8df1ec5e756b695d12f4068b73714a58",
@@ -747,9 +803,9 @@ _IDENTITY_DIGESTS = {
     "locality-steal1":
         "0c6db707ddc11c3fc4b5f3c833291ea8044171780306b5fa09b214df8dc8ad50",
     "round_robin-steal0":
-        "5fb06875bbf408a907a4b935b0f1c774720df478e694203d2d29aa68666fd015",
+        "00f5c926607723ebaaed19b82642de80b7572a1a453e538efa1df5fc8554e93d",
     "round_robin-steal1":
-        "bf3d809163d90b30dde80245eab6d9f72622b2ca359ce560e500158b0d119637",
+        "2b7338d3854b64412281aa1b4595959b2b9f98cdf0b9036c734a920edd2be038",
 }
 
 

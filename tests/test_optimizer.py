@@ -11,7 +11,7 @@ from repro.lint import ADVISORY, Finding, Severity, lint_profiles
 from repro.mapper import DaYuConfig, DataSemanticMapper
 from repro.optimizer import TransparentCache, build_plan
 from repro.simclock import SimClock
-from repro.workflow import Stage, Task, Workflow, WorkflowRunner
+from repro.workflow import DataflowRunner, Stage, Task, Workflow
 
 
 def make_cluster(n=2):
@@ -234,7 +234,8 @@ class TestEndToEndAutoOptimization:
 
     def _run(self, cluster, workflow, pins=None):
         mapper = DataSemanticMapper(cluster.clock, DaYuConfig())
-        runner = WorkflowRunner(cluster, mapper, pins)
+        runner = DataflowRunner(cluster, mapper, placement="round_robin",
+                                pins=pins)
         result = runner.run(workflow)
         return result, mapper
 
@@ -349,8 +350,8 @@ class TestTransparentCache:
             Stage("r1", [Task("first", reader("first"))], parallel=False),
             Stage("r2", [Task("second", reader("second"))], parallel=False),
         ])
-        runner = WorkflowRunner(
-            cluster, mapper,
+        runner = DataflowRunner(
+            cluster, mapper, placement="round_robin",
             pins={"first": "n0", "second": "n0"},
             path_resolver=cache,
         )

@@ -45,7 +45,7 @@ from repro.mapper.persist import (
 )
 from repro.monitor.monitor import MonitorConfig
 from repro.workflow.replay import replay_in_order
-from repro.workflow.runner import RetryPolicy, WorkflowRunner
+from repro.workflow.runner import RetryPolicy
 from repro.workloads.racy_pipeline import RacyParams, racy_fault_spec
 from repro.workloads.registry import build_workload
 
@@ -71,9 +71,8 @@ def racy_run():
     """One fault-injected racy-pipeline run: the DY5xx ground truth."""
     workflow, _ = build_workload("racy-pipeline", 1.0)
     env = fresh_env(n_nodes=2)
-    runner = WorkflowRunner(
-        env.cluster, env.mapper,
-        retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.25))
+    runner = env.runner
+    runner.retry_policy = RetryPolicy(max_attempts=3, backoff_base=0.25)
     injector = FaultInjector(racy_fault_spec(), env.cluster)
     injector.arm()
     runner.faults = injector

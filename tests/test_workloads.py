@@ -13,7 +13,7 @@ from repro.cluster import Cluster, Node, gpu_cluster
 from repro.lint import ADVISORY, lint_profiles
 from repro.mapper import DaYuConfig, DataSemanticMapper
 from repro.simclock import SimClock
-from repro.workflow import WorkflowRunner
+from repro.workflow import DataflowRunner
 from repro.workloads import (
     ArldmParams,
     CornerCaseParams,
@@ -45,7 +45,7 @@ def run_workload(build_fn, params, prepare=None, n_nodes=2):
     if prepare is not None:
         prepare(cluster, params)
     mapper = DataSemanticMapper(clock, DaYuConfig())
-    runner = WorkflowRunner(cluster, mapper)
+    runner = DataflowRunner(cluster, mapper, placement="round_robin")
     result = runner.run(build_fn(params))
     return result, mapper, cluster
 
@@ -255,7 +255,7 @@ class TestH5bench:
         from repro.storage import Mount, make_device
         cluster.fs.add_mount(Mount("/pfs", cluster.shared_devices["/beegfs"]))
         mapper = DataSemanticMapper(clock, DaYuConfig())
-        runner = WorkflowRunner(cluster, mapper)
+        runner = DataflowRunner(cluster, mapper, placement="round_robin")
         w = runner.run(build_h5bench_write(params))
         r = runner.run(build_h5bench_read(params))
         assert w.wall_time > 0 and r.wall_time > 0
