@@ -21,9 +21,10 @@ Direction convention (matching the paper's left-to-right data flow):
     ``task → [dataset → region →] file``.
 
 Construction is incremental: a :class:`GraphBuilder` accepts profiles one
-at a time and can emit the finished graph at any point, so analyses over a
-growing trace directory (or a baseline kept across :func:`compare_runs`
-calls) never rebuild from scratch.  Edge statistics accumulate through the
+at a time, in any order, and can emit the finished graph at any point, so
+analyses over a growing trace directory (or a baseline kept across
+:func:`compare_runs` calls, or a service run whose traces arrive shuffled)
+never rebuild from scratch.  Edge statistics accumulate through the
 commutative :func:`merge_edge_stats`, which is also how
 :class:`~repro.analyzer.parallel.ParallelAnalyzer` merges independently
 built sub-graphs — per-contribution ``io_time`` samples are kept in an
@@ -33,6 +34,7 @@ serial and sharded builds produce identical floats.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from collections import defaultdict
@@ -229,7 +231,7 @@ def _ordered_profiles(
 
 
 class GraphBuilder:
-    """Incremental FTG/SDG constructor.
+    """Incremental FTG/SDG constructor that accepts profiles in any order.
 
     Feed profiles with :meth:`add_profile` / :meth:`add_profiles` as they
     arrive; call :meth:`build` for a finished graph at any point and keep
@@ -237,6 +239,20 @@ class GraphBuilder:
     sub-graph for one contiguous shard of a larger profile sequence;
     :func:`repro.analyzer.parallel.merge_graph_inplace` combines such
     shard graphs into the same result a single builder would produce.
+
+    **Arrival order.**  Profiles fed without a key take their places in
+    arrival order, and the builder records nothing extra.  Profiles fed
+    with a ``key`` (unique and mutually comparable; give one for every
+    profile or for none) take their places by key, whatever order they
+    arrive in: every node and edge records its first-touch key,
+    ``(profile key, position in that profile's fold)``, while counters,
+    spans and ``io_time`` samples already merge order-free.
+    :meth:`build` then emits nodes in first-touch order, each node's
+    edges in first-touch order, and numbers each task's ``order`` by its
+    profile's rank — the graph an in-order fold builds.  While keys
+    arrive ascending the folded graph already is that graph; only after
+    an earlier-keyed arrival does :meth:`build` assemble a reordered
+    copy, in bulk.
 
     Args:
         kind: ``"ftg"`` or ``"sdg"``.
@@ -270,43 +286,123 @@ class GraphBuilder:
             self.graph = nx.DiGraph(graph_type="SDG", region_bytes=region_bytes)
         else:
             self.graph = nx.DiGraph(graph_type="FTG")
+        self._seq_base = seq_base
         self._seq = seq_base
+        #: First-touch key of every node and edge.
+        self._node_key: Dict[str, tuple] = {}
+        self._edge_key: Dict[Tuple[str, str], tuple] = {}
+        #: Keys of the profiles folded so far, and the largest of them.
+        self._profile_keys: list = []
+        self._max_key = None
+        #: Some profile arrived behind a larger key: build() reorders.
+        self._reordered = False
+        #: The fold in progress arrived behind a larger key, so its
+        #: touches may lower existing first-touch keys.
+        self._behind = False
+        #: Key and next touch position of the fold in progress.
+        self._key = None
+        self._pos = 0
 
-    def add_profile(self, profile: TaskProfile) -> None:
-        """Fold one task profile into the graph under construction."""
-        g = self.graph
-        t = task_node(profile.task)
-        _ensure_node(
-            g, t, NodeKind.TASK, profile.task,
-            start=profile.span.start, end=profile.span.end, order=self._seq,
-        )
+    # ------------------------------------------------------------------
+    # Touches
+    # ------------------------------------------------------------------
+    def _begin(self, task: str, start: float, end: float, key):
+        """Open one profile's fold under ``key``.
+
+        Returns its task node and the fold's node/edge touch functions
+        (signatures of :func:`_ensure_node` and :func:`_bump_edge`).  A
+        builder fed without keys is in order by definition and records
+        nothing; a keyed builder records first-touch keys.
+        """
+        if (self._seq > self._seq_base
+                and (key is not None) != bool(self._profile_keys)):
+            raise ValueError("give a key for every profile or for none")
+        if key is None:
+            node, edge = _ensure_node, _bump_edge
+        else:
+            self._behind = self._max_key is not None and key < self._max_key
+            if self._behind:
+                self._reordered = True
+            else:
+                self._max_key = key
+            self._profile_keys.append(key)
+            self._key = key
+            self._pos = 0
+            node, edge = self._keyed_node, self._keyed_edge
+        t = task_node(task)
+        node(self.graph, t, NodeKind.TASK, task, start=start, end=end,
+             order=self._seq)
         self._seq += 1
+        return t, node, edge
+
+    # A touch's position only has to grow within its fold.  An in-order
+    # fold never lowers a key, so only its creations take a position;
+    # a fold behind a larger key numbers every touch.
+    def _keyed_node(self, g: nx.DiGraph, node: str, kind: NodeKind,
+                    label: str, **attrs) -> None:
+        if node not in g:
+            self._node_key[node] = (self._key, self._pos)
+            self._pos += 1
+            _ensure_node(g, node, kind, label, **attrs)
+        elif self._behind:
+            key = (self._key, self._pos)
+            self._pos += 1
+            if key < self._node_key[node]:
+                self._node_key[node] = key
+                g.nodes[node].update(attrs)
+
+    def _keyed_edge(self, g: nx.DiGraph, u: str, v: str, op: str,
+                    delta: dict) -> None:
+        if delta["count"] == 0 and delta["volume"] == 0:
+            return
+        if not g.has_edge(u, v):
+            self._edge_key[u, v] = (self._key, self._pos)
+            self._pos += 1
+        elif self._behind:
+            key = (self._key, self._pos)
+            self._pos += 1
+            if key < self._edge_key[u, v]:
+                self._edge_key[u, v] = key
+        _bump_edge(g, u, v, op, delta)
+
+    # ------------------------------------------------------------------
+    # Folds
+    # ------------------------------------------------------------------
+    def add_profile(self, profile: TaskProfile, key=None) -> None:
+        """Fold one task profile into the graph under construction.
+
+        ``key`` places the profile in the canonical sequence (default:
+        after every profile folded so far); see the class docstring.
+        """
+        g = self.graph
+        t, node, edge = self._begin(profile.task, profile.span.start,
+                                    profile.span.end, key)
         if self.kind == "ftg":
             for stats in profile.dataset_stats:
                 f = file_node(stats.file)
-                _ensure_node(g, f, NodeKind.FILE, stats.file)
+                node(g, f, NodeKind.FILE, stats.file)
                 if stats.reads:
-                    _bump_edge(g, f, t, "read", _edge_delta(stats, "read"))
+                    edge(g, f, t, "read", _edge_delta(stats, "read"))
                 if stats.writes:
-                    _bump_edge(g, t, f, "write", _edge_delta(stats, "write"))
+                    edge(g, t, f, "write", _edge_delta(stats, "write"))
             return
         for stats in profile.dataset_stats:
             f = file_node(stats.file)
-            _ensure_node(g, f, NodeKind.FILE, stats.file)
+            node(g, f, NodeKind.FILE, stats.file)
             d = dataset_node(stats.file, stats.data_object)
             label = stats.data_object.lstrip("/") or stats.data_object
-            _ensure_node(g, d, NodeKind.DATASET, label, file=stats.file)
+            node(g, d, NodeKind.DATASET, label, file=stats.file)
             if stats.reads:
                 delta = _edge_delta(stats, "read")
-                _bump_edge(g, f, d, "read", delta)
-                _bump_edge(g, d, t, "read", delta)
+                edge(g, f, d, "read", delta)
+                edge(g, d, t, "read", delta)
             if stats.writes:
                 delta = _edge_delta(stats, "write")
-                _bump_edge(g, t, d, "write", delta)
-                _bump_edge(g, d, f, "write", delta)
+                edge(g, t, d, "write", delta)
+                edge(g, d, f, "write", delta)
             if self.with_regions:
                 _wire_regions(g, stats, d, f, self._pages_per_region,
-                              self.region_bytes)
+                              self.region_bytes, node, edge)
 
     def add_stats_columns(self, task: str, start: float, end: float,
                           cols) -> None:
@@ -321,17 +417,14 @@ class GraphBuilder:
         :meth:`add_profile` produces a byte-identical graph.
         """
         g = self.graph
-        t = task_node(task)
-        _ensure_node(g, t, NodeKind.TASK, task, start=start, end=end,
-                     order=self._seq)
-        self._seq += 1
+        t, node, edge = self._begin(task, start, end, None)
         is_ftg = self.kind == "ftg"
         files, objects = cols.file, cols.data_object
         for i in range(len(files)):
             reads, writes = cols.reads[i], cols.writes[i]
             file = files[i]
             f = file_node(file)
-            _ensure_node(g, f, NodeKind.FILE, file)
+            node(g, f, NodeKind.FILE, file)
 
             def delta(count: int, volume: int, i: int = i) -> dict:
                 return {
@@ -348,24 +441,23 @@ class GraphBuilder:
 
             if is_ftg:
                 if reads:
-                    _bump_edge(g, f, t, "read",
-                               delta(reads, cols.bytes_read[i]))
+                    edge(g, f, t, "read", delta(reads, cols.bytes_read[i]))
                 if writes:
-                    _bump_edge(g, t, f, "write",
-                               delta(writes, cols.bytes_written[i]))
+                    edge(g, t, f, "write",
+                         delta(writes, cols.bytes_written[i]))
                 continue
             obj = objects[i]
             d = dataset_node(file, obj)
             label = obj.lstrip("/") or obj
-            _ensure_node(g, d, NodeKind.DATASET, label, file=file)
+            node(g, d, NodeKind.DATASET, label, file=file)
             if reads:
                 rd = delta(reads, cols.bytes_read[i])
-                _bump_edge(g, f, d, "read", rd)
-                _bump_edge(g, d, t, "read", rd)
+                edge(g, f, d, "read", rd)
+                edge(g, d, t, "read", rd)
             if writes:
                 wd = delta(writes, cols.bytes_written[i])
-                _bump_edge(g, t, d, "write", wd)
-                _bump_edge(g, d, f, "write", wd)
+                edge(g, t, d, "write", wd)
+                edge(g, d, f, "write", wd)
             if self.with_regions:
                 if cols.region_runs is None:
                     raise ValueError(
@@ -386,11 +478,44 @@ class GraphBuilder:
                 )
                 stats.set_region_runs(cols.region_runs[i])
                 _wire_regions(g, stats, d, f, self._pages_per_region,
-                              self.region_bytes)
+                              self.region_bytes, node, edge)
 
     def add_profiles(self, profiles: Iterable[TaskProfile]) -> None:
         for profile in profiles:
             self.add_profile(profile)
+
+    # ------------------------------------------------------------------
+    # Output
+    # ------------------------------------------------------------------
+    def _in_key_order(self) -> nx.DiGraph:
+        """A new graph holding the folded one in first-touch order, with
+        task ``order`` renumbered by canonical rank.
+
+        Inserting nodes, then edges, each in first-touch order is exactly
+        the in-order fold's insertion sequence, so every adjacency (out-
+        and in-edges alike) comes out in that fold's order too.
+        """
+        src = self.graph
+        node_key, edge_key = self._node_key, self._edge_key
+        ranks = sorted(self._profile_keys)
+        task = NodeKind.TASK.value
+
+        def node_attrs(n: str) -> dict:
+            attrs = src.nodes[n]
+            if attrs["kind"] == task:
+                rank = bisect.bisect_left(ranks, node_key[n][0])
+                attrs = dict(attrs, order=self._seq_base + rank)
+            return attrs
+
+        g = nx.DiGraph()
+        g.graph.update(src.graph)
+        g.add_nodes_from((n, node_attrs(n))
+                         for n in sorted(node_key, key=node_key.__getitem__))
+        succ = src.succ
+        g.add_edges_from((u, v, succ[u][v])
+                         for u, v in sorted(edge_key,
+                                            key=edge_key.__getitem__))
+        return g
 
     def build(self, copy: bool = True) -> nx.DiGraph:
         """Finalize and return the graph.
@@ -398,9 +523,13 @@ class GraphBuilder:
         With ``copy=True`` (default) the builder stays usable: further
         :meth:`add_profile` calls keep accumulating and a later ``build``
         reflects them.  ``copy=False`` hands over the internal graph —
-        cheaper, but the builder must not be fed afterwards.
+        cheaper, but the builder must not be fed afterwards.  After an
+        out-of-order arrival the result is always a new graph.
         """
-        g = self.graph.copy() if copy else self.graph
+        if self._reordered:
+            g = self._in_key_order()
+        else:
+            g = self.graph.copy() if copy else self.graph
         return finalize_graph(g, with_regions=self.with_regions)
 
 
@@ -548,8 +677,11 @@ def _wire_regions(
     f: str,
     pages_per_region: int,
     region_bytes: int,
+    node,
+    edge,
 ) -> None:
-    """Insert region nodes between a dataset and its file."""
+    """Insert region nodes between a dataset and its file, through the
+    fold's node/edge touch functions (see :meth:`GraphBuilder._begin`)."""
     counts = _region_page_counts(stats, pages_per_region)
     if not counts:
         return
@@ -563,18 +695,18 @@ def _wire_regions(
         lo = region_idx * region_bytes
         hi = lo + region_bytes
         r = region_node(stats.file, lo, hi)
-        _ensure_node(
+        node(
             g, r, NodeKind.REGION, f"addr[{lo}-{hi})", file=stats.file,
             region=(lo, hi),
         )
         if wants_write:
             delta = _edge_delta(part, "write")
-            _bump_edge(g, d, r, "write", delta)
-            _bump_edge(g, r, f, "write", delta)
+            edge(g, d, r, "write", delta)
+            edge(g, r, f, "write", delta)
         if wants_read:
             delta = _edge_delta(part, "read")
-            _bump_edge(g, f, r, "read", delta)
-            _bump_edge(g, r, d, "read", delta)
+            edge(g, f, r, "read", delta)
+            edge(g, r, d, "read", delta)
 
 
 def _strip_direct_dataset_file_edges(g: nx.DiGraph) -> None:

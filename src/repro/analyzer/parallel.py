@@ -93,17 +93,14 @@ def _build_shard(
 
 
 def _lint_shard(profiles: Sequence[TaskProfile], config):
-    """Worker-side lint unit: per-profile findings + cross-task digests.
+    """Worker-side lint units: per-profile findings + cross-task digests.
 
     Imports lazily so worker processes only pay for ``repro.lint`` when
     linting is requested (and to keep ``repro.analyzer`` import-light).
     """
-    from repro.lint.context import summarize_profile
-    from repro.lint.engine import run_profile_rules
+    from repro.lint.engine import lint_unit
 
-    return [(run_profile_rules(p, config),
-             summarize_profile(p, config.page_size))
-            for p in profiles]
+    return [lint_unit(p, config) for p in profiles]
 
 
 def _diff_shard(profiles: Sequence[TaskProfile], contracts, config):
@@ -281,46 +278,26 @@ class ParallelAnalyzer:
     ) -> "LintReport":
         """Sharded :func:`~repro.lint.engine.lint_profiles` — same report.
 
-        Profile-scoped rules (the DY3xx sanitizer and per-task DY1xx
-        checks) shard across the worker pool together with the per-profile
-        cross-task digests; only the small findings and digests travel
-        back, and the workflow- and race-scoped rules run in-process over
-        them.  Race rules reuse the worker-computed summaries, so the
-        report (and its fingerprints) is byte-identical to the serial
-        :func:`~repro.lint.engine.lint_profiles`.  ``attempts`` feeds the
+        Per-profile :func:`~repro.lint.engine.lint_unit` results
+        (profile-scoped findings plus cross-task digests) shard across
+        the worker pool; only they travel back, and the shared
+        :func:`~repro.lint.engine.finish_lint` runs the workflow- and
+        race-scoped rules in-process over them — the serial path's own
+        finish, so the report (and its fingerprints) is byte-identical
+        to :func:`~repro.lint.engine.lint_profiles`.  ``attempts`` feeds the
         DY505 retry-race rule; ``task_order`` is a recovered execution
         order for the DY7xx advisory rules.
         """
-        from repro.lint.engine import (
-            LintReport,
-            run_rules,
-            run_workflow_rules,
-        )
-        from repro.lint.findings import Finding
-        from repro.lint.race import build_trace_race_context
+        from repro.lint.engine import finish_lint
         from repro.lint.rules import LintConfig
 
         config = config or LintConfig()
         profiles = list(profiles)
         results = self._fan_out(partial(_lint_shard, config=config),
                                 self._chunks(profiles))
-        findings = []
-        summaries = []
-        for shard in results:
-            for shard_findings, summary in shard:
-                findings.extend(shard_findings)
-                summaries.append(summary)
-        findings.extend(run_workflow_rules(profiles, config,
-                                           summaries=summaries,
-                                           task_order=task_order))
-        if config.enabled_rules(scope="race"):
-            ctx = build_trace_race_context(profiles, config,
-                                           summaries=summaries,
-                                           attempts=attempts)
-            findings.extend(run_rules("race", ctx, config))
-        findings.sort(key=Finding.sort_key)
-        return LintReport(findings=findings,
-                          tasks=sorted(p.task for p in profiles))
+        units = [unit for shard in results for unit in shard]
+        return finish_lint(profiles, units, config, attempts=attempts,
+                           task_order=task_order)
 
     def lint_run(
         self,

@@ -17,22 +17,24 @@ __all__ = ["graph_to_json_dict", "graph_from_json_dict", "graph_to_json",
            "graph_from_json"]
 
 
-def graph_to_json_dict(g: nx.DiGraph) -> dict:
-    """Serialize a decorated workflow graph to plain JSON-safe structures."""
-    def clean(attrs: dict) -> dict:
-        out = {}
-        for k, v in attrs.items():
-            if isinstance(v, tuple):
-                v = list(v)
-            out[k] = v
-        return out
+def _lists(attrs: dict) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in attrs.items()}
 
+
+def _payload(g: nx.DiGraph, clean) -> dict:
     return {
-        "graph": clean(dict(g.graph)),
+        "graph": clean(g.graph),
         "nodes": [{"id": n, **clean(a)} for n, a in g.nodes(data=True)],
         "edges": [{"source": u, "target": v, **clean(a)}
                   for u, v, a in g.edges(data=True)],
     }
+
+
+def graph_to_json_dict(g: nx.DiGraph) -> dict:
+    """Serialize a decorated workflow graph to plain JSON-safe structures
+    (tuple attributes become lists)."""
+    return _payload(g, _lists)
 
 
 def graph_from_json_dict(payload: dict) -> nx.DiGraph:
@@ -51,7 +53,8 @@ def graph_from_json_dict(payload: dict) -> nx.DiGraph:
 
 
 def graph_to_json(g: nx.DiGraph, indent: Union[int, None] = None) -> str:
-    return json.dumps(graph_to_json_dict(g), indent=indent)
+    # json.dumps already writes tuples as arrays: no per-attribute copy.
+    return json.dumps(_payload(g, lambda attrs: attrs), indent=indent)
 
 
 def graph_from_json(text: str) -> nx.DiGraph:

@@ -343,9 +343,12 @@ class OrderingInfo:
         return b in self.descendants(a) or a in self.descendants(b)
 
 
-def compute_ordering(profiles: Sequence[TaskProfile]) -> OrderingInfo:
-    """Build the happens-before oracle (and note any dependency cycle)."""
-    dag = dependency_dag(profiles)
+def compute_ordering(profiles: Sequence[TaskProfile],
+                     dag: Optional["nx.DiGraph"] = None) -> OrderingInfo:
+    """Build the happens-before oracle (and note any dependency cycle)
+    over ``dag``, the profiles' dependency DAG (built when not given)."""
+    if dag is None:
+        dag = dependency_dag(profiles)
     return OrderingInfo(dag, find_dependency_cycle(dag))
 
 

@@ -1,12 +1,14 @@
 """The lint engine: run rules over profiles, collect a report, baseline.
 
-:func:`lint_profiles` is the single entry point both the CLI and
-:class:`~repro.analyzer.parallel.ParallelAnalyzer` reduce to.  It splits
-the enabled rules by scope — profile-scoped rules see each
-:class:`~repro.mapper.mapper.TaskProfile` in isolation (and are exactly
-the part the parallel analyzer ships to worker processes), workflow-scoped
-rules see the cross-task :class:`~repro.lint.context.WorkflowIndex` plus
-the happens-before oracle — and folds everything into a deterministic,
+:func:`lint_profiles` is the serial entry point.  It,
+:class:`~repro.analyzer.parallel.ParallelAnalyzer` and ``dayu-serve`` all
+finish through :func:`finish_lint` over per-profile :func:`lint_unit`
+results.  The enabled rules split by scope — profile-scoped rules see
+each :class:`~repro.mapper.mapper.TaskProfile` in isolation (the unit
+part, which the parallel analyzer ships to worker processes and the
+service computes once per task), workflow-scoped rules see the
+cross-task :class:`~repro.lint.context.WorkflowIndex` plus the
+happens-before oracle — and everything folds into a deterministic,
 severity-ordered :class:`LintReport`.
 
 Two trace-less entry points sit beside it: :func:`lint_workflow` runs
@@ -24,10 +26,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analyzer.ordering import dependency_dag
 from repro.lint.context import (
     OrderingInfo,
+    ProfileSummary,
     build_index,
     compute_ordering,
     summarize_profile,
@@ -44,11 +48,14 @@ from repro.lint import integrity as _integrity  # noqa: F401
 from repro.lint import perf as _perf  # noqa: F401
 from repro.lint import prerun as _prerun  # noqa: F401
 from repro.lint import race as _race  # noqa: F401
+from repro.lint.race import build_trace_race_context
 from repro.lint import semantic as _semantic  # noqa: F401
 
 __all__ = [
     "LintReport",
     "lint_profiles",
+    "lint_unit",
+    "finish_lint",
     "lint_workflow",
     "diff_profiles",
     "run_profile_rules",
@@ -123,12 +130,8 @@ class LintReport:
 
 def run_profile_rules(profile: TaskProfile,
                       config: LintConfig) -> List[Finding]:
-    """Evaluate every enabled profile-scoped rule against one profile.
-
-    This is the unit :class:`~repro.analyzer.parallel.ParallelAnalyzer`
-    ships to worker processes — it closes over nothing but the picklable
-    config.
-    """
+    """Evaluate every enabled profile-scoped rule against one profile
+    (the findings half of a :func:`lint_unit`)."""
     findings: List[Finding] = []
     for r in config.enabled_rules(scope="profile"):
         findings.extend(r.check(profile, config))
@@ -139,12 +142,14 @@ def run_workflow_rules(profiles: Sequence[TaskProfile],
                        config: LintConfig,
                        summaries=None,
                        task_order: Optional[Sequence[str]] = None,
+                       dag=None,
                        ) -> List[Finding]:
     """Evaluate every enabled workflow-scoped rule over the cross-task
     index.  ``summaries`` may carry pre-computed per-profile digests (from
-    parallel workers); missing ones are computed here.  ``task_order``
-    overrides the start-time execution order the DY7xx advisory rules
-    walk (see :func:`~repro.lint.context.execution_order`)."""
+    parallel workers); missing ones are computed here, as is the
+    dependency ``dag`` when not given.  ``task_order`` overrides the
+    start-time execution order the DY7xx advisory rules walk (see
+    :func:`~repro.lint.context.execution_order`)."""
     rules = config.enabled_rules(scope="workflow")
     if not rules:
         return []
@@ -152,7 +157,7 @@ def run_workflow_rules(profiles: Sequence[TaskProfile],
         summaries = [summarize_profile(p, config.page_size)
                      for p in profiles]
     index = build_index(summaries, profiles, task_order)
-    ordering = compute_ordering(profiles)
+    ordering = compute_ordering(profiles, dag)
     findings: List[Finding] = []
     for r in rules:
         findings.extend(r.check(index, ordering, config))
@@ -172,6 +177,59 @@ def run_rules(scope: str, ctx, config: LintConfig) -> List[Finding]:
     return findings
 
 
+def _needs_summaries(config: LintConfig) -> bool:
+    return bool(config.enabled_rules(scope="workflow")
+                or config.enabled_rules(scope="race"))
+
+
+#: One profile's share of a lint pass (see :func:`lint_unit`).
+LintUnit = Tuple[List[Finding], Optional[ProfileSummary]]
+
+
+def lint_unit(profile: TaskProfile, config: LintConfig) -> LintUnit:
+    """One profile's share of a lint pass: its profile-scoped findings and
+    its cross-task :class:`~repro.lint.context.ProfileSummary` (None when
+    no enabled workflow or race rule reads digests).
+
+    Depends on nothing but the profile and the picklable config, so
+    :class:`~repro.analyzer.parallel.ParallelAnalyzer` computes units in
+    worker processes and ``dayu-serve`` computes each task's once.
+    """
+    summary = (summarize_profile(profile, config.page_size)
+               if _needs_summaries(config) else None)
+    return run_profile_rules(profile, config), summary
+
+
+def finish_lint(profiles: Sequence[TaskProfile],
+                units: Sequence[LintUnit],
+                config: LintConfig,
+                attempts: Optional[Dict[str, int]] = None,
+                task_order: Optional[Sequence[str]] = None) -> LintReport:
+    """Finish a lint pass from its per-profile units.
+
+    ``units[i]`` is :func:`lint_unit` of ``profiles[i]`` under ``config``.
+    Runs the cross-task rules — workflow scope, then race scope, both
+    over one dependency DAG and the units' digests — and sorts
+    everything into the report.  Every trace lint ends here, so serial,
+    sharded and service reports agree byte for byte.
+    """
+    findings = [f for unit_findings, _ in units for f in unit_findings]
+    if _needs_summaries(config):
+        summaries = [summary for _, summary in units]
+        dag = dependency_dag(profiles)
+        findings.extend(run_workflow_rules(profiles, config,
+                                           summaries=summaries,
+                                           task_order=task_order, dag=dag))
+        if config.enabled_rules(scope="race"):
+            ctx = build_trace_race_context(profiles, config,
+                                           summaries=summaries,
+                                           attempts=attempts, dag=dag)
+            findings.extend(run_rules("race", ctx, config))
+    findings.sort(key=Finding.sort_key)
+    return LintReport(findings=findings,
+                      tasks=sorted(p.task for p in profiles))
+
+
 def lint_profiles(profiles: Sequence[TaskProfile],
                   config: Optional[LintConfig] = None,
                   attempts: Optional[Dict[str, int]] = None,
@@ -184,19 +242,8 @@ def lint_profiles(profiles: Sequence[TaskProfile],
     DY7xx advisory rules (default: by start time).
     """
     config = config or LintConfig()
-    findings: List[Finding] = []
-    for p in profiles:
-        findings.extend(run_profile_rules(p, config))
-    findings.extend(run_workflow_rules(profiles, config,
-                                       task_order=task_order))
-    if config.enabled_rules(scope="race"):
-        from repro.lint.race import build_trace_race_context
-
-        ctx = build_trace_race_context(profiles, config, attempts=attempts)
-        findings.extend(run_rules("race", ctx, config))
-    findings.sort(key=Finding.sort_key)
-    return LintReport(findings=findings,
-                      tasks=sorted(p.task for p in profiles))
+    return finish_lint(profiles, [lint_unit(p, config) for p in profiles],
+                       config, attempts=attempts, task_order=task_order)
 
 
 # ----------------------------------------------------------------------

@@ -118,20 +118,24 @@ def build_trace_race_context(
     config: LintConfig,
     summaries: Optional[Sequence[ProfileSummary]] = None,
     attempts: Optional[Dict[str, int]] = None,
+    dag=None,
 ) -> RaceContext:
     """The post-hoc context: traced digests under both orderings.
 
     ``dep`` is the trace-derived dependency DAG (the same oracle the
-    DY2xx hazards use), with observed start times as deterministic
-    topological tie-breaks; ``exe`` is the observed execution sequence —
-    a total order, since the traces record one interleaving.
+    DY2xx hazards use; pass ``dag`` when it is already built), with
+    observed start times as deterministic topological tie-breaks;
+    ``exe`` is the observed execution sequence — a total order, since
+    the traces record one interleaving.
     """
     if summaries is None:
         summaries = [summarize_profile(p, config.page_size)
                      for p in profiles]
+    if dag is None:
+        dag = dependency_dag(profiles)
     index = build_index(summaries)
     priority = {s.task: (s.start, s.end, s.task) for s in summaries}
-    dep = HbOrder.from_graph(dependency_dag(profiles), priority=priority)
+    dep = HbOrder.from_graph(dag, priority=priority)
     observed = sorted(priority, key=priority.__getitem__)
     return RaceContext(mode="trace", index=index, dep=dep,
                        exe=HbOrder.total(observed),

@@ -102,6 +102,10 @@ class LintRule:
 
 _REGISTRY: Dict[str, LintRule] = {}
 
+#: ``(config, scope) -> enabled rules`` memo for
+#: :meth:`LintConfig.enabled_rules`; registering a rule clears it.
+_ENABLED: Dict[Tuple["LintConfig", Optional[str]], Tuple[LintRule, ...]] = {}
+
 
 def rule(code: str, name: str, severity: Severity, scope: str,
          description: str, default_enabled: bool = True):
@@ -118,6 +122,7 @@ def rule(code: str, name: str, severity: Severity, scope: str,
             description=description, default_enabled=default_enabled,
             check=fn,
         )
+        _ENABLED.clear()
         return fn
 
     return register
@@ -221,6 +226,17 @@ class LintConfig:
             return True
         return r.default_enabled
 
-    def enabled_rules(self, scope: Optional[str] = None) -> List[LintRule]:
-        return [r for r in all_rules()
-                if self.is_enabled(r) and (scope is None or r.scope == scope)]
+    def enabled_rules(self, scope: Optional[str] = None
+                      ) -> Tuple[LintRule, ...]:
+        """Enabled rules of ``scope`` (all scopes when None), by code.
+
+        Memoized per ``(config, scope)`` until the next rule registers:
+        a lint pass asks once per profile.
+        """
+        key = (self, scope)
+        rules = _ENABLED.get(key)
+        if rules is None:
+            rules = _ENABLED[key] = tuple(
+                r for r in all_rules()
+                if self.is_enabled(r) and (scope is None or r.scope == scope))
+        return rules

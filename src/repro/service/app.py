@@ -3,8 +3,10 @@
 A :class:`DayuService` is a long-running asyncio HTTP/1.1 server that
 accepts streamed trace uploads from many concurrent clients, folds them
 into per-run incremental :class:`~repro.service.state.RunState`
-(the same :class:`~repro.analyzer.graphs.GraphBuilder` machinery the
-offline analyzer uses), persists every accepted byte durably
+(the same :class:`~repro.analyzer.graphs.GraphBuilder` machinery and
+lint finisher the offline analyzer uses — each uploaded profile is
+folded and profile-linted once, whatever order it arrives in),
+persists every accepted byte durably
 (:class:`~repro.service.store.RunStore`), and serves the analysis back:
 
 ====== ============================ =======================================
@@ -42,10 +44,10 @@ service is single-tenant (``default_tenant``) and unauthenticated.
 
 All state mutation happens synchronously between awaits on the single
 event loop, so concurrent clients interleave only at request
-boundaries; the canonical ``(start, task)`` profile order in
-:class:`RunState` then makes every query byte-identical to the offline
+boundaries; :class:`RunState` keys every profile by its canonical
+``(start, task)`` place, so every query is byte-identical to the offline
 ``dayu-compact`` + ``dayu-analyze`` pipeline regardless of upload
-interleaving.
+interleaving, without refolding or re-linting the run per query.
 """
 
 from __future__ import annotations

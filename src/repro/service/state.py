@@ -3,19 +3,23 @@
 One :class:`RunState` per live run: it folds uploaded profiles into the
 same incremental :class:`~repro.analyzer.graphs.GraphBuilder` the
 offline analyzer and the PR 4 :class:`~repro.monitor.aggregate.LiveAggregator`
-use, and memoizes the rendered query payloads (canonical FTG/SDG JSON,
-lint findings JSON) between ingests so a hot ``GET`` is a dict lookup,
-not a graph rebuild.
+use, keeps each task's lint unit, and memoizes the rendered query
+payloads (canonical FTG/SDG JSON, lint findings JSON) between ingests so
+a hot ``GET`` is a dict lookup, not a graph rebuild.
 
 **Determinism.**  The offline reference pipeline — ``dayu-compact`` over
 a trace directory, then ``dayu-analyze --graph-json --lint`` — orders
 profiles by task start time (ties: sorted trace filename, i.e. task
 name).  Upload *arrival* order under many concurrent clients is
-nondeterministic, so the state orders profiles by the same total key
-``(span.start, task)`` regardless of arrival: in-order arrivals extend
-the fold incrementally (the common case — tasks finish roughly in start
-order), while an out-of-order arrival marks the builders stale and the
-next snapshot refolds from the sorted list.  Either way every query
+nondeterministic, so the state places every profile by the same total
+key ``(span.start, task)`` regardless of arrival.  Each profile is
+folded into both builders exactly once, under that key: the builders
+accept any order and emit the graph an in-order fold would build (see
+:class:`~repro.analyzer.graphs.GraphBuilder`).  Lint splits the same
+way — each task's :func:`~repro.lint.engine.lint_unit` (its
+profile-scoped findings and cross-task digest) is computed once, and a
+findings query only runs :func:`~repro.lint.engine.finish_lint`'s
+cross-task rules over the canonically ordered units.  Every query thus
 observes the canonical order, which is what makes service-built graphs
 and findings byte-identical to the offline pipeline for any seeded
 interleaving of uploading clients.
@@ -42,7 +46,7 @@ def _key(profile) -> Tuple[float, str]:
 
 
 class RunState:
-    """Incrementally folded FTG/SDG + memoized query renderings."""
+    """Incrementally folded FTG/SDG and lint units + memoized renderings."""
 
     def __init__(self, profiles: Optional[List] = None) -> None:
         #: Profiles in canonical (start, task) order.
@@ -51,8 +55,10 @@ class RunState:
         self.tasks: Set[str] = set()
         self._ftg = GraphBuilder("ftg")
         self._sdg = GraphBuilder("sdg")
-        #: Leading profiles already folded into the builders.
-        self._folded = 0
+        #: Added profiles not yet folded into the builders.
+        self._pending: List = []
+        #: task -> its lint unit under the default config.
+        self._lint_units: Dict[str, tuple] = {}
         #: Bumped on every ingest; keys the render memo.
         self.version = 0
         self._rendered: Dict[object, str] = {}
@@ -63,7 +69,7 @@ class RunState:
     # Ingest
     # ------------------------------------------------------------------
     def add_profiles(self, profiles) -> int:
-        """Fold new profiles in; duplicate tasks are ignored (idempotent
+        """Add new profiles; duplicate tasks are ignored (idempotent
         re-upload).  Returns the number actually added."""
         added = 0
         for profile in profiles:
@@ -74,13 +80,7 @@ class RunState:
             self._keys.insert(idx, key)
             self.profiles.insert(idx, profile)
             self.tasks.add(profile.task)
-            if idx < self._folded:
-                # Arrived out of canonical order behind the folded
-                # prefix: the incremental fold no longer matches the
-                # sorted sequence.  Refold lazily at next snapshot.
-                self._ftg = GraphBuilder("ftg")
-                self._sdg = GraphBuilder("sdg")
-                self._folded = 0
+            self._pending.append(profile)
             added += 1
         if added:
             self.version += 1
@@ -88,10 +88,14 @@ class RunState:
         return added
 
     def _fold(self) -> None:
-        for profile in self.profiles[self._folded:]:
-            self._ftg.add_profile(profile)
-            self._sdg.add_profile(profile)
-        self._folded = len(self.profiles)
+        """Fold each pending profile into both builders, once.  A batch
+        folds in key order, so a run recovered from the store needs no
+        reordering at build time."""
+        for profile in sorted(self._pending, key=_key):
+            key = _key(profile)
+            self._ftg.add_profile(profile, key=key)
+            self._sdg.add_profile(profile, key=key)
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -126,9 +130,17 @@ class RunState:
         memo = ("findings", baseline_version)
         cached = self._rendered.get(memo)
         if cached is None:
-            from repro.lint import LintConfig, lint_profiles
+            from repro.lint import LintConfig
+            from repro.lint.engine import finish_lint, lint_unit
 
-            report = lint_profiles(self.profiles, LintConfig())
+            config = LintConfig()
+            units = self._lint_units
+            for profile in self.profiles:
+                if profile.task not in units:
+                    units[profile.task] = lint_unit(profile, config)
+            report = finish_lint(
+                self.profiles, [units[p.task] for p in self.profiles],
+                config)
             if baseline:
                 report = report.apply_baseline(baseline)
             cached = self._rendered[memo] = report.to_json()

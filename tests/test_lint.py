@@ -471,6 +471,27 @@ class TestRegistryAndBaseline:
         with pytest.raises(ValueError):
             LintConfig(enable=("bogus",))
 
+    def test_enabled_rules_memo_sees_new_rules(self, monkeypatch):
+        from repro.lint import rules
+
+        monkeypatch.setattr(rules, "_REGISTRY", dict(rules._REGISTRY))
+        monkeypatch.setattr(rules, "_ENABLED", {})
+        config = LintConfig(disable=("DY302",))
+        before = config.enabled_rules(scope="profile")
+        assert config.enabled_rules(scope="profile") is before
+        assert "DY302" not in {r.code for r in before}
+        # An equal config shares the memo entry.
+        assert LintConfig(disable=("DY302",)).enabled_rules(
+            scope="profile") is before
+
+        rules.rule("DY399", "test-only", Severity.NOTE, "profile",
+                   "registered by this test")(lambda profile, cfg: [])
+        after = config.enabled_rules(scope="profile")
+        assert [r.code for r in after] == sorted(
+            [r.code for r in before] + ["DY399"])
+        assert config.enabled_rules() == tuple(
+            r for r in all_rules() if config.is_enabled(r))
+
     def test_fingerprint_stability(self):
         def make(message):
             return Finding(code="DY203", rule="unordered-double-write",

@@ -182,6 +182,51 @@ class TestGraphBuilder:
         with pytest.raises(ValueError):
             GraphBuilder("dag")
 
+    @pytest.mark.parametrize("kind,options", [
+        ("ftg", {}),
+        ("sdg", {}),
+        ("sdg", {"with_regions": True}),
+    ], ids=["ftg", "sdg", "sdg-regions"])
+    def test_any_fold_order_builds_the_in_order_graph(
+            self, kind, options, pyflextrkr_profiles, ddmd_profiles):
+        import random
+
+        for profiles in (pyflextrkr_profiles, ddmd_profiles,
+                         self.profiles()):
+            ordered = sorted(profiles, key=lambda p: (p.span.start, p.task))
+            builder = GraphBuilder(kind, **options)
+            builder.add_profiles(ordered)
+            reference = graph_to_json(builder.build())
+            for seed in range(4):
+                shuffled = list(ordered)
+                random.Random(seed).shuffle(shuffled)
+                keyed = GraphBuilder(kind, **options)
+                for i, p in enumerate(shuffled):
+                    keyed.add_profile(p, key=(p.span.start, p.task))
+                    if i % 2:  # builds in between leave the fold intact
+                        keyed.build()
+                assert graph_to_json(keyed.build()) == reference, seed
+                assert graph_to_json(keyed.build(copy=False)) == reference
+
+    def test_keys_in_order_fold_the_unkeyed_graph(self):
+        profiles = self.profiles()
+        keyed = GraphBuilder("sdg")
+        for p in profiles:
+            keyed.add_profile(p, key=(p.span.start, p.task))
+        assert graph_to_json(keyed.build()) == \
+               graph_to_json(build_sdg(profiles))
+
+    def test_keys_for_every_profile_or_none(self):
+        a, b = self.profiles()[:2]
+        builder = GraphBuilder("ftg")
+        builder.add_profile(a)
+        with pytest.raises(ValueError, match="every profile or for none"):
+            builder.add_profile(b, key=(b.span.start, b.task))
+        keyed = GraphBuilder("ftg")
+        keyed.add_profile(a, key=(a.span.start, a.task))
+        with pytest.raises(ValueError, match="every profile or for none"):
+            keyed.add_profile(b)
+
 
 @pytest.fixture(scope="module")
 def pyflextrkr_profiles():

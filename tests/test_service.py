@@ -11,8 +11,12 @@ after a simulated ``kill -9`` and restart.
 
 import asyncio
 import json
+import os
 import random
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -130,6 +134,33 @@ def server(tmp_path):
                                      compact_after=0)).start()
     yield st
     st.stop()
+
+
+def start_daemon(store: Path, port_file: Path, log: Path):
+    """Start ``python -m repro.service.cli`` as its own process; returns
+    it with the port it announced through ``--port-file``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    with open(log, "ab") as out:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service.cli", str(store),
+             "--port-file", str(port_file)],
+            cwd=str(Path(__file__).resolve().parents[1]),
+            env=env, stdout=out, stderr=subprocess.STDOUT)
+    deadline = time.time() + 30
+    while not port_file.exists():  # written atomically once bound
+        if proc.poll() is not None or time.time() > deadline:
+            stop_daemon(proc)
+            raise AssertionError("dayu-serve did not come up:\n"
+                                 + log.read_text())
+        time.sleep(0.05)
+    return proc, int(port_file.read_text())
+
+
+def stop_daemon(proc) -> None:
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait(timeout=30)
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +346,67 @@ class TestRunState:
             assert state.graph_json("ftg") == ref_ftg, f"seed {seed}"
             assert state.graph_json("sdg") == ref_sdg, f"seed {seed}"
             assert state.findings_json() == ref_findings, f"seed {seed}"
+
+    def test_each_profile_folded_and_linted_once(self, ddmd, monkeypatch):
+        from collections import Counter
+
+        import repro.lint.engine as engine
+        from repro.analyzer.graphs import GraphBuilder
+
+        profiles = load_profiles_from_host_dir(str(ddmd["traces"]),
+                                               with_io_records=False)
+        random.Random(7).shuffle(profiles)
+        # What a from-scratch fold of each upload prefix answers.
+        expected = []
+        for i in range(1, len(profiles) + 1):
+            fresh = RunState(sorted(profiles[:i],
+                                    key=lambda p: (p.span.start, p.task)))
+            expected.append((fresh.graph_json("ftg"),
+                             fresh.graph_json("sdg"),
+                             fresh.findings_json()))
+
+        folds, linted = Counter(), Counter()
+        add_profile = GraphBuilder.add_profile
+        run_profile_rules = engine.run_profile_rules
+
+        def counting_add(self, profile, key=None):
+            folds[self.kind, profile.task] += 1
+            return add_profile(self, profile, key=key)
+
+        def counting_rules(profile, config):
+            linted[profile.task] += 1
+            return run_profile_rules(profile, config)
+
+        monkeypatch.setattr(GraphBuilder, "add_profile", counting_add)
+        monkeypatch.setattr(engine, "run_profile_rules", counting_rules)
+        state = RunState()
+        for profile, answers in zip(profiles, expected):
+            state.add_profiles([profile])
+            assert (state.graph_json("ftg"), state.graph_json("sdg"),
+                    state.findings_json()) == answers, profile.task
+        tasks = [p.task for p in profiles]
+        assert folds == Counter({(kind, task): 1 for kind in ("ftg", "sdg")
+                                 for task in tasks})
+        assert linted == Counter(tasks)
+        assert state.graph_json("sdg").encode() == ddmd["sdg"]
+        assert state.findings_json().encode() == ddmd["lint"]
+
+    def test_findings_memo_follows_baseline(self, ddmd):
+        profiles = load_profiles_from_host_dir(str(ddmd["traces"]),
+                                               with_io_records=False)
+        state = RunState(profiles)
+        plain = state.findings_json()
+        report = json.loads(plain)
+        assert report["findings"], "expected lint findings"
+        fingerprint = report["findings"][0]["fingerprint"]
+        after = json.loads(state.findings_json(baseline={fingerprint},
+                                               baseline_version=1))
+        assert after["suppressed"] == [fingerprint]
+        assert fingerprint not in {f["fingerprint"]
+                                   for f in after["findings"]}
+        # A cleared baseline is a new version: nothing suppressed again.
+        assert state.findings_json(baseline=set(),
+                                   baseline_version=2) == plain
 
     def test_duplicate_tasks_ignored(self, small_profiles):
         state = RunState(small_profiles)
@@ -775,6 +867,46 @@ class TestByteIdentity:
         finally:
             second.stop()
 
+    def test_daemon_matches_offline_and_survives_sigkill(self, tmp_path,
+                                                         ddmd):
+        """A real ``dayu-serve`` process under four concurrent clients
+        serves the offline bytes and counts every trace in ``/metrics``;
+        killed with SIGKILL and restarted on the same store, it serves
+        the same bytes again."""
+        store = tmp_path / "store"
+        payloads = [p.read_bytes()
+                    for p in sorted(ddmd["traces"].iterdir())]
+        jobs = [("live", payload) for payload in payloads]
+        random.Random(42).shuffle(jobs)
+        proc, port = start_daemon(store, tmp_path / "port",
+                                  tmp_path / "serve.log")
+        try:
+            result = run_load("127.0.0.1", port, jobs, clients=4)
+            assert result.errors == 0
+            with ServiceClient("127.0.0.1", port) as c:
+                self._assert_identical(c, "live", ddmd)
+                samples = {}
+                for line in c.metrics().splitlines():
+                    assert line.startswith(("#", "dayu_")), line
+                    if not line.startswith("#"):
+                        name, value = line.rsplit(" ", 1)
+                        samples[name] = float(value)
+            assert samples['dayu_service_ingest_traces_total'
+                           '{tenant="public"}'] == len(payloads)
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            stop_daemon(proc)
+
+        proc, port = start_daemon(store, tmp_path / "port2",
+                                  tmp_path / "serve.log")
+        try:
+            with ServiceClient("127.0.0.1", port) as c:
+                assert [r["run"] for r in c.runs()["runs"]] == ["live"]
+                self._assert_identical(c, "live", ddmd)
+        finally:
+            stop_daemon(proc)
+
     def test_auto_compaction_preserves_identity(self, tmp_path, ddmd):
         st = ServiceThread(ServiceConfig(root=str(tmp_path / "store"),
                                          compact_after=3)).start()
@@ -859,27 +991,9 @@ class TestRetiredTraceFormat:
 
 class TestServeCli:
     def test_daemon_lifecycle(self, tmp_path, ddmd):
-        import os
-        import signal
-        import subprocess
-        import sys
-        import time
-
-        port_file = tmp_path / "port"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.service.cli",
-             str(tmp_path / "store"), "--port-file", str(port_file)],
-            cwd=str(Path(__file__).resolve().parents[1]),
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        proc, port = start_daemon(tmp_path / "store", tmp_path / "port",
+                                  tmp_path / "serve.log")
         try:
-            deadline = time.time() + 30
-            while not port_file.exists():
-                assert proc.poll() is None, proc.stdout.read().decode()
-                assert time.time() < deadline, "server never wrote port"
-                time.sleep(0.05)
-            port = int(port_file.read_text())
             with ServiceClient("127.0.0.1", port) as c:
                 assert c.healthz() == {"status": "ok"}
                 trace = next(iter(sorted(ddmd["traces"].iterdir())))
@@ -891,9 +1005,7 @@ class TestServeCli:
             assert store.run_file("public", "r").exists()
             assert store.incoming("public", "r") == []
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+            stop_daemon(proc)
 
     def test_bad_token_file_exits_with_diagnosis(self, tmp_path):
         from repro.service.cli import serve_main
