@@ -10,8 +10,8 @@ optimizer:
 2. inspect how record interleaving shows up in the joined statistics
    (one scattered operation per record — netCDF's signature pattern);
 3. run the advisory lint pass, print its severity-sorted findings and
-   recommendations, auto-build an optimization plan,
-   and re-run with the plan's staging + co-scheduling applied;
+   recommendations, compile them into a ``dayu-plan/v1`` plan, and
+   re-run with the plan's staging + co-scheduling applied;
 4. quantify the improvement with the run comparison tool.
 
 Run:  python examples/climate_netcdf_pipeline.py
@@ -22,6 +22,7 @@ from repro.experiments.common import fresh_env
 from repro.guidelines import recommend
 from repro.lint import ADVISORY, lint_profiles
 from repro.optimizer import build_plan
+from repro.workflow.plan import PLAN_SCHEMA, plan_path_resolver, stage_in_plan
 from repro.workloads import ClimateParams, build_climate
 
 
@@ -51,59 +52,26 @@ def main() -> None:
         print(f"  - {rec}")
 
     # ---------------- automated optimization --------------------------
+    # The advisory findings compile to a dayu-plan/v1 plan, which runs
+    # through the same executor as a solved one (or ``dayu-run --plan``).
     plan = build_plan(report.findings, env.cluster)
-    print()
-    print(plan.summary())
+    print(f"\nOptimization plan ({PLAN_SCHEMA}):")
+    for f in plan.files:
+        print(f"  stage {f.path} -> {f.placed_path}")
+    for task, node in sorted(plan.tasks.items()):
+        print(f"  pin   {task} -> {node}")
 
-    env2 = fresh_env(n_nodes=2)
-    # Re-simulate: run the ensemble, then stage + co-schedule downstream.
-    opt_wf = build_climate(params)
-    sim_stage, regrid_stage, stats_stage = opt_wf.stages
-    runner = env2.runner
-    runner.run(type(opt_wf)("climate_sim_only", [sim_stage]))
-    plan.staged_paths = {
-        params.member_file(i):
-            f"/local/n0/ssd/member_{i:03d}.nc"
-        for i in range(params.n_models)
-    }
-    for src, dst in plan.staged_paths.items():
-        from repro.middleware import stage_in
-        stage_in(env2.cluster.fs, src, dst)
-
-    # Point regrid at the staged replicas and pin it to the data's node.
-    staged_params = ClimateParams(
-        data_dir=params.data_dir, n_models=params.n_models,
-        timesteps=params.timesteps, cells=params.cells)
-    def staged_member(i):
-        return plan.staged_paths[params.member_file(i)]
-
-    def regrid_staged(rt):
-        import numpy as np
-        fields = []
-        for i in range(params.n_models):
-            f = rt.open_netcdf(staged_member(i), "r")
-            fields.append(f.variable("temperature").read())
-            f.close()
-        mean = np.mean(np.stack(fields), axis=0).astype(np.float32)
-        out = rt.open_netcdf(params.merged_file, "w")
-        out.create_dimension("time", params.timesteps)
-        out.create_dimension("cell", params.cells)
-        merged = out.create_variable("mean_temperature", "f4", ["time", "cell"])
-        out.enddef()
-        merged.write(mean)
-        out.close()
-
-    regrid_stage.tasks[0].fn = regrid_staged
-    runner.pins = {"regrid": "n0", "statistics": "n0"}
-    optimized = runner.run(type(opt_wf)("climate_rest", [regrid_stage, stats_stage]))
-
-    total_opt = optimized.wall_time
-    # Compare the downstream stages (simulation is identical in both runs).
-    base_downstream = (baseline.stage("regrid").wall_time
-                       + baseline.stage("statistics").wall_time)
-    print(f"\nDownstream stages: baseline {base_downstream * 1e3:.1f} ms → "
-          f"optimized {total_opt * 1e3:.1f} ms "
-          f"({base_downstream / total_opt:.2f}x)")
+    env2 = fresh_env(n_nodes=2, pins=plan.tasks)
+    env2.runner.path_resolver = plan_path_resolver(plan)
+    staged = stage_in_plan(env2.cluster, plan)
+    optimized = env2.runner.run(build_climate(params))
+    if optimized.failures:
+        raise SystemExit(f"planned re-run lost tasks: "
+                         f"{sorted(optimized.failures)}")
+    print(f"\nMakespan: baseline {baseline.wall_time * 1e3:.1f} ms → "
+          f"optimized {optimized.wall_time * 1e3:.1f} ms "
+          f"({baseline.wall_time / optimized.wall_time:.2f}x, "
+          f"stage-in {staged * 1e3:.1f} ms)")
 
     cmp = compare_runs(
         [env.mapper.profiles["regrid"]],

@@ -125,7 +125,7 @@ def run_main(argv: List[str] | None = None) -> int:
             print(f"dayu-run: plan {args.plan} needs {plan.n_nodes} "
                   f"node(s); raise --nodes", file=sys.stderr)
             return 2
-        if plan.scale != args.scale:
+        if plan.workload and plan.scale != args.scale:
             print(f"dayu-run: note: plan was solved at scale "
                   f"{plan.scale:g}, running at {args.scale:g}",
                   file=sys.stderr)

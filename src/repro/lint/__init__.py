@@ -22,8 +22,10 @@ built from, and over the workflow definition itself:
   ``--cost``) — the static cost prophet;
 - **DY7xx** advisory findings (opt-in: :data:`ADVISORY`, which also
   selects DY105) — the paper's case-study observations, which
-  :func:`repro.guidelines.recommend` and
-  :func:`repro.optimizer.build_plan` turn into optimization actions.
+  :func:`repro.guidelines.recommend` turns into optimization actions
+  and :func:`repro.optimizer.build_plan` into a ``dayu-plan/v1`` plan.
+  Detector thresholds are module constants beside each family's rules,
+  not :class:`LintConfig` fields.
 
 Typical use::
 

@@ -1,9 +1,11 @@
 """DY7xx — advisory rules: the paper's case-study observations.
 
 Each rule reproduces one class of observation from the paper's
-Section VI case studies; :func:`repro.guidelines.engine.recommend` and
-:func:`repro.optimizer.planner.build_plan` turn its findings into the
-optimization that addresses it:
+Section VI case studies.  :func:`repro.guidelines.engine.recommend`
+turns its findings into the optimization that addresses it, and
+:func:`repro.optimizer.planner.build_plan` compiles the placement ones
+(DY701, DY703, DY704, DY709) into a ``dayu-plan/v1``
+:class:`~repro.workflow.plan.PlacementPlan`:
 
 - **DY701 data-reuse** (PyFLEXTRKR: stage-1 output feeding stages
   2/3/4/6/8; DDMD: training re-reading embedding files) → caching;

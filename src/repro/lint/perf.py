@@ -11,11 +11,11 @@ been traced, the prediction itself goes on trial.  A task whose traced
 duration or byte volume disagrees with its predicted cost by a large
 factor is a finding — the performance mirror of DY45x contract drift.
 
-Thresholds live on :class:`~repro.lint.rules.LintConfig` (the
-``cost_*``, ``imbalance_factor``, ``locality_min_fraction``, and
-``edge_dominance_fraction`` fields); every DY60x rule additionally
-ignores anything predicted under ``cost_min_seconds`` — sub-50 ms
-hazards are noise at workflow scale.
+Thresholds are the module constants below (``COST_*``,
+``IMBALANCE_FACTOR``, ``LOCALITY_MIN_FRACTION`` and
+``EDGE_DOMINANCE_FRACTION``); every DY60x rule additionally ignores
+anything predicted under :data:`COST_MIN_SECONDS` — sub-50 ms hazards
+are noise at workflow scale.
 """
 
 from __future__ import annotations
@@ -25,9 +25,31 @@ from typing import Iterator, Optional
 from repro.lint.cost import CostContext, CostDriftContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import LintConfig, rule
+from repro.lint.semantic import SMALL_IO_MAX_AVG_BYTES, SMALL_IO_MIN_OPS
 from repro.storage.devices import DEVICE_CATALOG, predicted_cost
 
 __all__ = []  # rules register themselves; nothing to import by name
+
+#: DY6xx noise floor: predicted costs below this many seconds are never
+#: worth a finding, whatever their shape.
+COST_MIN_SECONDS = 0.05
+#: DY602: a parallel stage is imbalanced when its slowest task is
+#: predicted at least this factor above the stage mean.
+IMBALANCE_FACTOR = 3.0
+#: DY603/DY604: a locality rewrite must be predicted to save at least
+#: this fraction of the makespan (and clear ``COST_MIN_SECONDS``).
+LOCALITY_MIN_FRACTION = 0.2
+#: DY605: one producer→consumer edge dominates when its predicted
+#: transfer costs at least this fraction of the makespan.
+EDGE_DOMINANCE_FRACTION = 0.25
+#: DY651/DY652 fire when actual and predicted seconds disagree by at
+#: least ``COST_DRIFT_FACTOR`` (either direction) and the larger side
+#: clears ``COST_DRIFT_MIN_SECONDS``; DY653 fires when traced and
+#: predicted byte volumes disagree by that factor and at least
+#: ``COST_DRIFT_MIN_BYTES``.
+COST_DRIFT_FACTOR = 3.0
+COST_DRIFT_MIN_SECONDS = 0.05
+COST_DRIFT_MIN_BYTES = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -46,11 +68,11 @@ def _small_io_on_critical_path(cctx: CostContext,
         if tc is None:
             continue
         for d in tc.datasets:
-            if d.ops < config.small_io_min_ops:
+            if d.ops < SMALL_IO_MIN_OPS:
                 continue
-            if d.volume > d.ops * config.small_io_max_avg_bytes:
+            if d.volume > d.ops * SMALL_IO_MAX_AVG_BYTES:
                 continue
-            if d.io_seconds < config.cost_min_seconds:
+            if d.io_seconds < COST_MIN_SECONDS:
                 continue
             if d.latency_seconds < 0.5 * d.io_seconds:
                 continue
@@ -94,9 +116,9 @@ def _predicted_stage_straggler(cctx: CostContext,
         mean = sum(totals.values()) / len(totals)
         straggler = max(sorted(totals), key=lambda t: (totals[t], t))
         worst = totals[straggler]
-        if mean <= 0 or worst < config.imbalance_factor * mean:
+        if mean <= 0 or worst < IMBALANCE_FACTOR * mean:
             continue
-        if worst - mean < config.cost_min_seconds:
+        if worst - mean < COST_MIN_SECONDS:
             continue
         yield Finding(
             code="DY602", rule="predicted-stage-straggler",
@@ -127,10 +149,9 @@ def _local_read_cost(cctx: CostContext, read_ops: int,
     return predicted_cost(dev, read_ops=read_ops, read_bytes=read_bytes)
 
 
-def _locality_floor(cctx: CostContext, config: LintConfig) -> float:
-    return max(config.locality_min_fraction
-               * cctx.report.makespan_seconds,
-               config.cost_min_seconds)
+def _locality_floor(cctx: CostContext) -> float:
+    return max(LOCALITY_MIN_FRACTION * cctx.report.makespan_seconds,
+               COST_MIN_SECONDS)
 
 
 @rule("DY603", "cross-node-transfer", Severity.WARNING, "perf",
@@ -140,9 +161,9 @@ def _locality_floor(cctx: CostContext, config: LintConfig) -> float:
       default_enabled=False)
 def _cross_node_transfer(cctx: CostContext,
                          config: LintConfig) -> Iterator[Finding]:
-    floor = _locality_floor(cctx, config)
+    floor = _locality_floor(cctx)
     for e in cctx.report.edges:
-        if not e.cross_node or e.seconds < config.cost_min_seconds:
+        if not e.cross_node or e.seconds < COST_MIN_SECONDS:
             continue
         dev, _ = cctx.spec.device_for_path(
             cctx.report.file_placement.get(e.file, e.file))
@@ -186,7 +207,7 @@ def _cross_node_transfer(cctx: CostContext,
       default_enabled=False)
 def _hot_dataset_tier(cctx: CostContext,
                       config: LintConfig) -> Iterator[Finding]:
-    floor = _locality_floor(cctx, config)
+    floor = _locality_floor(cctx)
     tier = cctx.spec.fastest_local_tier()
     if tier is None:
         return
@@ -236,9 +257,9 @@ def _dominant_transfer(cctx: CostContext,
     if makespan <= 0:
         return
     for e in cctx.report.edges:
-        if e.seconds < config.cost_min_seconds:
+        if e.seconds < COST_MIN_SECONDS:
             continue
-        if e.seconds < config.edge_dominance_fraction * makespan:
+        if e.seconds < EDGE_DOMINANCE_FRACTION * makespan:
             continue
         yield Finding(
             code="DY605", rule="dominant-transfer",
@@ -284,8 +305,8 @@ def _task_cost_drift(dctx: CostDriftContext,
             continue
         actual = dctx.actual_durations[task]
         predicted = tc.total_seconds
-        if not _drifted(predicted, actual, config.cost_drift_factor,
-                        config.cost_drift_min_seconds):
+        if not _drifted(predicted, actual, COST_DRIFT_FACTOR,
+                        COST_DRIFT_MIN_SECONDS):
             continue
         direction = ("slower" if actual > predicted else "faster")
         yield Finding(
@@ -313,8 +334,8 @@ def _makespan_drift(dctx: CostDriftContext,
                     config: LintConfig) -> Iterator[Finding]:
     predicted = dctx.report.makespan_seconds
     actual = dctx.actual_makespan
-    if not _drifted(predicted, actual, config.cost_drift_factor,
-                    config.cost_drift_min_seconds):
+    if not _drifted(predicted, actual, COST_DRIFT_FACTOR,
+                    COST_DRIFT_MIN_SECONDS):
         return
     yield Finding(
         code="DY652", rule="makespan-drift",
@@ -346,8 +367,8 @@ def _traced_volume_drift(dctx: CostDriftContext,
         br, bw = dctx.actual_bytes[task]
         actual = br + bw
         hi, lo = max(predicted, actual), min(predicted, actual)
-        if (hi - lo < config.cost_drift_min_bytes
-                or (lo > 0 and hi < config.cost_drift_factor * lo)):
+        if (hi - lo < COST_DRIFT_MIN_BYTES
+                or (lo > 0 and hi < COST_DRIFT_FACTOR * lo)):
             continue
         yield Finding(
             code="DY653", rule="traced-volume-drift",

@@ -21,6 +21,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.lint.findings import Finding, Severity
 from repro.lint.predict import StaticContext
 from repro.lint.rules import LintConfig, rule
+from repro.lint.semantic import SMALL_IO_MAX_AVG_BYTES, SMALL_IO_MIN_OPS
 from repro.workflow.contracts import (
     ContractAccess,
     dtype_itemsize,
@@ -257,6 +258,11 @@ def _vlen_contiguous(ctx: StaticContext,
                 break
 
 
+#: DY407: a task re-opening the same file at least this many times is
+#: flagged as an open-in-loop anti-pattern.
+OPEN_LOOP_MIN_OPENS = 8
+
+
 @rule("DY407", "open-in-loop", Severity.WARNING, "contract",
       "A task's code re-opens the same file many times (open inside a "
       "loop) — each open replays superblock and metadata reads that one "
@@ -267,7 +273,7 @@ def _open_in_loop(ctx: StaticContext,
         contract = ctx.effective[task]
         for path in sorted(contract.file_opens):
             count = contract.file_opens[path]
-            if count < config.open_loop_min_opens:
+            if count < OPEN_LOOP_MIN_OPENS:
                 continue
             yield Finding(
                 code="DY407", rule="open-in-loop",
@@ -279,7 +285,7 @@ def _open_in_loop(ctx: StaticContext,
                     "open out of the loop to amortize per-open metadata "
                     "I/O"),
                 evidence={"opens": count,
-                          "threshold": config.open_loop_min_opens},
+                          "threshold": OPEN_LOOP_MIN_OPENS},
             )
 
 
@@ -296,11 +302,11 @@ def _small_write_amplification(ctx: StaticContext,
         for a in contract.accesses:
             if not (a.moves_data and a.op in ("create", "write")):
                 continue
-            if a.count < config.small_io_min_ops or a.elements is None:
+            if a.count < SMALL_IO_MIN_OPS or a.elements is None:
                 continue
             itemsize = dtype_itemsize(a.dtype) or 4
             nbytes = a.elements * itemsize
-            if nbytes > config.small_io_max_avg_bytes or a.key in seen:
+            if nbytes > SMALL_IO_MAX_AVG_BYTES or a.key in seen:
                 continue
             seen.add(a.key)
             file, dataset = a.key

@@ -77,6 +77,13 @@ __all__ = [
     "sensitivity_report_from_findings",
 ]
 
+#: DY5xx reorder witnesses longer than this many tasks are windowed down
+#: to the racing region (full order elided, ``window`` recorded).
+WITNESS_MAX_TASKS = 200
+#: DY504 schedule-sensitivity reports keep at most this many must-preserve
+#: edges in finding evidence (the count is always exact).
+SENSITIVITY_MAX_EDGES = 64
+
 #: Extent sentinel when a static access's position is entirely unknown.
 _UNKNOWN_EXTENT = 1 << 60
 
@@ -255,7 +262,7 @@ def _pair_witness(ctx: RaceContext, config: LintConfig,
                   a: str, b: str) -> Optional[dict]:
     first, second = _observed_pair(ctx, a, b)
     return reorder_witness(ctx.dep, first, second,
-                           max_tasks=config.witness_max_tasks)
+                           max_tasks=WITNESS_MAX_TASKS)
 
 
 def replay_witness(dep: HbOrder, task: str, after: str,
@@ -519,7 +526,7 @@ def _dy504(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
         for _, e in sorted(edges.items())
     ]
     total = len(serialized)
-    kept = serialized[:config.sensitivity_max_edges]
+    kept = serialized[:SENSITIVITY_MAX_EDGES]
     tasks = sorted({e["before"] for e in serialized}
                    | {e["after"] for e in serialized})
     yield Finding(
@@ -591,7 +598,7 @@ def _dy505(ctx: RaceContext, config: LintConfig) -> Iterator[Finding]:
                         "mode": ctx.mode,
                         "witness": replay_witness(
                             ctx.dep, t_acc.task, u.task,
-                            max_tasks=config.witness_max_tasks),
+                            max_tasks=WITNESS_MAX_TASKS),
                     },
                 )
 

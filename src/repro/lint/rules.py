@@ -139,7 +139,10 @@ def get_rule(code: str) -> LintRule:
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Per-run rule selection and thresholds (picklable: plain fields).
+    """Per-run rule selection (picklable: plain fields).
+
+    Detector thresholds are not config: they are module constants beside
+    the rules that read them (e.g. :data:`repro.lint.perf.COST_MIN_SECONDS`).
 
     ``enable``/``disable`` entries are codes, code prefixes, or shell-style
     globs — ``"DY2"`` and ``"DY2*"`` both select the whole hazard family,
@@ -155,42 +158,6 @@ class LintConfig:
     #: Page size the traces' region histograms were recorded at; only used
     #: for extent bounds when per-operation records are unavailable.
     page_size: int = 4096
-    #: DY103 thresholds: an object is a small-I/O amplifier when one task
-    #: issues at least ``small_io_min_ops`` raw operations against it at
-    #: an average size of at most ``small_io_max_avg_bytes``.  DY408
-    #: (loop-carried small writes in a *contract*) reuses the same
-    #: thresholds against predicted operation counts and sizes.
-    small_io_min_ops: int = 128
-    small_io_max_avg_bytes: int = 512
-    #: DY407 threshold: a task re-opening the same file at least this many
-    #: times is flagged as an open-in-loop anti-pattern.
-    open_loop_min_opens: int = 8
-    #: DY5xx reorder witnesses longer than this many tasks are windowed
-    #: down to the racing region (full order elided, ``window`` recorded).
-    witness_max_tasks: int = 200
-    #: DY504 schedule-sensitivity reports keep at most this many
-    #: must-preserve edges in finding evidence (the count is always exact).
-    sensitivity_max_edges: int = 64
-    #: DY6xx noise floor: predicted costs below this many seconds are
-    #: never worth a finding, whatever their shape.
-    cost_min_seconds: float = 0.05
-    #: DY602: a parallel stage is imbalanced when its slowest task is
-    #: predicted at least this factor above the stage mean.
-    imbalance_factor: float = 3.0
-    #: DY603/DY604: a locality rewrite must be predicted to save at least
-    #: this fraction of the makespan (and clear ``cost_min_seconds``).
-    locality_min_fraction: float = 0.2
-    #: DY605: one producer→consumer edge dominates when its predicted
-    #: transfer costs at least this fraction of the makespan.
-    edge_dominance_fraction: float = 0.25
-    #: DY651/DY652 fire when actual and predicted seconds disagree by at
-    #: least this factor (either direction) and the larger side clears
-    #: ``cost_drift_min_seconds``.
-    cost_drift_factor: float = 3.0
-    cost_drift_min_seconds: float = 0.05
-    #: DY653 fires when traced and predicted byte volumes disagree by
-    #: ``cost_drift_factor`` and at least this many bytes.
-    cost_drift_min_bytes: int = 1 << 16
 
     def __post_init__(self) -> None:
         for sel in (*self.enable, *self.disable):
@@ -199,19 +166,6 @@ class LintConfig:
                                  "use a DYnnn code, DYn prefix, or DYn* glob")
         if self.page_size <= 0:
             raise ValueError("page_size must be positive")
-        if self.small_io_min_ops < 1 or self.small_io_max_avg_bytes < 1:
-            raise ValueError("small-I/O thresholds must be positive")
-        if self.open_loop_min_opens < 2:
-            raise ValueError("open_loop_min_opens must be >= 2")
-        if self.cost_min_seconds < 0 or self.cost_drift_min_seconds < 0:
-            raise ValueError("cost floors must be non-negative")
-        if self.imbalance_factor < 1 or self.cost_drift_factor < 1:
-            raise ValueError("cost factors must be >= 1")
-        if not (0 < self.locality_min_fraction <= 1
-                and 0 < self.edge_dominance_fraction <= 1):
-            raise ValueError("cost fractions must be in (0, 1]")
-        if self.cost_drift_min_bytes < 0:
-            raise ValueError("cost_drift_min_bytes must be non-negative")
 
     @staticmethod
     def _matches(code: str, selector: str) -> bool:

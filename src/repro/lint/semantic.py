@@ -22,6 +22,14 @@ from repro.lint.rules import LintConfig, rule
 from repro.mapper.mapper import TaskProfile
 from repro.mapper.stats import FILE_METADATA_OBJECT
 
+#: DY103: an object is a small-I/O amplifier when one task issues at
+#: least ``SMALL_IO_MIN_OPS`` raw operations against it at an average
+#: size of at most ``SMALL_IO_MAX_AVG_BYTES``.  DY408 (loop-carried small
+#: writes in a contract) and DY601 (small I/O on the critical path) reuse
+#: the same thresholds against predicted operation counts and sizes.
+SMALL_IO_MIN_OPS = 128
+SMALL_IO_MAX_AVG_BYTES = 512
+
 __all__ = []  # rules register themselves; nothing to import by name
 
 
@@ -121,10 +129,10 @@ def _small_io(profile: TaskProfile,
     for s in profile.dataset_stats:
         if s.data_object == FILE_METADATA_OBJECT or s.data_ops == 0:
             continue
-        if s.data_ops < config.small_io_min_ops:
+        if s.data_ops < SMALL_IO_MIN_OPS:
             continue
         avg = s.data_bytes / s.data_ops
-        if avg <= config.small_io_max_avg_bytes:
+        if avg <= SMALL_IO_MAX_AVG_BYTES:
             yield Finding(
                 code="DY103", rule="small-io-amplification",
                 severity=Severity.WARNING,

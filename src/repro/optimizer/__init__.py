@@ -2,27 +2,34 @@
 
 "We plan to expand the I/O optimization guidelines, further leveraging
 DaYu's insights to automate optimization strategies" (paper §IX).  This
-package closes the loop the evaluation performed by hand:
+package closes the loop the evaluation performed by hand.  Both ways of
+deriving a placement emit one executable artifact, the ``dayu-plan/v1``
+:class:`~repro.workflow.plan.PlacementPlan` that ``dayu-run --plan``
+runs through :func:`~repro.workflow.plan.stage_in_plan`,
+:func:`~repro.workflow.plan.plan_path_resolver` and the runner's
+``pins``:
 
-- :func:`~repro.optimizer.planner.build_plan` turns advisory lint
-  findings into an executable :class:`~repro.optimizer.planner.OptimizationPlan` —
-  placement pins, stage-in/out moves, and format rewrites;
-- :meth:`OptimizationPlan.apply_format_changes` performs the layout
-  rewrites/consolidations through the middleware;
-- :attr:`OptimizationPlan.pins` holds the co-scheduling decisions as
-  task → node pins for the runner's ``pins``;
-- :class:`~repro.optimizer.transparent.TransparentCache` provides the
-  "transparent and immediate runtime optimization" integration: a path
-  resolver that redirects reads to node-local replicas automatically;
+- :func:`~repro.optimizer.planner.build_plan` compiles advisory lint
+  findings (post-run) into task pins and file localizations;
 - :func:`~repro.optimizer.placement.solve_placement` derives a
-  fig11-style locality placement *pre-run* from the static cost model,
-  emitting an executable ``dayu-plan/v1`` artifact for
-  ``dayu-run --plan``.
+  fig11-style locality placement *pre-run* from the static cost model.
+
+Findings that call for file transformations rather than placements run
+directly: :func:`~repro.optimizer.planner.apply_format_changes` performs
+the layout rewrites/consolidations through the middleware and
+:func:`~repro.optimizer.planner.stage_out_all` demotes disposable data.
+:class:`~repro.optimizer.transparent.TransparentCache` provides the
+"transparent and immediate runtime optimization" integration: a path
+resolver that redirects reads to node-local replicas automatically.
 """
 
 from repro.optimizer.placement import solve_placement
-from repro.optimizer.planner import OptimizationPlan, PlanStep, build_plan
+from repro.optimizer.planner import (
+    apply_format_changes,
+    build_plan,
+    stage_out_all,
+)
 from repro.optimizer.transparent import TransparentCache
 
-__all__ = ["OptimizationPlan", "PlanStep", "build_plan", "TransparentCache",
-           "solve_placement"]
+__all__ = ["build_plan", "apply_format_changes", "stage_out_all",
+           "TransparentCache", "solve_placement"]

@@ -5,8 +5,9 @@ node that produced their data and staged the hot files onto node-local
 flash.  A :class:`PlacementPlan` is that optimization as a derived
 artifact: task → node pins plus file → (node, tier) localizations,
 emitted by the greedy solver (:mod:`repro.optimizer.placement`) from the
-static cost report, serialized as JSON so ``dayu-run --plan`` can
-execute it on either engine.
+static cost report, or compiled from advisory findings by
+:func:`repro.optimizer.build_plan`, serialized as JSON so ``dayu-run
+--plan`` can execute it on either engine.
 
 Executing a plan means three things:
 
@@ -48,8 +49,9 @@ PLAN_SCHEMA = "dayu-plan/v1"
 def local_path(path: str, node: str, tier: str) -> str:
     """The node-local home of a localized file.
 
-    The original path is flattened into one component (``/`` → ``__``)
-    so distinct shared paths can never collide under one tier mount.
+    The original path is flattened into one component (``/`` → ``__``).
+    Flattening is not injective (``/pfs/a__b.h5`` and ``/pfs/a/b.h5``
+    meet), so :func:`plan_file_map` rejects a plan whose files collide.
     """
     return (f"{Cluster.local_prefix(node, tier)}/"
             f"{path.lstrip('/').replace('/', '__')}")
@@ -136,7 +138,7 @@ class PlacementPlan:
         if schema != PLAN_SCHEMA:
             raise ValueError(f"not a {PLAN_SCHEMA} document "
                              f"(schema={schema!r})")
-        return cls(
+        plan = cls(
             workload=data["workload"],
             scale=float(data.get("scale", 1.0)),
             cluster=data.get("cluster", ""),
@@ -152,6 +154,8 @@ class PlacementPlan:
             predicted={k: float(v)
                        for k, v in data.get("predicted", {}).items()},
         )
+        plan_file_map(plan)
+        return plan
 
     @classmethod
     def load(cls, path: str) -> "PlacementPlan":
@@ -160,8 +164,21 @@ class PlacementPlan:
 
 
 def plan_file_map(plan: PlacementPlan) -> Dict[str, str]:
-    """``original path -> placed path`` for every localized file."""
-    return {f.path: f.placed_path for f in plan.files}
+    """``original path -> placed path`` for every localized file.
+
+    Raises :class:`ValueError` naming both paths when two localized files
+    would share one placed path, and so one replica.
+    """
+    fmap: Dict[str, str] = {}
+    owner: Dict[str, str] = {}
+    for f in plan.files:
+        placed = f.placed_path
+        other = owner.setdefault(placed, f.path)
+        if other != f.path:
+            raise ValueError(f"localized files {other!r} and {f.path!r} "
+                             f"collide at {placed!r}")
+        fmap[f.path] = placed
+    return fmap
 
 
 def plan_path_resolver(plan: PlacementPlan

@@ -441,6 +441,34 @@ class TestCli:
 
         assert keys(static) == keys(trace)
 
+    def test_jobs_and_compacted_run_lint_to_serial_bytes(
+            self, racy_run, racy_traces, tmp_path, capsys):
+        """``dayu-lint --jobs 4`` over JSON traces, and the same traces
+        compacted by ``repro.mapper.compact`` into one run file, write
+        the serial report byte for byte."""
+        from repro.mapper.compact import compact_main
+
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for p in racy_run.profiles:
+            (traces / f"{p.task}.json").write_bytes(p.serialize())
+        run = tmp_path / "columnar" / "run.dayuc"
+        run.parent.mkdir()
+        assert compact_main([str(traces), "--out", str(run)]) == 0
+        common = ["--races", "--with-io-records",
+                  "--attempts", racy_traces["attempts"], "--format", "json"]
+        reports = {}
+        for name, source, extra in (("serial", traces, []),
+                                    ("parallel", traces, ["--jobs", "4"]),
+                                    ("columnar", run, [])):
+            out = tmp_path / f"race-{name}.json"
+            assert lint_main([str(source), *common, *extra,
+                              "--out", str(out)]) == 1
+            reports[name] = out.read_bytes()
+        capsys.readouterr()
+        assert reports["parallel"] == reports["serial"]
+        assert reports["columnar"] == reports["serial"]
+
 
 # ----------------------------------------------------------------------
 # Typed sniff errors on truncated traces

@@ -24,6 +24,7 @@ from repro.lint import (
     lint_workflow,
 )
 from repro.lint.cli import lint_main
+from repro.lint.prerun import OPEN_LOOP_MIN_OPENS
 from repro.mapper.stats import FILE_METADATA_OBJECT
 from repro.workflow import Stage, Task, Workflow
 from repro.workflow.contracts import TaskContract, creates, reads, writes
@@ -182,19 +183,28 @@ class TestPrerunRules:
         # The file is produced outside the workflow: no DY403 noise.
         assert not [f for f in report.findings if f.code == "DY403"]
 
-    def test_dy407_threshold_configurable(self):
-        def loopy(rt):
-            for _ in range(4):
+    def test_dy407_open_in_loop_threshold(self):
+        def opens_7(rt):
+            for _ in range(7):
                 f = rt.open("/beegfs/external.h5", "r")
                 f["/x"].read()
                 f.close()
 
-        wf = Workflow("w", [Stage("s", [Task("loopy", loopy)])])
-        assert not [f for f in lint_workflow(wf).findings
+        def opens_8(rt):
+            for _ in range(8):
+                f = rt.open("/beegfs/external.h5", "r")
+                f["/x"].read()
+                f.close()
+
+        def dy407(fn):
+            wf = Workflow("w", [Stage("s", [Task("loopy", fn)])])
+            return [f for f in lint_workflow(wf).findings
                     if f.code == "DY407"]
-        report = lint_workflow(wf, LintConfig(open_loop_min_opens=3))
-        assert [f.code for f in report.findings if f.code == "DY407"] \
-            == ["DY407"]
+
+        assert dy407(opens_7) == []
+        [finding] = dy407(opens_8)
+        assert finding.evidence == {"opens": 8,
+                                    "threshold": OPEN_LOOP_MIN_OPENS}
 
     def test_dy408_small_write_amplification(self):
         wf = _declared_workflow(
@@ -222,10 +232,6 @@ class TestPrerunRules:
         dy409 = [f for f in report.findings if f.code == "DY409"]
         assert len(dy409) == 1
         assert "never performs" in dy409[0].message
-
-    def test_open_loop_min_opens_validated(self):
-        with pytest.raises(ValueError):
-            LintConfig(open_loop_min_opens=1)
 
 
 # ----------------------------------------------------------------------
