@@ -18,11 +18,12 @@ paper's layout experiments (its Figure 13) measure.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hdf5.dataspace import Dataspace, Selection, selection_runs
+from repro.hdf5.dataspace import Dataspace, Selection, selection_runs, slab_runs
 from repro.hdf5.datatype import Datatype
 from repro.hdf5.errors import H5LayoutError, H5StateError, H5TypeError
 from repro.hdf5.heap import HeapRef
@@ -230,8 +231,8 @@ class Dataset:
         else:
             self._write_fixed(data, selection)
 
-    def _coerce_fixed(self, data, selection: Selection) -> np.ndarray:
-        out_shape = selection.out_shape(self._space)
+    def _coerce_fixed(self, data, slabs: Tuple[Tuple[int, int], ...]) -> np.ndarray:
+        out_shape = tuple(count for _, count in slabs)
         arr = np.asarray(data)
         if self._dtype.code.startswith("S"):
             arr = arr.astype(f"S{self._dtype.itemsize}")
@@ -239,7 +240,7 @@ class Dataset:
             arr = arr.astype(self._dtype.numpy_dtype, copy=False)
         if arr.shape == () and out_shape:
             arr = np.broadcast_to(arr, out_shape)
-        expected = int(np.prod(out_shape, dtype=np.int64)) if out_shape else 1
+        expected = math.prod(out_shape)
         if arr.size != expected:
             raise H5TypeError(
                 f"data of size {arr.size} does not fill selection shape {out_shape}"
@@ -247,26 +248,29 @@ class Dataset:
         return np.ascontiguousarray(arr).reshape(out_shape)
 
     def _write_fixed(self, data, selection: Selection) -> None:
-        arr = self._coerce_fixed(data, selection)
+        slabs = selection.resolve(self._space)
+        arr = self._coerce_fixed(data, slabs)
         layout = self._layout
         if isinstance(layout, CompactLayout):
-            self._write_compact(arr, selection)
+            self._write_compact(arr, slabs)
         elif isinstance(layout, ContiguousLayout):
-            self._write_contiguous(arr, selection)
+            self._write_contiguous(arr, slabs)
         elif isinstance(layout, ChunkedLayout):
-            self._write_chunked(arr, selection)
+            self._write_chunked(arr, slabs)
         else:  # pragma: no cover - exhaustive
             raise H5LayoutError(f"unknown layout {layout!r}")
 
     # ----------------------------- compact ---------------------------
-    def _write_compact(self, arr: np.ndarray, selection: Selection) -> None:
+    def _write_compact(
+        self, arr: np.ndarray, slabs: Tuple[Tuple[int, int], ...]
+    ) -> None:
         layout = self._layout
         assert isinstance(layout, CompactLayout)
         itemsize = self._dtype.itemsize
         buf = bytearray(layout.data.ljust(self.size * itemsize, b"\x00"))
         flat = arr.reshape(-1).tobytes()
         pos = 0
-        for start, length in selection_runs(self._space, selection):
+        for start, length in slab_runs(self._space, slabs):
             buf[start * itemsize : (start + length) * itemsize] = flat[
                 pos : pos + length * itemsize
             ]
@@ -285,12 +289,14 @@ class Dataset:
             self._sync_layout()
         return layout
 
-    def _write_contiguous(self, arr: np.ndarray, selection: Selection) -> None:
+    def _write_contiguous(
+        self, arr: np.ndarray, slabs: Tuple[Tuple[int, int], ...]
+    ) -> None:
         layout = self._ensure_contiguous_alloc()
         itemsize = self._dtype.itemsize
         flat = arr.reshape(-1).tobytes()
         pos = 0
-        for start, length in selection_runs(self._space, selection):
+        for start, length in slab_runs(self._space, slabs):
             nbytes = length * itemsize
             self._raw_write(layout.addr + start * itemsize, flat[pos : pos + nbytes])
             pos += nbytes
@@ -315,18 +321,15 @@ class Dataset:
         return stored
 
     # ---------------------------- chunked ----------------------------
-    def _write_chunked(self, arr: np.ndarray, selection: Selection) -> None:
+    def _write_chunked(
+        self, arr: np.ndarray, slabs: Tuple[Tuple[int, int], ...]
+    ) -> None:
         layout = self._layout
         assert isinstance(layout, ChunkedLayout)
         btree = self._chunk_index()
-        slabs = selection.resolve(self._space)
         itemsize = self._dtype.itemsize
         chunk_nbytes = self._chunk_npoints * itemsize
-        np_dtype = (
-            np.dtype(f"S{itemsize}")
-            if self._dtype.code.startswith("S")
-            else self._dtype.numpy_dtype
-        )
+        np_dtype = self._dtype.numpy_dtype
         for coords in self._chunks_overlapping(slabs):
             box = self._chunk_box(coords)
             inter = _intersect(slabs, box)
@@ -470,45 +473,46 @@ class Dataset:
         """
         self._file._record(self._oid)  # liveness: raises on deleted objects
         selection = selection or Selection.all()
-        if self._dtype.is_vlen:
+        if self._desc.dtype.is_vlen:
             return self._read_vlen(selection)
         return self._read_fixed(selection)
 
     def _read_fixed(self, selection: Selection) -> np.ndarray:
-        layout = self._layout
-        itemsize = self._dtype.itemsize
-        np_dtype = (
-            np.dtype(f"S{itemsize}")
-            if self._dtype.code.startswith("S")
-            else self._dtype.numpy_dtype
-        )
-        out_shape = selection.out_shape(self._space)
-        if isinstance(layout, CompactLayout):
-            buf = layout.data.ljust(self.size * itemsize, b"\x00")
-            parts = [
-                buf[start * itemsize : (start + length) * itemsize]
-                for start, length in selection_runs(self._space, selection)
-            ]
-            flat = b"".join(parts)
-        elif isinstance(layout, ContiguousLayout):
+        # One traced read per call: read the shared descriptor once and
+        # resolve the selection once.
+        desc = self._desc
+        layout, space = desc.layout, desc.space
+        itemsize = desc.dtype.itemsize
+        np_dtype = desc.dtype.numpy_dtype
+        slabs = selection.resolve(space)
+        out_shape = tuple(count for _, count in slabs)
+        if isinstance(layout, ContiguousLayout):
             if not layout.allocated:
                 return np.zeros(out_shape, dtype=np_dtype)
+            addr = layout.addr
             parts = [
-                self._raw_read(layout.addr + start * itemsize, length * itemsize)
-                for start, length in selection_runs(self._space, selection)
+                self._raw_read(addr + start * itemsize, length * itemsize)
+                for start, length in slab_runs(space, slabs)
             ]
-            flat = b"".join(parts)
+        elif isinstance(layout, CompactLayout):
+            buf = layout.data.ljust(space.npoints * itemsize, b"\x00")
+            parts = [
+                buf[start * itemsize : (start + length) * itemsize]
+                for start, length in slab_runs(space, slabs)
+            ]
         elif isinstance(layout, ChunkedLayout):
-            return self._read_chunked(selection, np_dtype)
+            return self._read_chunked(slabs, np_dtype)
         else:  # pragma: no cover - exhaustive
             raise H5LayoutError(f"unknown layout {layout!r}")
+        flat = parts[0] if len(parts) == 1 else b"".join(parts)
         return np.frombuffer(flat, dtype=np_dtype).reshape(out_shape).copy()
 
-    def _read_chunked(self, selection: Selection, np_dtype) -> np.ndarray:
+    def _read_chunked(
+        self, slabs: Tuple[Tuple[int, int], ...], np_dtype
+    ) -> np.ndarray:
         layout = self._layout
         assert isinstance(layout, ChunkedLayout)
         btree = self._chunk_index()
-        slabs = selection.resolve(self._space)
         out = np.zeros(tuple(c for _, c in slabs), dtype=np_dtype)
         for coords in self._chunks_overlapping(slabs):
             found = btree.lookup(coords)

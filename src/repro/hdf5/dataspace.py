@@ -13,16 +13,21 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from repro.hdf5.errors import H5FormatError, H5TypeError
 
-__all__ = ["Dataspace", "Selection", "selection_runs"]
+__all__ = ["Dataspace", "Selection", "selection_runs", "slab_runs"]
 
 
 @dataclass(frozen=True)
 class Dataspace:
-    """The logical, fixed shape of a dataset."""
+    """The logical, fixed shape of a dataset.
+
+    Immutable (a resize installs a new dataspace), so the derived views
+    every access asks for are computed once per instance.
+    """
 
     shape: Tuple[int, ...]
 
@@ -30,17 +35,22 @@ class Dataspace:
         if any(d < 0 for d in self.shape):
             raise H5TypeError(f"negative dimension in shape {self.shape}")
 
-    @property
+    @cached_property
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def npoints(self) -> int:
         """Total number of elements (1 for a scalar dataspace)."""
         n = 1
         for d in self.shape:
             n *= d
         return n
+
+    @cached_property
+    def full_slabs(self) -> Tuple[Tuple[int, int], ...]:
+        """Per-dimension ``(0, extent)``: the resolved ALL selection."""
+        return tuple((0, d) for d in self.shape)
 
     # ------------------------------------------------------------------
     # Serialization (dataspace message payload)
@@ -78,8 +88,8 @@ class Selection:
 
     @classmethod
     def all(cls) -> "Selection":
-        """Select every element."""
-        return cls(None)
+        """Select every element (one shared immutable instance)."""
+        return _ALL
 
     @classmethod
     def hyperslab(cls, slabs: Sequence[Sequence[int]]) -> "Selection":
@@ -101,7 +111,7 @@ class Selection:
             H5TypeError: When the slab rank mismatches or overruns the shape.
         """
         if self.slabs is None:
-            return tuple((0, d) for d in space.shape)
+            return space.full_slabs
         if len(self.slabs) != space.ndim:
             raise H5TypeError(
                 f"selection rank {len(self.slabs)} != dataspace rank {space.ndim}"
@@ -115,6 +125,8 @@ class Selection:
 
     def npoints(self, space: Dataspace) -> int:
         """Number of selected elements."""
+        if self.slabs is None:
+            return space.npoints
         n = 1
         for _, count in self.resolve(space):
             n *= count
@@ -123,6 +135,9 @@ class Selection:
     def out_shape(self, space: Dataspace) -> Tuple[int, ...]:
         """Shape of the array a read of this selection produces."""
         return tuple(count for _, count in self.resolve(space))
+
+
+_ALL = Selection(None)
 
 
 def selection_runs(space: Dataspace, selection: Selection) -> List[Tuple[int, int]]:
@@ -134,16 +149,15 @@ def selection_runs(space: Dataspace, selection: Selection) -> List[Tuple[int, in
     innermost contiguous block.  This is the translation that determines
     how many I/O operations a logical access costs.
     """
-    slabs = selection.resolve(space)
+    return slab_runs(space, selection.resolve(space))
+
+
+def slab_runs(
+    space: Dataspace, slabs: Tuple[Tuple[int, int], ...]
+) -> List[Tuple[int, int]]:
+    """:func:`selection_runs` of an already resolved selection."""
     if space.ndim == 0:
         return [(0, 1)]
-    if any(count == 0 for _, count in slabs):
-        return []
-
-    # Row-major strides in elements.
-    strides = [1] * space.ndim
-    for axis in range(space.ndim - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * space.shape[axis + 1]
 
     # Find the longest fully-selected suffix: those dims fold into the run.
     split = space.ndim
@@ -153,12 +167,21 @@ def selection_runs(space: Dataspace, selection: Selection) -> List[Tuple[int, in
             split -= 1
         else:
             break
+    if split == 0:
+        # Everything selected: one run, or none when a dimension is empty.
+        npoints = space.npoints
+        return [(0, npoints)] if npoints else []
+    if any(count == 0 for _, count in slabs):
+        return []
+
+    # Row-major strides in elements.
+    strides = [1] * space.ndim
+    for axis in range(space.ndim - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * space.shape[axis + 1]
 
     # The innermost partially-selected dim bounds each contiguous run: the
     # run covers [inner_start, inner_start + inner_count) on that axis with
     # everything below it fully selected.
-    if split == 0:
-        return [(0, space.npoints)]
     inner_axis = split - 1
     inner_start, inner_count = slabs[inner_axis]
     below = strides[inner_axis]  # elements per step along the inner axis

@@ -16,8 +16,8 @@ Three classes exist:
 from __future__ import annotations
 
 import re
-import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +41,13 @@ VLEN_REF_SIZE = 14
 
 @dataclass(frozen=True)
 class Datatype:
-    """An element type.  Construct via :meth:`of` (or directly by code)."""
+    """An element type.  Construct via :meth:`of` (or directly by code).
+
+    A datatype is immutable, so the derived views every data access asks
+    for (:attr:`is_vlen`, :attr:`itemsize`, :attr:`numpy_dtype`) are
+    computed once per instance and then read from its ``__dict__``;
+    equality and hashing still see only :attr:`code`.
+    """
 
     code: str
 
@@ -83,7 +89,7 @@ class Datatype:
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def is_vlen(self) -> bool:
         """True for variable-length types."""
         return self.code in _VLEN_CODES
@@ -92,7 +98,7 @@ class Datatype:
     def is_string(self) -> bool:
         return self.code == "vlen-str" or self.code.startswith("S")
 
-    @property
+    @cached_property
     def itemsize(self) -> int:
         """Inline bytes per element (heap-reference size for vlen types)."""
         if self.is_vlen:
@@ -101,9 +107,10 @@ class Datatype:
             return _FIXED_CODES[self.code]
         return int(_FIXED_STR_RE.match(self.code).group(1))
 
-    @property
+    @cached_property
     def numpy_dtype(self) -> np.dtype:
-        """The NumPy dtype of in-memory fixed elements.
+        """The NumPy dtype of in-memory fixed elements (``S<n>`` for
+        fixed-length strings).
 
         Raises:
             H5TypeError: For variable-length types, which have no fixed

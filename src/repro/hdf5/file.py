@@ -148,7 +148,8 @@ class H5File:
     # Object registry
     # ------------------------------------------------------------------
     def _record(self, oid: int) -> _ObjectRecord:
-        self._check_open()
+        if self._closed:
+            self._check_open()  # raises
         rec = self._objects.get(oid)
         if rec is None:
             raise H5StateError(f"stale object id {oid}")
@@ -185,7 +186,8 @@ class H5File:
         kind: Optional[ObjectKind] = None,
     ) -> int:
         """Register (or find) the object whose header lives at ``addr``."""
-        self._check_open()
+        if self._closed:
+            self._check_open()  # raises
         existing = self._by_addr.get(addr)
         if existing is not None:
             return existing

@@ -162,7 +162,8 @@ class ObjectHeader:
 
     def link(self, name: str) -> Optional[Tuple[ObjectKind, int]]:
         """``(kind, addr)`` of the child linked as ``name``, or None."""
-        entry = self._index().get(name)
+        index = self._link_index
+        entry = (self._index() if index is None else index).get(name)
         return None if entry is None else entry[:2]
 
     def links(self) -> List[Tuple[str, ObjectKind, int]]:

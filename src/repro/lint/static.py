@@ -269,6 +269,38 @@ class _Recorder:
 
 
 # ----------------------------------------------------------------------
+# Parsed task bodies
+# ----------------------------------------------------------------------
+_NO_SOURCE = object()
+_NOT_A_FUNCTION = object()
+
+#: Parsed ``def`` of each function body, keyed by its code object.  Code
+#: objects are immutable and every closure made by one ``def`` shares
+#: one (pyflextrkr's 21 tasks have 9), so each body is read and parsed
+#: once per process.  The interpreter never mutates the tree.
+_PARSED: Dict[Any, Any] = {}
+
+
+def _function_def(fn) -> Any:
+    """``fn``'s parsed ``FunctionDef``, or ``_NO_SOURCE`` /
+    ``_NOT_A_FUNCTION`` when it cannot be interpreted."""
+    code = getattr(fn, "__code__", None)
+    node = _PARSED.get(code) if code is not None else None
+    if node is None:
+        try:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        except (OSError, TypeError, SyntaxError, IndentationError):
+            node = _NO_SOURCE
+        else:
+            node = tree.body[0]
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                node = _NOT_A_FUNCTION
+        if code is not None:
+            _PARSED[code] = node
+    return node
+
+
+# ----------------------------------------------------------------------
 # The interpreter
 # ----------------------------------------------------------------------
 class _Interp:
@@ -297,15 +329,12 @@ class _Interp:
         if self.depth > 8:
             self.rec.note("helper call nesting too deep to follow")
             return UNKNOWN
-        try:
-            source = textwrap.dedent(inspect.getsource(fn))
-            tree = ast.parse(source)
-        except (OSError, TypeError, SyntaxError, IndentationError):
+        node = _function_def(fn)
+        if node is _NO_SOURCE:
             self.rec.note(f"source of {getattr(fn, '__name__', fn)!r} "
                           "is unavailable")
             return UNKNOWN
-        node = tree.body[0]
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if node is _NOT_A_FUNCTION:
             self.rec.note("task body is not a plain function")
             return UNKNOWN
         env: Dict[str, Any] = {}

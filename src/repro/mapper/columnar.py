@@ -913,12 +913,8 @@ class GroupReader:
     def io_records(self) -> List[VfdIoRecord]:
         col, scol = self.column, self.strid_column
         return [
-            VfdIoRecord(
-                task=task, file=file, op=_OP_NAMES[flags & 1],
-                offset=offset, nbytes=nbytes, start=start, duration=dur,
-                access_type=_IOCLASS_VALUES[(flags >> 1) & 1],
-                data_object=obj,
-            )
+            VfdIoRecord(task, file, _OP_NAMES[flags & 1], offset, nbytes,
+                        start, dur, _IOCLASS_VALUES[(flags >> 1) & 1], obj)
             for task, file, obj, flags, offset, nbytes, start, dur in zip(
                 scol("records", "task"), scol("records", "file"),
                 scol("records", "data_object"), col("records", "flags"),

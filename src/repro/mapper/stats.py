@@ -20,6 +20,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.vfd.base import IoClass
 from repro.vfd.tracing import VfdIoRecord
 
+_METADATA = IoClass.METADATA
+
 __all__ = ["DatasetIoStats", "map_characteristics", "FILE_METADATA_OBJECT"]
 
 #: Pseudo data-object name for file-level metadata I/O.
@@ -140,27 +142,34 @@ class DatasetIoStats:
 
     def observe(self, record: VfdIoRecord, page_size: int) -> None:
         """Fold one VFD record into the statistics."""
+        nbytes = record.nbytes
         if record.op == "read":
             self.reads += 1
-            self.bytes_read += record.nbytes
+            self.bytes_read += nbytes
         else:
             self.writes += 1
-            self.bytes_written += record.nbytes
-        if record.access_type is IoClass.METADATA:
+            self.bytes_written += nbytes
+        if record.access_type is _METADATA:
             self.metadata_ops += 1
-            self.metadata_bytes += record.nbytes
+            self.metadata_bytes += nbytes
         else:
             if self.first_raw_op is None:
                 self.first_raw_op = record.op
             self.data_ops += 1
-            self.data_bytes += record.nbytes
+            self.data_bytes += nbytes
+        start = record.start
         self.io_time += record.duration
-        if self.first_start is None or record.start < self.first_start:
-            self.first_start = record.start
-        if self.last_end is None or record.end > self.last_end:
-            self.last_end = record.end
-        first, last = record.region(page_size)
-        self._region_runs.append((first, last, 1))
+        if self.first_start is None or start < self.first_start:
+            self.first_start = start
+        end = start + record.duration  # VfdIoRecord.end
+        if self.last_end is None or end > self.last_end:
+            self.last_end = end
+        # VfdIoRecord.region(page_size), with page_size checked once per
+        # fold by map_characteristics.
+        offset = record.offset
+        self._region_runs.append((offset // page_size,
+                                  max(offset, offset + nbytes - 1) // page_size,
+                                  1))
         self._runs_coalesced = False
         self._regions_cache = None
 
@@ -235,6 +244,8 @@ def map_characteristics(
     :data:`FILE_METADATA_OBJECT` of their file.  Results are ordered by
     first touch.
     """
+    if page_size <= 0:
+        raise ValueError("page_size must be positive")
     by_key: Dict[Tuple[str, str], DatasetIoStats] = {}
     for record in records:
         obj = record.data_object or FILE_METADATA_OBJECT

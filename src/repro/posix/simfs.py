@@ -45,9 +45,9 @@ class FileStat:
     mtime: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpRecord:
-    """One logged POSIX-level operation.
+    """One logged POSIX-level operation (slotted: one per logged op).
 
     Attributes:
         op: ``"read"`` or ``"write"``.
@@ -265,8 +265,11 @@ class SimFS:
     # ------------------------------------------------------------------
     def pread(self, fd: int, nbytes: int, offset: int) -> bytes:
         """Positional read; charges device cost and logs the operation."""
-        of = self._fd(fd)
-        self._check_reachable(of.path)
+        of = self._fds.get(fd)
+        if of is None:
+            of = self._fd(fd)  # raises
+        if self._failed_prefixes:
+            self._check_reachable(of.path)
         if self.fault_injector is not None:
             self.fault_injector.on_io("read", of.path, offset, nbytes)
         data = of.store.read(offset, nbytes)
@@ -275,10 +278,13 @@ class SimFS:
 
     def pwrite(self, fd: int, data: bytes, offset: int) -> int:
         """Positional write; charges device cost and logs the operation."""
-        of = self._fd(fd)
+        of = self._fds.get(fd)
+        if of is None:
+            of = self._fd(fd)  # raises
         if not of.writable:
             raise FsError(f"fd {fd} not opened for writing")
-        self._check_reachable(of.path)
+        if self._failed_prefixes:
+            self._check_reachable(of.path)
         if self.fault_injector is not None:
             self.fault_injector.on_io("write", of.path, offset, len(data))
         of.store.write(offset, data)
@@ -322,24 +328,16 @@ class SimFS:
     # Accounting
     # ------------------------------------------------------------------
     def _account(self, op: str, of: _OpenFile, offset: int, nbytes: int) -> None:
-        start = self.clock.now
+        clock, device = self.clock, of.device
+        start = clock.now
         if op == "read":
-            cost = of.device.read_cost(of.path, offset, nbytes)
+            cost = device.read_cost(of.path, offset, nbytes)
         else:
-            cost = of.device.write_cost(of.path, offset, nbytes)
-        self.clock.advance(cost, account=self.IO_ACCOUNT)
+            cost = device.write_cost(of.path, offset, nbytes)
+        clock.advance(cost, self.IO_ACCOUNT)
         if self.log_ops:
-            self.op_log.append(
-                OpRecord(
-                    op=op,
-                    path=of.path,
-                    offset=offset,
-                    nbytes=nbytes,
-                    start=start,
-                    cost=cost,
-                    device=of.device.spec.name,
-                )
-            )
+            self.op_log.append(OpRecord(op, of.path, offset, nbytes, start,
+                                        cost, device.spec.name))
 
     def io_time(self, path: str | None = None) -> float:
         """Sum of logged POSIX operation costs, optionally for one file."""

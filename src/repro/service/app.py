@@ -56,6 +56,7 @@ import asyncio
 import json
 import re
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -108,6 +109,12 @@ MAX_HEADER_BYTES = 16 * 1024
 #: its connection.  Idle keep-alive time between requests is unbounded.
 REQUEST_DEADLINE_S = 10.0
 
+#: Run states held in memory, least recently used dropped first.  A
+#: dropped run is rebuilt from the durable store on its next request,
+#: so the cap bounds the server's memory (a ddmd-1.0 run state is
+#: ~1.1 MiB), not what it can answer.
+MAX_LIVE_RUNS = 16
+
 #: Request-latency buckets: 100µs .. ~1.6s, powers of four.
 _LATENCY_BUCKETS = (1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2, 1.024e-1, 4.096e-1,
                     1.6384,)
@@ -156,9 +163,11 @@ class DayuService:
         self.config = config
         self.store = RunStore(config.root, default_quota=config.quota,
                               quotas=config.quotas)
-        #: (tenant, run) -> state; populated lazily from the store, so a
-        #: restarted server recovers every durably accepted run.
-        self._states: Dict[Tuple[str, str], RunState] = {}
+        #: (tenant, run) -> state, least recently used first; populated
+        #: lazily from the store, so a restarted server recovers every
+        #: durably accepted run and a dropped one comes back on demand.
+        self._states: "OrderedDict[Tuple[str, str], RunState]" = (
+            OrderedDict())
         self._server: Optional[asyncio.AbstractServer] = None
         #: Live connection handlers; :meth:`stop` closes them.
         self._handlers: Set[asyncio.Task] = set()
@@ -210,6 +219,10 @@ class DayuService:
         self._m_profiles = m.gauge(
             "dayu_service_profiles",
             "Profiles held in run states, by tenant.", ("tenant",))
+        self._m_reloads = m.counter(
+            "dayu_service_state_reloads_total",
+            "Run states rebuilt from the store (after a restart or after "
+            "the run was dropped from memory), by tenant.", ("tenant",))
 
     def _bump_gauges(self, tenant: str) -> None:
         self._m_runs.set(len(self.store.runs(tenant)), tenant=tenant)
@@ -436,15 +449,29 @@ class DayuService:
         state = self._states.get(key)
         if state is None:
             if self.store.run_exists(tenant, run):
-                state = RunState(self.store.load_profiles(tenant, run))
+                state = self._reload(tenant, run)
             elif create:
                 state = RunState()
             else:
                 raise UnknownRun(
                     f"unknown run {run!r} for tenant {tenant!r}",
                     tenant=tenant, run=run)
-            self._states[key] = state
+        self._keep(key, state)
         return state
+
+    def _reload(self, tenant: str, run: str) -> RunState:
+        """Rebuild a run's state from what the store durably holds."""
+        self._m_reloads.inc(tenant=tenant)
+        return RunState(self.store.load_profiles(tenant, run))
+
+    def _keep(self, key: Tuple[str, str], state: RunState) -> None:
+        """Hold ``state`` as the most recently used run; drop the least
+        recently used ones beyond :data:`MAX_LIVE_RUNS`."""
+        states = self._states
+        states[key] = state
+        states.move_to_end(key)
+        while len(states) > MAX_LIVE_RUNS:
+            states.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Handlers
@@ -501,11 +528,11 @@ class DayuService:
         key = (tenant, run)
         state = self._states.get(key)
         if state is None and self.store.run_exists(tenant, run):
-            state = RunState(self.store.load_profiles(tenant, run))
+            state = self._reload(tenant, run)
         receipt = self.store.append(tenant, run, payload, fmt)
         if state is None:
             state = RunState()
-        self._states[key] = state
+        self._keep(key, state)
         added = state.add_profiles(profiles)
         self._m_ingest_bytes.inc(len(payload), tenant=tenant)
         self._m_ingest_traces.inc(tenant=tenant)

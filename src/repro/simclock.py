@@ -92,7 +92,8 @@ class SimClock:
             raise ValueError(f"cannot advance clock by {seconds!r}")
         self._now += seconds
         if account is not None:
-            self._accounts[account] = self._accounts.get(account, 0.0) + seconds
+            accounts = self._accounts
+            accounts[account] = accounts.get(account, 0.0) + seconds
         return self._now
 
     def advance_to(self, timestamp: float) -> float:

@@ -260,22 +260,26 @@ class StorageDevice:
     # ------------------------------------------------------------------
     def read_cost(self, stream: object, offset: int, nbytes: int) -> float:
         """Seconds to read ``nbytes`` at ``offset`` on ``stream``; updates counters."""
+        spec = self.spec
         cost = self._op_cost(
-            stream, offset, nbytes, self.spec.read_latency, self.spec.read_bandwidth
+            stream, offset, nbytes, spec.read_latency, spec.read_bandwidth
         )
-        self.counters.read_ops += 1
-        self.counters.read_bytes += nbytes
-        self.counters.busy_seconds += cost
+        counters = self.counters
+        counters.read_ops += 1
+        counters.read_bytes += nbytes
+        counters.busy_seconds += cost
         return cost
 
     def write_cost(self, stream: object, offset: int, nbytes: int) -> float:
         """Seconds to write ``nbytes`` at ``offset`` on ``stream``; updates counters."""
+        spec = self.spec
         cost = self._op_cost(
-            stream, offset, nbytes, self.spec.write_latency, self.spec.write_bandwidth
+            stream, offset, nbytes, spec.write_latency, spec.write_bandwidth
         )
-        self.counters.write_ops += 1
-        self.counters.write_bytes += nbytes
-        self.counters.busy_seconds += cost
+        counters = self.counters
+        counters.write_ops += 1
+        counters.write_bytes += nbytes
+        counters.busy_seconds += cost
         return cost
 
     def _op_cost(
@@ -288,13 +292,16 @@ class StorageDevice:
     ) -> float:
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
+        spec = self.spec
         cost = latency + nbytes / bandwidth
         last = self._last_end.get(stream)
         if last is not None and last != offset:
-            cost += self.spec.seek_penalty
+            cost += spec.seek_penalty
             self.counters.seeks += 1
         self._last_end[stream] = offset + nbytes
-        return cost * self.contention_factor() * self._slowdown
+        # contention_factor() inlined: the same product, in the same order.
+        factor = 1.0 + spec.contention_share * (self._concurrency - 1)
+        return cost * factor * self._slowdown
 
     def forget_stream(self, stream: object) -> None:
         """Drop sequentiality state for a closed stream."""

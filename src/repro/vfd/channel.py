@@ -11,12 +11,17 @@ the current task name and a *stack* of current data objects.  A stack (not a
 single slot) is needed because object operations nest — e.g. writing a
 dataset may force a B-tree node flush that belongs to the same object, while
 file-level metadata flushes happen with no object in scope.
+
+Every dataset access and group lookup enters one :meth:`object_scope`, so
+the scope is on the per-operation path: it is a small slotted context
+manager that pushes on ``__enter__`` and pops on ``__exit__``, not a
+generator-based ``@contextmanager`` (which builds a generator and a
+wrapper object on every use).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 __all__ = ["VolVfdChannel"]
 
@@ -57,14 +62,9 @@ class VolVfdChannel:
             raise RuntimeError("VolVfdChannel: object stack underflow")
         self._objects.pop()
 
-    @contextmanager
-    def object_scope(self, name: str) -> Iterator[None]:
+    def object_scope(self, name: str) -> "_ObjectScope":
         """Scope all nested VFD I/O to data object ``name``."""
-        self.push_object(name)
-        try:
-            yield
-        finally:
-            self.pop_object()
+        return _ObjectScope(self, name)
 
     @property
     def depth(self) -> int:
@@ -75,3 +75,19 @@ class VolVfdChannel:
         return (
             f"VolVfdChannel(task={self._task!r}, object={self.current_object!r})"
         )
+
+
+class _ObjectScope:
+    """``with channel.object_scope(name):`` — push on entry, pop on exit."""
+
+    __slots__ = ("_channel", "_name")
+
+    def __init__(self, channel: VolVfdChannel, name: str) -> None:
+        self._channel = channel
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._channel._objects.append(self._name)
+
+    def __exit__(self, *exc) -> None:
+        self._channel.pop_object()

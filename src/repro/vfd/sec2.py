@@ -44,10 +44,16 @@ class Sec2VFD(VirtualFileDriver):
         return self._fd
 
     def read(self, addr: int, nbytes: int, io_class: IoClass) -> bytes:
-        return self._fs.pread(self._require_open(), nbytes, addr)
+        fd = self._fd
+        if fd is None:
+            self._require_open()
+        return self._fs.pread(fd, nbytes, addr)
 
     def write(self, addr: int, data: bytes, io_class: IoClass) -> None:
-        self._fs.pwrite(self._require_open(), data, addr)
+        fd = self._fd
+        if fd is None:
+            self._require_open()
+        self._fs.pwrite(fd, data, addr)
 
     def get_eof(self) -> int:
         return self._fs.file_size(self._require_open())

@@ -54,10 +54,12 @@ class TracerCosts:
     per_record_growth: float = 2.5e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VfdIoRecord:
     """One traced low-level I/O operation (Table II, parameters 5-7).
 
+    Slotted: one is built per traced operation and per decoded trace
+    row, and a slotted record is smaller than one with an instance dict.
     The compact on-disk form (per-field column chunks, interned string
     ids) is produced by :mod:`repro.mapper.columnar`.
     """
@@ -278,33 +280,29 @@ class VfdTracer:
         duration: float,
         io_class: IoClass,
     ) -> None:
-        record = VfdIoRecord(
-            task=self.channel.current_task,
-            file=path,
-            op=op,
-            offset=offset,
-            nbytes=nbytes,
-            start=start,
-            duration=duration,
-            access_type=io_class,
-            data_object=self.channel.current_object,
-        )
+        channel = self.channel
+        task = channel._task
+        objects = channel._objects
+        data_object = objects[-1] if objects else None
+        record = VfdIoRecord(task, path, op, offset, nbytes, start, duration,
+                             io_class, data_object)
         session = self._open_sessions.get(path)
         if session is not None:
             session.observe(record)
         seen = self._session_op_seen.get(path, 0)
         self._session_op_seen[path] = seen + 1
-        cost = self.costs.per_io_record + len(self.records) * self.costs.per_record_growth
+        records, costs = self.records, self.costs
+        cost = costs.per_io_record + len(records) * costs.per_record_growth
         recorded = self.trace_io and seen >= self.skip_ops
         if recorded:
-            self.records.append(record)
-        self.clock.advance(cost, ACCESS_TRACKER_ACCOUNT)
+            records.append(record)
+        now = self.clock.advance(cost, ACCESS_TRACKER_ACCOUNT)
         if self.emit is not None:
-            self.emit(self._VfdOp(
-                time=self.clock.now, task=record.task, file=path, op=op,
-                offset=offset, nbytes=nbytes, start=start,
-                duration=duration, io_class=io_class,
-                data_object=record.data_object, recorded=recorded))
+            # VfdOp fields in declaration order: time, task, file, op,
+            # offset, nbytes, start, duration, io_class, data_object,
+            # recorded.
+            self.emit(self._VfdOp(now, task, path, op, offset, nbytes, start,
+                                  duration, io_class, data_object, recorded))
 
     # ------------------------------------------------------------------
     # Post-processing helpers
@@ -341,33 +339,33 @@ class TracingVFD(VirtualFileDriver):
     def __init__(self, inner: VirtualFileDriver, tracer: VfdTracer) -> None:
         self._inner = inner
         self._tracer = tracer
+        self._clock = tracer.clock
+        self._path = inner.path
         self._closed = False
-        tracer.on_open(inner.path)
+        tracer.on_open(self._path)
 
     @property
     def path(self) -> str:
-        return self._inner.path
+        return self._path
 
     @property
     def inner(self) -> VirtualFileDriver:
         return self._inner
 
     def read(self, addr: int, nbytes: int, io_class: IoClass) -> bytes:
-        start = self._tracer.clock.now
+        clock = self._clock
+        start = clock.now
         data = self._inner.read(addr, nbytes, io_class)
-        self._tracer.on_io(
-            self.path, "read", addr, len(data), start,
-            self._tracer.clock.now - start, io_class,
-        )
+        self._tracer.on_io(self._path, "read", addr, len(data), start,
+                           clock.now - start, io_class)
         return data
 
     def write(self, addr: int, data: bytes, io_class: IoClass) -> None:
-        start = self._tracer.clock.now
+        clock = self._clock
+        start = clock.now
         self._inner.write(addr, data, io_class)
-        self._tracer.on_io(
-            self.path, "write", addr, len(data), start,
-            self._tracer.clock.now - start, io_class,
-        )
+        self._tracer.on_io(self._path, "write", addr, len(data), start,
+                           clock.now - start, io_class)
 
     def get_eof(self) -> int:
         return self._inner.get_eof()

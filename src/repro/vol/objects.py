@@ -36,13 +36,15 @@ class VolDataset:
     def __init__(self, inner: Dataset, file: "VolFile") -> None:
         self._inner = inner
         self._file = file
+        desc = inner._desc
+        space, dtype = desc.space, desc.dtype
         file.vol.on_object_open(
             file.path,
             inner.name,
-            shape=inner.shape,
-            dtype=inner.dtype.code,
-            layout=inner.layout_name,
-            nbytes=inner.nbytes,
+            shape=space.shape,
+            dtype=dtype.code,
+            layout=desc.layout.name,
+            nbytes=space.npoints * dtype.itemsize,
         )
 
     # -- delegation --------------------------------------------------
@@ -79,27 +81,23 @@ class VolDataset:
         return self._inner.attrs
 
     # -- instrumented data path --------------------------------------
-    def _count(self, selection: Optional[Selection]) -> int:
-        sel = selection or Selection.all()
-        return sel.npoints(self._inner._space)
-
     def write(self, data, selection: Optional[Selection] = None) -> None:
-        elements = self._count(selection)
-        with self._file.channel.object_scope(self._inner.name):
-            self._inner.write(data, selection)
-        self._file.vol.on_access(
-            self._file.path, self._inner.name, "write",
-            elements, elements * self._inner.dtype.itemsize,
-        )
+        inner, file = self._inner, self._file
+        desc = inner._desc
+        elements = (selection or Selection.all()).npoints(desc.space)
+        with file.channel.object_scope(inner.name):
+            inner.write(data, selection)
+        file.vol.on_access(file.path, inner.name, "write",
+                           elements, elements * desc.dtype.itemsize)
 
     def read(self, selection: Optional[Selection] = None):
-        elements = self._count(selection)
-        with self._file.channel.object_scope(self._inner.name):
-            result = self._inner.read(selection)
-        self._file.vol.on_access(
-            self._file.path, self._inner.name, "read",
-            elements, elements * self._inner.dtype.itemsize,
-        )
+        inner, file = self._inner, self._file
+        desc = inner._desc
+        elements = (selection or Selection.all()).npoints(desc.space)
+        with file.channel.object_scope(inner.name):
+            result = inner.read(selection)
+        file.vol.on_access(file.path, inner.name, "read",
+                           elements, elements * desc.dtype.itemsize)
         return result
 
     def __getitem__(self, key):
@@ -246,12 +244,11 @@ class VolFile:
             else None
         )
         self._inner = H5File(fs, path, mode, vfd_wrap=wrap, **h5_kwargs)
+        #: File path (read on every traced access, so a plain attribute).
+        self.path = path
         vol.on_file_open(path)
 
     # -- delegation --------------------------------------------------
-    @property
-    def path(self) -> str:
-        return self._inner.path
 
     @property
     def inner(self) -> H5File:
@@ -263,7 +260,7 @@ class VolFile:
         return VolGroup(self._inner.root, self)
 
     def __getitem__(self, path: str):
-        return self.root[path]
+        return VolGroup(self._inner.root, self)[path]
 
     def __contains__(self, path: str) -> bool:
         return path in self._inner

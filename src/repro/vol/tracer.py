@@ -216,13 +216,14 @@ class VolTracer:
         if profile.open_count > 1:
             # Reopened: extend the lifetime span rather than reset it.
             profile.released = None
-        self.clock.advance(self._event_cost(self.costs.per_object_event),
-                           VOL_TRACKER_ACCOUNT)
+        now = self.clock.advance(self._event_cost(self.costs.per_object_event),
+                                 VOL_TRACKER_ACCOUNT)
         if self.emit is not None:
+            # Fields in declaration order: time, task, file, data_object,
+            # shape, dtype, layout, nbytes (one event per dataset open).
             self.emit(self._events.DatasetOpened(
-                time=self.clock.now, task=self.channel.current_task,
-                file=file, data_object=object_name, shape=tuple(shape),
-                dtype=dtype, layout=layout, nbytes=nbytes))
+                now, self.channel.current_task, file, object_name,
+                tuple(shape), dtype, layout, nbytes))
 
     def on_object_close(self, file: str, object_name: str) -> None:
         profile = self._profile(file, object_name)
@@ -253,13 +254,14 @@ class VolTracer:
             profile.elements_written += elements
         else:
             raise ValueError(f"unknown access op {op!r}")
-        self.clock.advance(self._event_cost(self.costs.per_access_event),
-                           VOL_TRACKER_ACCOUNT)
+        now = self.clock.advance(self._event_cost(self.costs.per_access_event),
+                                 VOL_TRACKER_ACCOUNT)
         if self.emit is not None:
+            # Fields in declaration order: time, task, file, data_object,
+            # op, elements, nbytes (one event per dataset access).
             self.emit(self._events.DatasetAccess(
-                time=self.clock.now, task=self.channel.current_task,
-                file=file, data_object=object_name, op=op,
-                elements=elements, nbytes=nbytes))
+                now, self.channel.current_task, file, object_name, op,
+                elements, nbytes))
 
     # ------------------------------------------------------------------
     # Output

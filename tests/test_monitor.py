@@ -474,7 +474,12 @@ class TestCliRegistration:
                      "ftg.json", "sdg.json", "alerts.json", "bus.json"):
             assert (tmp_path / name).exists(), name
         alerts = json.loads((tmp_path / "alerts.json").read_text())
-        assert any(a["code"] == "DY203" and a["confirmed"] for a in alerts)
+        # A DY203 alert that survived finalization (not retracted).
+        assert any(a["code"] == "DY203" and a["retracted"] is False
+                   and a["confirmed"] is True for a in alerts), alerts
         bus = json.loads((tmp_path / "bus.json").read_text())
         assert bus["reconciles"]
-        assert bus["subscribers"]["aggregate"]["dropped"] > 0
+        agg = bus["subscribers"]["aggregate"]
+        assert agg["dropped"] > 0
+        assert agg["offered"] == (agg["delivered"] + agg["dropped"]
+                                  + agg["sampled_out"] + agg["queued"]), agg

@@ -840,6 +840,33 @@ class TestByteIdentity:
             with server.client() as c:
                 self._assert_identical(c, run, ddmd)
 
+    def test_dropped_run_reloads_offline_bytes(self, server, ddmd):
+        """More runs than :data:`MAX_LIVE_RUNS`: only the most recent
+        stay in memory, and a dropped run is rebuilt from the store on
+        its next query with the offline bytes.  Uploads and queries of
+        live runs never reload."""
+        from repro.service.app import MAX_LIVE_RUNS
+
+        service = server.service
+        reloads = service.metrics.get("dayu_service_state_reloads_total")
+        payloads = [p.read_bytes()
+                    for p in sorted(ddmd["traces"].iterdir())]
+        runs = [f"run-{i:02d}" for i in range(MAX_LIVE_RUNS + 2)]
+        with server.client() as c:
+            for run in runs:
+                for payload in payloads:
+                    c.upload(run, payload)
+                c.graph(run, "ftg")
+            assert list(service._states) == [
+                ("public", run) for run in runs[-MAX_LIVE_RUNS:]]
+            assert reloads.value(tenant="public") == 0
+            self._assert_identical(c, runs[0], ddmd)
+            assert reloads.value(tenant="public") == 1
+            assert len(service._states) == MAX_LIVE_RUNS
+            assert next(reversed(service._states)) == ("public", runs[0])
+            self._assert_identical(c, runs[-1], ddmd)
+            assert reloads.value(tenant="public") == 1
+
     def test_kill_and_restart_recovers_every_run(self, tmp_path, ddmd):
         root = str(tmp_path / "store")
         payloads = [p.read_bytes()
