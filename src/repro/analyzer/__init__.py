@@ -29,7 +29,6 @@ from repro.analyzer.graphs import (
     build_sdg,
     dataset_node,
     file_node,
-    finalize_graph,
     mark_data_reuse,
     merge_edge_stats,
     opt_max,
@@ -38,11 +37,7 @@ from repro.analyzer.graphs import (
     task_node,
 )
 from repro.analyzer.html_export import to_html
-from repro.analyzer.parallel import (
-    AnalysisResult,
-    ParallelAnalyzer,
-    merge_graph_inplace,
-)
+from repro.analyzer.parallel import ParallelAnalyzer
 from repro.analyzer.ordering import (
     CyclicDependencyError,
     dependency_dag,
@@ -62,7 +57,6 @@ __all__ = [
     "GraphBuilder",
     "build_ftg",
     "build_sdg",
-    "finalize_graph",
     "merge_edge_stats",
     "opt_min",
     "opt_max",
@@ -71,9 +65,7 @@ __all__ = [
     "dataset_node",
     "region_node",
     "mark_data_reuse",
-    "AnalysisResult",
     "ParallelAnalyzer",
-    "merge_graph_inplace",
     "aggregate_by",
     "condense_regions",
     "to_dot",

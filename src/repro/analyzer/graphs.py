@@ -25,11 +25,10 @@ at a time, in any order, and can emit the finished graph at any point, so
 analyses over a growing trace directory (or a baseline kept across
 :func:`compare_runs` calls, or a service run whose traces arrive shuffled)
 never rebuild from scratch.  Edge statistics accumulate through the
-commutative :func:`merge_edge_stats`, which is also how
-:class:`~repro.analyzer.parallel.ParallelAnalyzer` merges independently
-built sub-graphs — per-contribution ``io_time`` samples are kept in an
-``_io_times`` list and folded with :func:`math.fsum` at finalization, so
-serial and sharded builds produce identical floats.
+commutative :func:`merge_edge_stats` — per-contribution ``io_time``
+samples are kept in an ``_io_times`` list and folded with
+:func:`math.fsum` at finalization, so every arrival order produces
+identical floats.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "opt_max",
     "merge_edge_stats",
     "GraphBuilder",
-    "finalize_graph",
     "build_ftg",
     "build_sdg",
     "mark_data_reuse",
@@ -145,9 +143,8 @@ def merge_edge_stats(data: dict, delta: dict) -> dict:
     spans widen via :func:`opt_min`/:func:`opt_max`, and per-contribution
     ``io_time`` samples accumulate in ``_io_times`` (summed with
     :func:`math.fsum` at finalization, which is correctly rounded and thus
-    order-independent).  ``delta`` may be a raw delta from
-    :func:`_edge_delta` or another edge's attribute dict, which is how
-    sub-graphs built on disjoint profile shards merge.
+    order-independent).  ``delta`` is a raw delta from
+    :func:`_edge_delta`.
     """
     for key in _COUNTER_KEYS:
         data[key] = data.get(key, 0) + delta.get(key, 0)
@@ -202,21 +199,6 @@ def _finalize_edges(g: nx.DiGraph) -> None:
         data["bandwidth"] = data["volume"] / io_time if io_time > 0 else 0.0
 
 
-def finalize_graph(g: nx.DiGraph, with_regions: bool = False) -> nx.DiGraph:
-    """Turn an accumulating graph into a finished FTG/SDG, in place.
-
-    Strips the redundant dataset↔file edges (region view), resolves edge
-    ``io_time``/``bandwidth``, and marks data reuse.  Used by
-    :meth:`GraphBuilder.build` and by the parallel merger after combining
-    shard graphs.
-    """
-    if with_regions:
-        _strip_direct_dataset_file_edges(g)
-    _finalize_edges(g)
-    mark_data_reuse(g)
-    return g
-
-
 def _ordered_profiles(
     profiles: Iterable[TaskProfile], task_order: Optional[Sequence[str]]
 ) -> List[TaskProfile]:
@@ -235,10 +217,7 @@ class GraphBuilder:
 
     Feed profiles with :meth:`add_profile` / :meth:`add_profiles` as they
     arrive; call :meth:`build` for a finished graph at any point and keep
-    adding afterwards.  A builder with ``seq_base`` set builds the
-    sub-graph for one contiguous shard of a larger profile sequence;
-    :func:`repro.analyzer.parallel.merge_graph_inplace` combines such
-    shard graphs into the same result a single builder would produce.
+    adding afterwards.
 
     **Arrival order.**  Profiles fed without a key take their places in
     arrival order, and the builder records nothing extra.  Profiles fed
@@ -259,7 +238,6 @@ class GraphBuilder:
         with_regions: (SDG only) insert file address-region nodes.
         region_bytes: Width of one address region in bytes.
         page_size: Page size of the profiles' region histograms.
-        seq_base: Execution-order index of the first profile added.
     """
 
     def __init__(
@@ -268,7 +246,6 @@ class GraphBuilder:
         with_regions: bool = False,
         region_bytes: int = 65536,
         page_size: int = 4096,
-        seq_base: int = 0,
     ) -> None:
         if kind not in ("ftg", "sdg"):
             raise ValueError(f"kind must be 'ftg' or 'sdg', got {kind!r}")
@@ -286,8 +263,7 @@ class GraphBuilder:
             self.graph = nx.DiGraph(graph_type="SDG", region_bytes=region_bytes)
         else:
             self.graph = nx.DiGraph(graph_type="FTG")
-        self._seq_base = seq_base
-        self._seq = seq_base
+        self._seq = 0
         #: First-touch key of every node and edge.
         self._node_key: Dict[str, tuple] = {}
         self._edge_key: Dict[Tuple[str, str], tuple] = {}
@@ -314,8 +290,7 @@ class GraphBuilder:
         builder fed without keys is in order by definition and records
         nothing; a keyed builder records first-touch keys.
         """
-        if (self._seq > self._seq_base
-                and (key is not None) != bool(self._profile_keys)):
+        if self._seq and (key is not None) != bool(self._profile_keys):
             raise ValueError("give a key for every profile or for none")
         if key is None:
             node, edge = _ensure_node, _bump_edge
@@ -504,7 +479,7 @@ class GraphBuilder:
             attrs = src.nodes[n]
             if attrs["kind"] == task:
                 rank = bisect.bisect_left(ranks, node_key[n][0])
-                attrs = dict(attrs, order=self._seq_base + rank)
+                attrs = dict(attrs, order=rank)
             return attrs
 
         g = nx.DiGraph()
@@ -530,7 +505,11 @@ class GraphBuilder:
             g = self._in_key_order()
         else:
             g = self.graph.copy() if copy else self.graph
-        return finalize_graph(g, with_regions=self.with_regions)
+        if self.with_regions:
+            _strip_direct_dataset_file_edges(g)
+        _finalize_edges(g)
+        mark_data_reuse(g)
+        return g
 
 
 def build_ftg(

@@ -1,45 +1,34 @@
-"""Parallel profile loading and sharded FTG/SDG construction.
+"""Parallel trace decoding in front of the one serial analysis path.
 
-The offline Workflow Analyzer reads one trace file per task.  For large
-workflows the load-and-build step is embarrassingly parallel in two
-places:
+The offline Workflow Analyzer reads one trace file per task, and each
+file decodes independently.  :class:`ParallelAnalyzer` fans the decode
+across a :class:`concurrent.futures.ProcessPoolExecutor`: a worker
+receives trace *paths*, not decoded profiles, so only the results cross
+a process boundary.  Everything after decoding — FTG/SDG construction,
+lint and the DY45x drift join — runs in-process through
+:func:`~repro.analyzer.graphs.build_ftg`,
+:func:`~repro.analyzer.graphs.build_sdg`,
+:func:`~repro.lint.engine.lint_profiles` and
+:func:`~repro.lint.engine.diff_profiles`.  Folding a decoded profile
+costs far less than pickling it to a worker, so those steps never gain
+from a pool.
 
-1. **Parsing** — each saved profile decodes independently; and
-2. **Graph construction** — any contiguous shard of the execution-ordered
-   profile sequence builds an independent sub-graph whose edge statistics
-   merge commutatively (:func:`~repro.analyzer.graphs.merge_edge_stats`).
-
-:class:`ParallelAnalyzer` fans both across a
-:class:`concurrent.futures.ProcessPoolExecutor` and merges the shard
-graphs **in shard order**, which preserves node/edge first-touch order —
-so the merged result is *identical* (byte-for-byte after
-:func:`~repro.analyzer.serialize.graph_to_json`) to a serial
-:func:`build_ftg`/:func:`build_sdg` over the same profiles.  Per-edge
-``io_time`` floats match too: contributions accumulate in lists and are
-folded with the correctly-rounded :func:`math.fsum` at finalization.
-
-With ``max_workers=1`` (or a single shard) everything runs in-process —
-no pool, no pickling — which is also the fast path on small boxes where
-the win comes from ``with_io_records=False`` (columnar traces never
-decode the per-op record columns) rather than from fan-out.
+With ``max_workers=1`` decoding runs in-process too — no pool, no
+pickling — which is also the fast path on small boxes where the win
+comes from ``with_io_records=False`` (columnar traces never decode the
+per-op record columns) rather than from fan-out.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import networkx as nx
 
-from repro.analyzer.graphs import (
-    GraphBuilder,
-    _ordered_profiles,
-    finalize_graph,
-    merge_edge_stats,
-)
+from repro.analyzer.graphs import build_ftg, build_sdg
 from repro.mapper.mapper import TaskProfile
 from repro.mapper.persist import load_profiles_path, trace_paths
 
@@ -49,30 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.lint.engine import LintReport
     from repro.lint.rules import LintConfig
 
-__all__ = ["AnalysisResult", "ParallelAnalyzer", "merge_graph_inplace"]
-
-
-def merge_graph_inplace(target: nx.DiGraph, source: nx.DiGraph) -> nx.DiGraph:
-    """Fold one unfinalized shard graph into ``target``, in place.
-
-    Nodes new to ``target`` are adopted with their attributes; nodes
-    present on both sides add their ``volume`` (every other shared node
-    attribute is shard-invariant).  Edge statistics merge through
-    :func:`merge_edge_stats`.  Merging shard graphs in shard order
-    reproduces the serial builder's node/edge insertion order exactly.
-    """
-    for node, attrs in source.nodes(data=True):
-        if node in target:
-            target.nodes[node]["volume"] += attrs.get("volume", 0)
-        else:
-            target.add_node(node, **attrs)
-    for u, v, attrs in source.edges(data=True):
-        data = target.get_edge_data(u, v)
-        if data is None:
-            target.add_edge(u, v, **attrs)
-        else:
-            merge_edge_stats(data, attrs)
-    return target
+__all__ = ["ParallelAnalyzer"]
 
 
 def _load_shard(paths: Sequence[str], with_io_records: bool) -> List[TaskProfile]:
@@ -81,63 +47,13 @@ def _load_shard(paths: Sequence[str], with_io_records: bool) -> List[TaskProfile
                 p, with_io_records=with_io_records)]
 
 
-def _build_shard(
-    profiles: Sequence[TaskProfile],
-    seq_base: int,
-    kind: str,
-    options: dict,
-) -> nx.DiGraph:
-    builder = GraphBuilder(kind, seq_base=seq_base, **options)
-    builder.add_profiles(profiles)
-    return builder.graph
-
-
-def _lint_shard(profiles: Sequence[TaskProfile], config):
-    """Worker-side lint units: per-profile findings + cross-task digests.
-
-    Imports lazily so worker processes only pay for ``repro.lint`` when
-    linting is requested (and to keep ``repro.analyzer`` import-light).
-    """
-    from repro.lint.engine import lint_unit
-
-    return [lint_unit(p, config) for p in profiles]
-
-
-def _diff_shard(profiles: Sequence[TaskProfile], contracts, config):
-    """Worker-side drift unit: per-task contract-vs-trace findings.
-
-    The DY45x rules are per-task (summary + that task's contract), so the
-    whole join shards; only findings travel back.
-    """
-    from repro.lint.context import summarize_profile
-    from repro.lint.engine import run_drift_rules
-
-    out = []
-    for p in profiles:
-        summary = summarize_profile(p, config.page_size)
-        out.append(run_drift_rules(summary, contracts.get(p.task), config))
-    return out
-
-
-@dataclass
-class AnalysisResult:
-    """Everything :meth:`ParallelAnalyzer.analyze` produces for one run."""
-
-    profiles: List[TaskProfile]
-    ftg: nx.DiGraph
-    sdg: nx.DiGraph
-    #: Present when :meth:`ParallelAnalyzer.analyze` ran with ``lint=True``.
-    lint_report: Optional["LintReport"] = None
-
-
 class ParallelAnalyzer:
-    """Scale-out load + graph construction over saved task profiles.
+    """Pooled trace decoding plus the serial analyses over its profiles.
 
     Args:
-        max_workers: Process-pool width; defaults to ``os.cpu_count()``.
-            ``1`` forces the in-process path (no pool, no pickling).
-        shard_size: Profiles (or trace files) per shard; defaults to an
-            even split across workers.
+        max_workers: Decode process-pool width; defaults to
+            ``os.cpu_count()``.  ``1`` forces the in-process path (no
+            pool, no pickling).
         with_io_records: Materialize per-operation records when loading.
             Graph construction and the diagnostics never read them, so the
             default ``False`` skips the dominant trace section entirely —
@@ -147,49 +63,22 @@ class ParallelAnalyzer:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
         with_io_records: bool = False,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if shard_size is not None and shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.shard_size = shard_size
         self.with_io_records = with_io_records
 
-    # ------------------------------------------------------------------
-    # Sharding
-    # ------------------------------------------------------------------
     @property
     def inline(self) -> bool:
-        """True when every fan-out point must run in-process.
+        """True when decoding runs in-process.
 
         ``--jobs 1`` means *no pool spawn, ever* — on single-core CI
-        runners the process startup would dwarf the work.  All fan-out
-        paths (:meth:`load`, :meth:`_build`, :meth:`lint`, :meth:`diff`)
-        route through :meth:`_fan_out` or check this flag directly.
+        runners the process startup would dwarf the work.
         """
         return self.max_workers <= 1
 
-    def _chunks(self, items: Sequence) -> List[Sequence]:
-        size = self.shard_size or max(1, math.ceil(len(items) / self.max_workers))
-        return [items[i:i + size] for i in range(0, len(items), size)]
-
-    def _fan_out(self, worker, shards: List[Sequence]) -> List:
-        """Run ``worker`` over shards — pooled, or in-process when a pool
-        cannot help (one worker / one shard)."""
-        if self.inline or len(shards) <= 1:
-            return [worker(shard) for shard in shards]
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(self.max_workers, len(shards))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, shards))
-
-    # ------------------------------------------------------------------
-    # Loading
-    # ------------------------------------------------------------------
     def load(self, source: str,
              trace_format: str = "auto") -> List[TaskProfile]:
         """Load every saved profile under a host directory, or in one
@@ -202,102 +91,49 @@ class ParallelAnalyzer:
             paths = [source]
         else:
             paths = trace_paths(source, trace_format=trace_format)
-        loaded = self._fan_out(
-            partial(_load_shard, with_io_records=self.with_io_records),
-            self._chunks(paths),
-        )
+        size = max(1, math.ceil(len(paths) / self.max_workers))
+        shards = [paths[i:i + size] for i in range(0, len(paths), size)]
+        decode = partial(_load_shard, with_io_records=self.with_io_records)
+        if self.inline or len(shards) <= 1:
+            loaded = [decode(shard) for shard in shards]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+                loaded = list(pool.map(decode, shards))
         profiles = [p for shard in loaded for p in shard]
         profiles.sort(key=lambda p: p.span.start)
         return profiles
 
-    # ------------------------------------------------------------------
-    # Graph construction
-    # ------------------------------------------------------------------
-    def _build(
-        self,
-        kind: str,
-        profiles: Iterable[TaskProfile],
-        task_order: Optional[Sequence[str]],
-        options: dict,
-    ) -> nx.DiGraph:
-        ordered = _ordered_profiles(profiles, task_order)
-        shards = self._chunks(ordered)
-        if self.inline or len(shards) <= 1:
-            builder = GraphBuilder(kind, **options)
-            builder.add_profiles(ordered)
-            return builder.build(copy=False)
-        seq_bases: List[int] = []
-        base = 0
-        for shard in shards:
-            seq_bases.append(base)
-            base += len(shard)
-        from concurrent.futures import ProcessPoolExecutor
+    # The analyses run in-process; these delegates keep the analyzer a
+    # one-object front end for callers that hold one.
+    def build_ftg(self, profiles: Iterable[TaskProfile],
+                  task_order: Optional[Sequence[str]] = None) -> nx.DiGraph:
+        """:func:`~repro.analyzer.graphs.build_ftg`."""
+        return build_ftg(profiles, task_order)
 
-        workers = min(self.max_workers, len(shards))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            graphs = list(pool.map(
-                partial(_build_shard, kind=kind, options=options),
-                shards, seq_bases,
-            ))
-        merged = graphs[0]
-        for g in graphs[1:]:
-            merge_graph_inplace(merged, g)
-        return finalize_graph(merged,
-                              with_regions=options.get("with_regions", False))
+    def build_sdg(self, profiles: Iterable[TaskProfile],
+                  task_order: Optional[Sequence[str]] = None,
+                  **options) -> nx.DiGraph:
+        """:func:`~repro.analyzer.graphs.build_sdg`."""
+        return build_sdg(profiles, task_order, **options)
 
-    def build_ftg(
-        self,
-        profiles: Iterable[TaskProfile],
-        task_order: Optional[Sequence[str]] = None,
-    ) -> nx.DiGraph:
-        """Sharded :func:`~repro.analyzer.graphs.build_ftg` — same result."""
-        return self._build("ftg", profiles, task_order, {})
+    def lint(self, profiles: Sequence[TaskProfile],
+             config: Optional["LintConfig"] = None,
+             attempts: Optional[Dict[str, int]] = None,
+             task_order: Optional[Sequence[str]] = None) -> "LintReport":
+        """:func:`~repro.lint.engine.lint_profiles`."""
+        from repro.lint.engine import lint_profiles
 
-    def build_sdg(
-        self,
-        profiles: Iterable[TaskProfile],
-        task_order: Optional[Sequence[str]] = None,
-        with_regions: bool = False,
-        region_bytes: int = 65536,
-        page_size: int = 4096,
-    ) -> nx.DiGraph:
-        """Sharded :func:`~repro.analyzer.graphs.build_sdg` — same result."""
-        options = dict(with_regions=with_regions, region_bytes=region_bytes,
-                       page_size=page_size)
-        return self._build("sdg", profiles, task_order, options)
+        return lint_profiles(profiles, config, attempts, task_order)
 
-    # ------------------------------------------------------------------
-    # Linting
-    # ------------------------------------------------------------------
-    def lint(
-        self,
-        profiles: Sequence[TaskProfile],
-        config: Optional["LintConfig"] = None,
-        attempts: Optional[Dict[str, int]] = None,
-        task_order: Optional[Sequence[str]] = None,
-    ) -> "LintReport":
-        """Sharded :func:`~repro.lint.engine.lint_profiles` — same report.
+    def diff(self, profiles: Sequence[TaskProfile],
+             contracts: Dict[str, object],
+             config: Optional["LintConfig"] = None) -> "LintReport":
+        """:func:`~repro.lint.engine.diff_profiles`."""
+        from repro.lint.engine import diff_profiles
 
-        Per-profile :func:`~repro.lint.engine.lint_unit` results
-        (profile-scoped findings plus cross-task digests) shard across
-        the worker pool; only they travel back, and the shared
-        :func:`~repro.lint.engine.finish_lint` runs the workflow- and
-        race-scoped rules in-process over them — the serial path's own
-        finish, so the report (and its fingerprints) is byte-identical
-        to :func:`~repro.lint.engine.lint_profiles`.  ``attempts`` feeds the
-        DY505 retry-race rule; ``task_order`` is a recovered execution
-        order for the DY7xx advisory rules.
-        """
-        from repro.lint.engine import finish_lint
-        from repro.lint.rules import LintConfig
-
-        config = config or LintConfig()
-        profiles = list(profiles)
-        results = self._fan_out(partial(_lint_shard, config=config),
-                                self._chunks(profiles))
-        units = [unit for shard in results for unit in shard]
-        return finish_lint(profiles, units, config, attempts=attempts,
-                           task_order=task_order)
+        return diff_profiles(profiles, contracts, config)
 
     def lint_run(
         self,
@@ -326,55 +162,3 @@ class ParallelAnalyzer:
                                  + n_rules("workflow") + n_rules("race")),
                 rules_skipped=0, n_groups=len(profiles))
         return self.lint(profiles, config, attempts=attempts)
-
-    def diff(
-        self,
-        profiles: Sequence[TaskProfile],
-        contracts: Dict[str, object],
-        config: Optional["LintConfig"] = None,
-    ) -> "LintReport":
-        """Sharded :func:`~repro.lint.engine.diff_profiles` — same report.
-
-        The drift (DY45x) join is per-task, so summaries and rule
-        evaluation both run in the worker pool; the serial part is just
-        the deterministic sort.  ``contracts`` maps task name to its
-        effective :class:`~repro.workflow.contracts.TaskContract`.
-        """
-        from repro.lint.engine import LintReport
-        from repro.lint.findings import Finding
-        from repro.lint.rules import LintConfig
-
-        config = config or LintConfig()
-        profiles = list(profiles)
-        results = self._fan_out(
-            partial(_diff_shard, contracts=dict(contracts), config=config),
-            self._chunks(profiles))
-        findings = [f for shard in results
-                    for task_findings in shard
-                    for f in task_findings]
-        findings.sort(key=Finding.sort_key)
-        return LintReport(findings=findings,
-                          tasks=sorted(p.task for p in profiles))
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def analyze(
-        self,
-        directory: str,
-        task_order: Optional[Sequence[str]] = None,
-        with_regions: bool = False,
-        region_bytes: int = 65536,
-        page_size: int = 4096,
-        lint: bool = False,
-        lint_config: Optional["LintConfig"] = None,
-    ) -> AnalysisResult:
-        """Load a trace directory and build both graphs (and, optionally,
-        the lint report in the same pass)."""
-        profiles = self.load(directory)
-        ftg = self.build_ftg(profiles, task_order)
-        sdg = self.build_sdg(profiles, task_order, with_regions=with_regions,
-                             region_bytes=region_bytes, page_size=page_size)
-        lint_report = self.lint(profiles, lint_config) if lint else None
-        return AnalysisResult(profiles=profiles, ftg=ftg, sdg=sdg,
-                              lint_report=lint_report)

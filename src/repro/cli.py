@@ -130,6 +130,17 @@ def run_main(argv: List[str] | None = None) -> int:
                   f"{plan.scale:g}, running at {args.scale:g}",
                   file=sys.stderr)
 
+    spec = None
+    if args.faults:
+        from repro.faults import FaultSpec
+
+        try:
+            spec = FaultSpec.load(args.faults)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"dayu-run: cannot load --faults {args.faults}: {exc}",
+                  file=sys.stderr)
+            return 2
+
     if args.monitor:
         from repro.monitor.cli import _print_alert
 
@@ -152,10 +163,9 @@ def run_main(argv: List[str] | None = None) -> int:
               f"stage-in {staged:.3f} simulated seconds")
 
     injector = None
-    if args.faults:
-        from repro.faults import FaultInjector, FaultSpec
+    if spec is not None:
+        from repro.faults import FaultInjector
 
-        spec = FaultSpec.load(args.faults)
         emit = env.monitor.publish if env.monitor is not None else None
         injector = FaultInjector(spec, env.cluster, emit=emit).arm()
         env.runner.faults = injector
@@ -214,8 +224,8 @@ def analyze_main(argv: List[str] | None = None) -> int:
                              "directories analyze without flags)")
     parser.add_argument("--graph-json", action="store_true",
                         help="also write canonical ftg.json/sdg.json "
-                             "(byte-stable across serial, sharded and "
-                             "columnar builds — diffable)")
+                             "(byte-stable across --jobs and trace "
+                             "formats — diffable)")
     parser.add_argument("--regions", action="store_true",
                         help="add file-address-region nodes to the SDG")
     parser.add_argument("--region-bytes", type=int, default=65536)
@@ -227,19 +237,20 @@ def analyze_main(argv: List[str] | None = None) -> int:
                         help="recover task execution order from the traces' "
                              "producer/consumer relations")
     parser.add_argument("--jobs", type=positive_int, default=1,
-                        help="worker processes for loading and graph "
-                             "construction (default 1 = serial)")
+                        help="worker processes for trace decoding "
+                             "(default 1 = serial)")
     parser.add_argument("--lint", action="store_true",
-                        help="also run dayu-lint in the same sharded pass "
-                             "and write lint.json next to the graphs")
+                        help="also write dayu-lint's default-rule report "
+                             "as lint.json next to the graphs")
     args = parser.parse_args(argv)
 
-    from repro.analyzer import ParallelAnalyzer
+    from repro.analyzer import ParallelAnalyzer, build_ftg, build_sdg
+    from repro.lint import lint_profiles
     from repro.mapper.persist import TRACE_READ_ERRORS
 
-    analyzer = ParallelAnalyzer(max_workers=args.jobs)
     try:
-        profiles = analyzer.load(args.traces, trace_format=args.trace_format)
+        profiles = ParallelAnalyzer(max_workers=args.jobs).load(
+            args.traces, trace_format=args.trace_format)
     except TRACE_READ_ERRORS as exc:
         print(f"dayu-analyze: {exc}", file=sys.stderr)
         return 2
@@ -259,10 +270,9 @@ def analyze_main(argv: List[str] | None = None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ftg = analyzer.build_ftg(profiles)
-    sdg = analyzer.build_sdg(profiles, with_regions=args.regions,
-                             region_bytes=args.region_bytes,
-                             page_size=args.page_size)
+    ftg = build_ftg(profiles)
+    sdg = build_sdg(profiles, with_regions=args.regions,
+                    region_bytes=args.region_bytes, page_size=args.page_size)
     for name, graph in (("ftg", ftg), ("sdg", sdg)):
         atomic_write_text(out / f"{name}.html",
                           to_html(graph, title=f"DaYu {name.upper()}"))
@@ -279,7 +289,7 @@ def analyze_main(argv: List[str] | None = None) -> int:
 
     # One lint pass: the advisory selection runs every default rule too,
     # so --lint's report is its default-enabled share.
-    report = analyzer.lint(profiles, ADVISORY, task_order=task_order)
+    report = lint_profiles(profiles, ADVISORY, task_order=task_order)
     advisory = LintReport(
         findings=[f for f in report.findings if f.code in ADVISORY_CODES],
         tasks=report.tasks)

@@ -37,6 +37,7 @@ from repro.experiments.analyzer_scale import (
     make_synthetic_profiles,
 )
 from repro.experiments.common import ResultTable, fresh_env
+from repro.lint import lint_profiles
 from repro.mapper.columnar import RunReader, build_graph_from_groups, compact_profiles
 from repro.mapper.persist import load_profiles_from_host_dir
 
@@ -183,9 +184,9 @@ def run_workload_table(
 
             t0 = time.perf_counter()
             profiles = analyzer.load(str(rows_dir))
-            row_ftg = analyzer.build_ftg(profiles)
-            row_sdg = analyzer.build_sdg(profiles)
-            row_lint = analyzer.lint(profiles)
+            row_ftg = build_ftg(profiles)
+            row_sdg = build_sdg(profiles)
+            row_lint = lint_profiles(profiles)
             row_seconds = time.perf_counter() - t0
 
             compact_profiles(profiles, run_path)

@@ -11,7 +11,7 @@ One harness, :func:`run_service_load`, answers the three questions the
    percentiles per client count land in the result table.
 2. **Correctness under concurrency** — after every sweep, each run's
    served graphs and findings are byte-compared against the offline
-   reference (``compact_profiles`` + the same ``ParallelAnalyzer``
+   reference (``compact_profiles`` + the same load, graph and lint
    calls ``dayu-analyze --graph-json --lint`` makes).
 3. **Crash recovery** — the service is stopped *without* the graceful
    compaction pass (the ``kill -9`` shape), restarted over the same
@@ -31,7 +31,7 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analyzer import ParallelAnalyzer
+from repro.analyzer import ParallelAnalyzer, build_ftg, build_sdg
 from repro.analyzer.serialize import graph_to_json
 from repro.experiments.common import ResultTable, fresh_env
 from repro.mapper.columnar import compact_profiles
@@ -97,18 +97,18 @@ def _offline_reference(payloads: Sequence[bytes],
                        work_dir: Path) -> Dict[str, bytes]:
     """The offline pipeline's bytes: ``dayu-compact`` the payloads, then
     the same builds/lint ``dayu-analyze --graph-json --lint`` performs."""
+    from repro.lint import lint_profiles
     from repro.mapper.persist import load_profile
 
     compacted = work_dir / "compacted"
     compacted.mkdir(parents=True, exist_ok=True)
     full = [load_profile(p, with_io_records=True) for p in payloads]
     compact_profiles(full, str(compacted / "run.dayuc"))
-    analyzer = ParallelAnalyzer()
-    profiles = analyzer.load(str(compacted))
+    profiles = ParallelAnalyzer().load(str(compacted))
     return {
-        "ftg": (graph_to_json(analyzer.build_ftg(profiles)) + "\n").encode(),
-        "sdg": (graph_to_json(analyzer.build_sdg(profiles)) + "\n").encode(),
-        "findings": analyzer.lint(profiles).to_json().encode(),
+        "ftg": (graph_to_json(build_ftg(profiles)) + "\n").encode(),
+        "sdg": (graph_to_json(build_sdg(profiles)) + "\n").encode(),
+        "findings": lint_profiles(profiles).to_json().encode(),
     }
 
 

@@ -37,13 +37,29 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 __all__ = ["DeviceFault", "NodeFault", "FaultSpec"]
 
 DEVICE_FAULT_KINDS = ("transient", "permanent", "short_io", "slowdown")
 _OPS = ("read", "write", "both")
+
+
+def _checked(cls, d) -> dict:
+    """``d`` if it is a JSON object whose keys all name fields of
+    ``cls``; else ``ValueError`` naming what is wrong, so a misspelled
+    spec fails loudly instead of running without its faults."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, "
+                         f"got {type(d).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s) "
+                         f"{', '.join(map(repr, unknown))}; expected "
+                         f"{', '.join(names)}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -111,6 +127,7 @@ class DeviceFault:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DeviceFault":
+        d = _checked(cls, d)
         return cls(
             path_prefix=d["path_prefix"],
             kind=d["kind"],
@@ -138,6 +155,7 @@ class NodeFault:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NodeFault":
+        d = _checked(cls, d)
         return cls(node=d["node"], at=float(d["at"]))
 
 
@@ -173,6 +191,7 @@ class FaultSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FaultSpec":
+        d = _checked(cls, d)
         return cls(
             seed=int(d.get("seed", 0)),
             device_faults=tuple(

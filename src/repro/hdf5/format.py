@@ -28,8 +28,6 @@ __all__ = [
     "VERSION",
     "SUPERBLOCK_SIZE",
     "Superblock",
-    "pack_u8",
-    "unpack_u8",
     "pack_bytes",
     "unpack_bytes",
 ]
@@ -47,16 +45,6 @@ _SB_STRUCT = struct.Struct("<8sIQQI")
 #: Fixed superblock allocation; the struct is padded up to this size so the
 #: first real allocation lands at a stable address.
 SUPERBLOCK_SIZE = 48
-
-
-def pack_u8(value: int) -> bytes:
-    """Encode an unsigned 64-bit little-endian integer."""
-    return struct.pack("<Q", value)
-
-
-def unpack_u8(data: bytes, offset: int = 0) -> int:
-    """Decode an unsigned 64-bit little-endian integer."""
-    return struct.unpack_from("<Q", data, offset)[0]
 
 
 def pack_bytes(data: bytes) -> bytes:

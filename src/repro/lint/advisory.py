@@ -36,8 +36,8 @@ but read the full task profiles (object sizes, dtypes, layouts, first raw
 operation, per-session sequential fraction) that the cross-task digests
 do not carry, from :attr:`~repro.lint.context.WorkflowIndex.profiles`.
 Every rule walks those profiles in execution order — ``(span.start,
-task)`` unless the caller passes a recovered ``task_order`` — so serial,
-sharded and columnar runs see one sequence.
+task)`` unless the caller passes a recovered ``task_order`` — so trace
+directories and columnar run files see one sequence.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def in_paper_order(findings: Iterable[Finding],
     tie), then by subject.  Consumers that keep the first of several
     findings — the guidelines engine's merge, the planner's one rewrite
     per file — read them in this order, so their output does not depend
-    on how the findings were sorted or sharded.
+    on how the findings were sorted.
     """
     code_rank = {code: i for i, code in enumerate(ADVISORY_CODES)}
     task_rank = {task: i for i, task in enumerate(task_order)}

@@ -117,8 +117,8 @@ def _parse_args(argv):
                         help="write the current findings' fingerprints to "
                              "PATH and exit 0")
     parser.add_argument("--jobs", type=positive_int, default=1,
-                        help="worker processes for loading and per-profile "
-                             "rules (default 1 = serial)")
+                        help="worker processes for trace decoding "
+                             "(default 1 = serial)")
     parser.add_argument("--page-size", type=int, default=4096,
                         help="page size the traces were recorded at")
     parser.add_argument("--with-io-records", action="store_true",
@@ -259,11 +259,12 @@ def lint_main(argv: List[str] | None = None) -> int:
                 key=Finding.sort_key)
     else:
         from repro.analyzer import ParallelAnalyzer
+        from repro.lint import diff_profiles, lint_profiles
 
-        analyzer = ParallelAnalyzer(max_workers=args.jobs,
-                                    with_io_records=args.with_io_records)
         try:
-            profiles = analyzer.load(args.traces)
+            profiles = ParallelAnalyzer(
+                max_workers=args.jobs,
+                with_io_records=args.with_io_records).load(args.traces)
         except TRACE_READ_ERRORS as exc:
             print(f"dayu-lint: {exc}", file=sys.stderr)
             return 2
@@ -279,7 +280,7 @@ def lint_main(argv: List[str] | None = None) -> int:
             built = _workload(args.diff)
             if built is None:
                 return 2
-            report = analyzer.diff(
+            report = diff_profiles(
                 profiles, build_static_context(built[0]).effective, config)
             if args.cost:
                 from repro.lint.engine import cost_findings
@@ -291,7 +292,7 @@ def lint_main(argv: List[str] | None = None) -> int:
                     + cost_findings(cost_ctx, config, profiles),
                     key=Finding.sort_key)
         else:
-            report = analyzer.lint(profiles, config, attempts=attempts)
+            report = lint_profiles(profiles, config, attempts=attempts)
 
     if args.cost_out and cost_ctx is not None:
         cost_ctx.report.save(args.cost_out)

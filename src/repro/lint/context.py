@@ -4,10 +4,8 @@ Hazard (DY2xx) and cross-task semantic (DY1xx) rules never walk raw
 profiles directly; they consume one :class:`ObjectAccess` per
 ``(task, file, data_object)`` triple — a compact, picklable digest of who
 touched which bytes of which object, at which layer, when.  Digests are
-built per profile (:func:`summarize_profile`), so
-:class:`~repro.analyzer.parallel.ParallelAnalyzer` can compute them in the
-same worker processes that shard graph construction, and only the small
-summaries travel back for the cross-task join.  Streaming lint
+built per profile (:func:`summarize_profile`), once per task, and only
+the small summaries enter the cross-task join.  Streaming lint
 (:mod:`repro.monitor.streamlint`) folds live operations into the same
 digests through :func:`fold_record`.
 
@@ -360,7 +358,7 @@ def execution_order(profiles: Sequence[TaskProfile],
     That is ``task_order``'s order when one is given (a recovered order
     such as :func:`repro.analyzer.infer_task_order`'s; tasks it omits go
     last), else ``(span.start, task)`` — the same sequence whichever order
-    serial, sharded or columnar loading produced.
+    a trace directory or a columnar run file was loaded in.
     """
     if task_order is None:
         return sorted(profiles, key=lambda p: (p.span.start, p.task))

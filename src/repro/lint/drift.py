@@ -18,9 +18,8 @@ DY452 (the extractor already said they may not happen); dataless
 since defining a dataset moves metadata but no data.
 
 Every rule here has ``scope="drift"`` and the signature
-``check(summary, contract, config) -> findings`` — per-task, so
-:class:`~repro.analyzer.parallel.ParallelAnalyzer` shards the join the
-same way it shards profile rules.
+``check(summary, contract, config) -> findings`` — per task, joined by
+:func:`~repro.lint.engine.diff_profiles`.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """The lint engine: run rules over profiles, collect a report, baseline.
 
-:func:`lint_profiles` is the serial entry point.  It,
-:class:`~repro.analyzer.parallel.ParallelAnalyzer` and ``dayu-serve`` all
+:func:`lint_profiles` is the entry point.  It and ``dayu-serve`` both
 finish through :func:`finish_lint` over per-profile :func:`lint_unit`
 results.  The enabled rules split by scope — profile-scoped rules see
 each :class:`~repro.mapper.mapper.TaskProfile` in isolation (the unit
-part, which the parallel analyzer ships to worker processes and the
-service computes once per task), workflow-scoped rules see the
-cross-task :class:`~repro.lint.context.WorkflowIndex` plus the
+part, which the service computes once per task), workflow-scoped rules
+see the cross-task :class:`~repro.lint.context.WorkflowIndex` plus the
 happens-before oracle — and everything folds into a deterministic,
 severity-ordered :class:`LintReport`.
 
@@ -140,22 +138,19 @@ def run_profile_rules(profile: TaskProfile,
 
 def run_workflow_rules(profiles: Sequence[TaskProfile],
                        config: LintConfig,
-                       summaries=None,
+                       summaries,
                        task_order: Optional[Sequence[str]] = None,
                        dag=None,
                        ) -> List[Finding]:
     """Evaluate every enabled workflow-scoped rule over the cross-task
-    index.  ``summaries`` may carry pre-computed per-profile digests (from
-    parallel workers); missing ones are computed here, as is the
-    dependency ``dag`` when not given.  ``task_order`` overrides the
-    start-time execution order the DY7xx advisory rules walk (see
+    index.  ``summaries`` are the profiles' digests (one per profile, from
+    :func:`lint_unit`); the dependency ``dag`` is computed here when not
+    given.  ``task_order`` overrides the start-time execution order the
+    DY7xx advisory rules walk (see
     :func:`~repro.lint.context.execution_order`)."""
     rules = config.enabled_rules(scope="workflow")
     if not rules:
         return []
-    if summaries is None:
-        summaries = [summarize_profile(p, config.page_size)
-                     for p in profiles]
     index = build_index(summaries, profiles, task_order)
     ordering = compute_ordering(profiles, dag)
     findings: List[Finding] = []
@@ -191,9 +186,8 @@ def lint_unit(profile: TaskProfile, config: LintConfig) -> LintUnit:
     its cross-task :class:`~repro.lint.context.ProfileSummary` (None when
     no enabled workflow or race rule reads digests).
 
-    Depends on nothing but the profile and the picklable config, so
-    :class:`~repro.analyzer.parallel.ParallelAnalyzer` computes units in
-    worker processes and ``dayu-serve`` computes each task's once.
+    Depends on nothing but the profile and the config, so ``dayu-serve``
+    computes each task's once, as it arrives.
     """
     summary = (summarize_profile(profile, config.page_size)
                if _needs_summaries(config) else None)
@@ -210,8 +204,8 @@ def finish_lint(profiles: Sequence[TaskProfile],
     ``units[i]`` is :func:`lint_unit` of ``profiles[i]`` under ``config``.
     Runs the cross-task rules — workflow scope, then race scope, both
     over one dependency DAG and the units' digests — and sorts
-    everything into the report.  Every trace lint ends here, so serial,
-    sharded and service reports agree byte for byte.
+    everything into the report.  Every trace lint ends here, so offline
+    and service reports agree byte for byte.
     """
     findings = [f for unit_findings, _ in units for f in unit_findings]
     if _needs_summaries(config):
@@ -234,7 +228,7 @@ def lint_profiles(profiles: Sequence[TaskProfile],
                   config: Optional[LintConfig] = None,
                   attempts: Optional[Dict[str, int]] = None,
                   task_order: Optional[Sequence[str]] = None) -> LintReport:
-    """Run all enabled rules over a workflow's task profiles (serially).
+    """Run all enabled rules over a workflow's task profiles.
 
     ``attempts`` carries the runner's per-task retry counts (from
     ``WorkflowResult``); only the DY505 retry-race rule consumes it.
@@ -306,7 +300,6 @@ def run_drift_rules(summary, contract, config: LintConfig) -> List[Finding]:
     ``summary`` is the task's traced
     :class:`~repro.lint.context.ProfileSummary`; ``contract`` its
     effective :class:`~repro.workflow.contracts.TaskContract` (or None).
-    Per-task and picklable — the unit the parallel analyzer shards.
     """
     findings: List[Finding] = []
     for r in config.enabled_rules(scope="drift"):
@@ -315,25 +308,21 @@ def run_drift_rules(summary, contract, config: LintConfig) -> List[Finding]:
 
 
 def diff_profiles(profiles: Sequence[TaskProfile], contracts,
-                  config: Optional[LintConfig] = None,
-                  summaries=None) -> LintReport:
-    """Join traced profiles against contracts: the drift check (serial).
+                  config: Optional[LintConfig] = None) -> LintReport:
+    """Join traced profiles against contracts: the drift check.
 
     ``contracts`` maps task name to its effective contract (see
     :meth:`~repro.lint.static.WorkflowContracts.effective`).
-    ``summaries`` may carry pre-computed digests from parallel workers.
     """
     config = config or LintConfig()
-    if summaries is None:
-        summaries = [summarize_profile(p, config.page_size)
-                     for p in profiles]
     findings: List[Finding] = []
-    for summary in summaries:
-        findings.extend(
-            run_drift_rules(summary, contracts.get(summary.task), config))
+    for p in profiles:
+        summary = summarize_profile(p, config.page_size)
+        findings.extend(run_drift_rules(summary, contracts.get(p.task),
+                                        config))
     findings.sort(key=Finding.sort_key)
     return LintReport(findings=findings,
-                      tasks=sorted(s.task for s in summaries))
+                      tasks=sorted(p.task for p in profiles))
 
 
 # ----------------------------------------------------------------------

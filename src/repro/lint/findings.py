@@ -6,9 +6,8 @@ anti-pattern, ``DY2xx`` dataflow hazard, ``DY3xx`` trace-integrity
 violation), a severity, the subject (file path, ``file:dataset`` pair, or
 task pair), the tasks involved, and machine-readable evidence.
 
-Findings are plain data — picklable (so profile-scoped rules can run in
-:class:`~repro.analyzer.parallel.ParallelAnalyzer` worker processes) and
-deterministic: :meth:`Finding.fingerprint` hashes only the stable identity
+Findings are plain data and deterministic:
+:meth:`Finding.fingerprint` hashes only the stable identity
 (code, subject, tasks), never timestamps or volumes, so a baseline file
 keeps suppressing the same finding across re-runs of the same workflow.
 """

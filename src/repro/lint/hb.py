@@ -2,8 +2,8 @@
 
 DaYu's traces show *one* interleaving of a workflow; the DY2xx hazard
 rules convict only conflicts that interleaving happened to leave
-unordered.  Before ROADMAP item 1's out-of-order scheduler is allowed to
-reorder tasks, the race pass (:mod:`repro.lint.race`) must know which
+unordered.  Before the engine's dataflow mode (``--deps dataflow``) is
+allowed to reorder tasks, the race pass (:mod:`repro.lint.race`) must know which
 orderings are guaranteed by true dataflow and which are accidents of the
 stage plan.  This module provides the machinery:
 

@@ -10,8 +10,7 @@ invariants.  A violation means the profile is internally inconsistent
 downstream analysis over it is suspect.
 
 All DY3xx rules are profile-scoped: each profile is checked in
-isolation, so the sanitizer shards perfectly across
-:class:`~repro.analyzer.parallel.ParallelAnalyzer` workers.
+isolation, so ``dayu-serve`` checks each task once, as it arrives.
 """
 
 from __future__ import annotations

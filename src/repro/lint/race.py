@@ -12,8 +12,8 @@ decoding: it compares two happens-before relations over the same run —
   mode) or the stage plan's ranks (pre-run static mode)
 
 — and convicts conflicting accesses that only the *second* relation
-orders.  Those orderings are accidents: an out-of-order scheduler
-(ROADMAP item 1), a retry after a node death, or a genuinely concurrent
+orders.  Those orderings are accidents: the engine's dataflow mode
+(``--deps dataflow``), a retry after a node death, or a genuinely concurrent
 deployment can legally run them the other way.  Every conviction ships a
 *witness*: a concrete legal topological reordering of the
 dependency-only DAG under which the accesses collide

@@ -43,13 +43,12 @@ Rules register themselves via :func:`rule`; importing
 :mod:`repro.lint.drift`, :mod:`repro.lint.race`,
 :mod:`repro.lint.perf` and :mod:`repro.lint.advisory` populates the
 registry (package ``__init__`` does this).  Each rule is
-``profile``-scoped (evaluated per task profile, shardable across worker
-processes), ``workflow``-scoped (evaluated once over the cross-task
+``profile``-scoped (evaluated per task profile), ``workflow``-scoped
+(evaluated once over the cross-task
 :class:`~repro.lint.context.WorkflowIndex`), ``contract``-scoped
 (evaluated once over the pre-run
 :class:`~repro.lint.predict.StaticContext`), ``drift``-scoped (evaluated
-per task against its contract + traced summary, shardable),
-``race``-scoped (evaluated once over the dual happens-before
+per task against its contract + traced summary), ``race``-scoped (evaluated once over the dual happens-before
 :class:`~repro.lint.race.RaceContext`), ``perf``-scoped (evaluated once
 over the pre-run :class:`~repro.lint.cost.CostContext`), or
 ``costdrift``-scoped (evaluated once over the prediction-vs-trace
@@ -75,10 +74,10 @@ class LintRule:
         code: Stable ``DYnnn`` identifier.
         name: Short kebab-case name (shown next to the code).
         severity: Default severity of its findings.
-        scope: ``"profile"`` (per-task, shardable), ``"workflow"``
-            (cross-task, needs the full index), ``"contract"`` (pre-run,
-            over the static context), or ``"drift"`` (per-task contract
-            vs. trace join, shardable).
+        scope: ``"profile"`` (per-task), ``"workflow"`` (cross-task,
+            needs the full index), ``"contract"`` (pre-run, over the
+            static context), or ``"drift"`` (per-task contract vs. trace
+            join).
         description: One-line summary for ``--list-rules`` and SARIF.
         default_enabled: Whether the rule runs without explicit
             ``--enable``.  Opt-in rules (DY105, the DY5xx races, the

@@ -483,10 +483,14 @@ class DayuService:
         return 200, self.metrics.render_prometheus()
 
     def _h_runs(self, request: _Request, tenant: str):
+        # A listing reads live states where they are and the store where
+        # they are not: it neither reorders nor refills the live set.
         runs = []
         for run in self.store.runs(tenant):
-            row = {"run": run, **self._state(tenant, run).summary()}
-            runs.append(row)
+            state = self._states.get((tenant, run))
+            if state is None:
+                state = RunState(self.store.load_profiles(tenant, run))
+            runs.append({"run": run, **state.summary()})
         quota = self.store.quota_for(tenant)
         return {
             "tenant": tenant,

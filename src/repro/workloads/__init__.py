@@ -17,7 +17,7 @@ math):
   benchmark (Figures 9c-d, 10b).
 """
 
-from repro.workloads.arldm import ArldmParams, build_arldm, prepare_arldm_inputs
+from repro.workloads.arldm import ArldmParams, build_arldm
 from repro.workloads.climate import ClimateParams, build_climate
 from repro.workloads.corner_case import CornerCaseParams, build_corner_case
 from repro.workloads.ddmd import DdmdParams, build_ddmd
@@ -36,7 +36,6 @@ __all__ = [
     "build_ddmd",
     "ArldmParams",
     "build_arldm",
-    "prepare_arldm_inputs",
     "H5benchParams",
     "build_h5bench_write",
     "build_h5bench_read",

@@ -18,12 +18,11 @@ from typing import List
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
 from repro.hdf5 import Selection
 from repro.workflow.model import Stage, Task, Workflow
 from repro.workflow.runner import TaskRuntime
 
-__all__ = ["ArldmParams", "prepare_arldm_inputs", "build_arldm"]
+__all__ = ["ArldmParams", "build_arldm"]
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,6 @@ def _text_elements(p: ArldmParams) -> List[str]:
     sizes = rng.integers(max(p.avg_text_bytes // 2, 1),
                          p.avg_text_bytes * 3 // 2 + 1, p.items)
     return ["t" * int(s) for s in sizes]
-
-
-def prepare_arldm_inputs(cluster: Cluster, params: ArldmParams) -> None:
-    """No external inputs: arldm_saveh5 synthesizes its own data.
-
-    Present for interface symmetry with the other workloads.
-    """
 
 
 def build_arldm(params: ArldmParams) -> Workflow:

@@ -98,6 +98,49 @@ class TestFaultSpec:
             FaultSpec(node_faults=(
                 NodeFault("n0", at=1.0), NodeFault("n0", at=2.0)))
 
+    @pytest.mark.parametrize("text,needle", [
+        ('{"faults": []}', "'faults'"),
+        ('{"bogus_key": 1}', "'bogus_key'"),
+        ("[]", "FaultSpec must be a JSON object, got list"),
+        ('{"device_faults": [{"path_prefix": "/pfs", "kind": "permanent",'
+         ' "extra": 1}]}', "unknown DeviceFault key(s) 'extra'"),
+        ('{"node_faults": [{"node": "n0", "at": 1.0, "when": 2}]}',
+         "unknown NodeFault key(s) 'when'"),
+        ('{"device_faults": [5]}', "DeviceFault must be a JSON object"),
+    ], ids=["faults", "bogus-key", "list", "device-extra", "node-extra",
+            "device-not-object"])
+    def test_misspelled_spec_rejected(self, text, needle):
+        import re
+
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            FaultSpec.loads(text)
+
+    def test_bundled_specs_still_load(self):
+        from repro.workloads.chaos import chaos_fault_spec
+        from repro.workloads.racy_pipeline import racy_fault_spec
+
+        for spec in (chaos_fault_spec(), racy_fault_spec(), FaultSpec(),
+                     FaultSpec(seed=3, node_faults=(NodeFault("n0", 1.0),))):
+            assert FaultSpec.loads(spec.dumps()) == spec
+
+    @pytest.mark.parametrize("text", [
+        '{"faults": []}', '{"bogus_key": 1}', "[]", "{not json",
+        '{"device_faults": [{"path_prefix": "/pfs", "kind": "permanent",'
+        ' "extra": 1}]}',
+    ], ids=["faults", "bogus-key", "list", "invalid-json", "device-extra"])
+    def test_run_main_rejects_bad_spec_file(self, text, tmp_path, capsys):
+        from repro.cli import run_main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "traces"
+        assert run_main(["chaos", "--faults", str(spec),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"dayu-run: cannot load --faults {spec}: ")
+        assert "\n" not in err
+        assert not out.exists()
+
     def test_path_matching_is_component_wise(self):
         fault = DeviceFault("/pfs/a", "permanent")
         assert fault.matches_path("/pfs/a")

@@ -193,7 +193,7 @@ class TestPersistedTraces:
 
     def test_parallel_lint_matches_serial(self, saved_traces):
         for with_records in (False, True):
-            analyzer = ParallelAnalyzer(max_workers=4, shard_size=1,
+            analyzer = ParallelAnalyzer(max_workers=4,
                                         with_io_records=with_records)
             profiles = analyzer.load(saved_traces)
             parallel = analyzer.lint(profiles)
@@ -201,15 +201,6 @@ class TestPersistedTraces:
             assert [f.to_json_dict() for f in parallel.findings] == \
                 [f.to_json_dict() for f in serial.findings]
             assert parallel.tasks == serial.tasks
-
-    def test_analyze_carries_lint_report(self, saved_traces):
-        result = ParallelAnalyzer(max_workers=1).analyze(saved_traces,
-                                                         lint=True)
-        assert result.lint_report is not None
-        assert sorted(f.code for f in result.lint_report.findings) == \
-            ["DY102", "DY203"]
-        assert ParallelAnalyzer(max_workers=1).analyze(
-            saved_traces).lint_report is None
 
 
 # ----------------------------------------------------------------------

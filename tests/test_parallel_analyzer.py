@@ -14,7 +14,6 @@ from repro.analyzer import (
     compare_runs,
     graph_to_json,
     merge_edge_stats,
-    merge_graph_inplace,
     opt_max,
     opt_min,
     summarize_run,
@@ -158,26 +157,6 @@ class TestGraphBuilder:
         assert graph_to_json(builder.build()) == \
                graph_to_json(build_ftg(profiles))
 
-    def test_shard_merge_equals_serial(self):
-        profiles = self.profiles()
-        serial = build_sdg(profiles, with_regions=True, region_bytes=65536)
-        shards = [profiles[:2], profiles[2:4], profiles[4:]]
-        built = []
-        base = 0
-        for shard in shards:
-            b = GraphBuilder("sdg", with_regions=True, region_bytes=65536,
-                             seq_base=base)
-            b.add_profiles(shard)
-            built.append(b.graph)
-            base += len(shard)
-        merged = built[0]
-        for g in built[1:]:
-            merge_graph_inplace(merged, g)
-        from repro.analyzer import finalize_graph
-
-        finalize_graph(merged, with_regions=True)
-        assert graph_to_json(merged) == graph_to_json(serial)
-
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             GraphBuilder("dag")
@@ -267,12 +246,51 @@ class TestParallelAnalyzer:
         serial_ftg = graph_to_json(build_ftg(ordered))
         serial_sdg = graph_to_json(build_sdg(ordered, with_regions=True,
                                              region_bytes=65536))
-        analyzer = ParallelAnalyzer(max_workers=workers, shard_size=3)
-        result = analyzer.analyze(str(tmp_path), with_regions=True,
-                                  region_bytes=65536)
-        assert [p.task for p in result.profiles] == [p.task for p in ordered]
-        assert graph_to_json(result.ftg) == serial_ftg
-        assert graph_to_json(result.sdg) == serial_sdg
+        analyzer = ParallelAnalyzer(max_workers=workers)
+        loaded = analyzer.load(str(tmp_path))
+        assert [p.task for p in loaded] == [p.task for p in ordered]
+        assert graph_to_json(analyzer.build_ftg(loaded)) == serial_ftg
+        assert graph_to_json(analyzer.build_sdg(
+            loaded, with_regions=True, region_bytes=65536)) == serial_sdg
+
+    def test_mixed_formats_with_tied_starts_load_alike(
+            self, pyflextrkr_profiles, tmp_path):
+        """The decode pool is the one step whose width could change the
+        output: a directory mixing JSON and columnar traces, with tasks
+        sharing a start time, loads into the same sequence at any
+        width, so graphs and lint agree byte for byte."""
+        import dataclasses
+
+        from repro.lint import lint_profiles
+
+        ordered = sorted(pyflextrkr_profiles, key=lambda p: p.span.start)
+        tied = [dataclasses.replace(
+                    p, span=TimeSpan(ordered[i - i % 3].span.start,
+                                     p.span.end))
+                for i, p in enumerate(ordered)]
+        # Paths sort even positions first, so every group of tied tasks
+        # straddles the two decode shards and keeps the paths' order.
+        for i, p in enumerate(tied):
+            name = f"{i % 2}-{i:03d}-{p.task}"
+            if i // 2 % 2:
+                (tmp_path / f"{name}.dayuc").write_bytes(
+                    p.serialize_columnar())
+            else:
+                (tmp_path / f"{name}.json").write_bytes(p.serialize())
+        outputs = []
+        for workers in (1, 2):
+            loaded = ParallelAnalyzer(max_workers=workers,
+                                      with_io_records=True).load(
+                                          str(tmp_path))
+            outputs.append((
+                [p.task for p in loaded],
+                graph_to_json(build_ftg(loaded)),
+                graph_to_json(build_sdg(loaded, with_regions=True)),
+                lint_profiles(loaded).to_json(),
+            ))
+        assert len({p.span.start for p in tied}) < len(tied)
+        assert len(outputs[0][0]) == len(tied)
+        assert outputs[0] == outputs[1]
 
     def test_load_skips_records_by_default(self, pyflextrkr_profiles,
                                            tmp_path):
@@ -290,8 +308,6 @@ class TestParallelAnalyzer:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             ParallelAnalyzer(max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelAnalyzer(shard_size=0)
 
 
 class TestRunSummary:

@@ -299,8 +299,7 @@ class TestStaticAgreement:
 # ----------------------------------------------------------------------
 class TestParallelIdentity:
     def test_sharded_lint_matches_serial(self, racy_run, racy_report):
-        analyzer = ParallelAnalyzer(max_workers=4, shard_size=4,
-                                    with_io_records=True)
+        analyzer = ParallelAnalyzer(max_workers=4, with_io_records=True)
         sharded = analyzer.lint(racy_run.profiles, RACES,
                                 attempts=racy_run.attempts)
         assert sharded.to_json() == racy_report.to_json()

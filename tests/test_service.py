@@ -867,6 +867,33 @@ class TestByteIdentity:
             self._assert_identical(c, runs[-1], ddmd)
             assert reloads.value(tenant="public") == 1
 
+    def test_run_listing_leaves_live_runs_alone(self, server, ddmd):
+        """``GET /runs`` over more than :data:`MAX_LIVE_RUNS` runs
+        summarises every run without reloading a dropped one into
+        memory or reordering the live ones."""
+        from repro.service.app import MAX_LIVE_RUNS
+
+        service = server.service
+        reloads = service.metrics.get("dayu_service_state_reloads_total")
+        payloads = [p.read_bytes()
+                    for p in sorted(ddmd["traces"].iterdir())]
+        runs = [f"run-{i:02d}" for i in range(MAX_LIVE_RUNS + 2)]
+        with server.client() as c:
+            for run in runs:
+                for payload in payloads:
+                    c.upload(run, payload)
+            live = list(service._states)
+            assert live == [("public", run) for run in runs[-MAX_LIVE_RUNS:]]
+            for _ in range(2):
+                rows = c.runs()["runs"]
+                assert [r["run"] for r in rows] == runs
+                assert len(rows[-1]["tasks"]) == len(payloads)
+                assert all(r["tasks"] == rows[-1]["tasks"] for r in rows)
+                assert list(service._states) == live
+            assert reloads.value(tenant="public") == 0
+            c.graph(runs[-1], "ftg")
+            assert reloads.value(tenant="public") == 0
+
     def test_kill_and_restart_recovers_every_run(self, tmp_path, ddmd):
         root = str(tmp_path / "store")
         payloads = [p.read_bytes()

@@ -326,14 +326,14 @@ class TestDrift:
         del doctored["hazard_writer_b"]
         serial = diff_profiles(profiles, doctored)
         assert serial.findings  # the comparison must exercise something
-        sharded = ParallelAnalyzer(max_workers=2, shard_size=1).diff(
+        sharded = ParallelAnalyzer(max_workers=2).diff(
             profiles, doctored)
         assert sharded.to_json() == serial.to_json()
 
     def test_parallel_diff_clean_identical_too(self, hazard_run):
         profiles, contracts = hazard_run
         serial = diff_profiles(profiles, contracts)
-        sharded = ParallelAnalyzer(max_workers=2, shard_size=2).diff(
+        sharded = ParallelAnalyzer(max_workers=2).diff(
             profiles, contracts)
         assert serial.clean and sharded.to_json() == serial.to_json()
 
